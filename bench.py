@@ -194,7 +194,7 @@ def main():
 
     total = sum(queries.values())
     out = {
-        "metric": "kg_docs_per_sec",
+        "metric": "kg_construct_sec",
         "value": round(t_kg, 2),
         "unit": "sec",
         "docs_per_sec": round(KG_DOCS / t_kg, 1),

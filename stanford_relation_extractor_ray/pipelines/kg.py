@@ -6,10 +6,9 @@ The Ray-Data re-expression of the reference's slot-filling lifecycle
 aliases) → featurize → salted-key bag groupby (shuffle #1) → ensemble
 classification (actor pool) → per-triple combine → object linking →
 per-entity greedy consistency (groupby.map_groups) → canonicalization
-(shuffle #2; three tiers — driver union-find below the surface gate,
-distributed blocking + min-label propagation above it, and a fully
-Dataset-only tier for open-domain scale, see ``build_graph``) →
-node/edge tables.
+(two tiers sharing one set of kernels — a zero-execution driver tier
+below the surface gate and a Dataset-only tier above it, see
+``build_graph``) → node/edge tables.
 
 Two entry styles:
 - ``extract_fills(docs)`` — the streaming lazy pipeline for one shard.
@@ -32,9 +31,7 @@ import pyarrow as pa
 
 from ..corpus import documents_dataset
 from ..state.manifest import Manifest, digest
-from ..stages import bags, classify, consistency, featurize, link, \
-    mentions, nlp
-from ..stages.canonicalize import canonical_map, materialize_graph
+from ..stages import consistency, link, mentions, nlp
 
 
 def passthrough_documents(documents):
@@ -43,26 +40,16 @@ def passthrough_documents(documents):
 
 
 def extract_fills(documents, *, seed: int = 42, aliases_ref=None,
-                  model_ref=None, n_salt: int = 4, nlp_concurrency=None,
-                  scorer_concurrency=None, use_bags: bool = False):
+                  model_ref=None, nlp_concurrency=None):
     """documents Dataset → raw (partial) fills Dataset (lazy, streaming).
 
-    Default is the fast path: per-candidate scoring with in-batch
-    partial noisy-or aggregation (classify.CandidateScorer) — provably
-    equivalent to explicit bag assembly because noisy-or distributes
-    over bag partitions, and one full shuffle cheaper. ``use_bags=True``
-    runs the literal reference dataflow (salted bag groupby →
-    bag scorer) instead; both feed the same ``combine_fills`` merge.
+    The fused fast path: per-candidate scoring with in-batch partial
+    noisy-or aggregation (classify.CandidateScorer) — provably
+    equivalent to the literal reference dataflow (nlp.annotate →
+    mentions.pair → link → featurize → salted bags.assemble →
+    classify.classify, all still registered stages) because noisy-or
+    distributes over bag partitions, and one full shuffle cheaper.
     """
-    if use_bags:
-        sentences = nlp.annotate(documents, seed=seed,
-                                 concurrency=nlp_concurrency)
-        cands = mentions.pair(sentences)
-        cands = link.link(cands, aliases_ref=aliases_ref, seed=seed)
-        feats = featurize.featurize(cands)
-        bagged = bags.assemble(feats, n_salt=n_salt)
-        return classify.classify(bagged, model_ref=model_ref,
-                                 concurrency=scorer_concurrency)
     from ..stages.extract_fused import extract
     return extract(documents, seed=seed, aliases_ref=aliases_ref,
                    model_ref=model_ref, concurrency=nlp_concurrency)
@@ -199,17 +186,16 @@ def _postprocess_driver_side(consistent_mat, seed: int,
 
 
 def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
-                   fused: bool = True, objective: str = "TOP",
+                   objective: str = "TOP",
                    mixing_time: int = 10, postprocess: bool = True,
                    sentences="auto", known: dict | None = None,
                    repair: bool = False):
     """raw fills → consistent, object-linked fills (global stages).
 
-    Default is the single-shuffle fused path
-    (``consistency.combine_enforce``); ``fused=False`` runs the
-    three-stage chain (combine → link → enforce) it is equivalent to.
-    ``objective`` selects the consistency engine (TOP greedy / SUM
-    Gibbs restarts).
+    One fused shuffle (``consistency.combine_enforce``), equivalent to
+    the three-stage chain classify.combine_fills → link.link →
+    consistency.enforce. ``objective`` selects the consistency engine
+    (TOP greedy / SUM Gibbs restarts).
 
     ``postprocess=True`` (the default — the reference applies its
     unary rewrite/filter chain to EVERY fill,
@@ -224,16 +210,9 @@ def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
     passes ``postprocess=False`` and applies the chain itself with
     per-query ignored slots.
     """
-    if fused:
-        consistent = consistency.combine_enforce(
-            fills, aliases_ref=aliases_ref, seed=seed,
-            objective=objective, mixing_time=mixing_time)
-    else:
-        fills = classify.combine_fills(fills)
-        fills = link.link(fills, aliases_ref=aliases_ref, seed=seed)
-        consistent = consistency.enforce(
-            fills, objective=objective, mixing_time=mixing_time,
-            seed=seed)
+    consistent = consistency.combine_enforce(
+        fills, aliases_ref=aliases_ref, seed=seed,
+        objective=objective, mixing_time=mixing_time)
     if not postprocess:
         return consistent
     from ..stages import postprocess as pp
@@ -327,116 +306,28 @@ def _model_fingerprint(model_ref) -> str:
     return h.hexdigest()[:16]
 
 
-def _graph_driver_side(fills_tbl: pa.Table):
-    """Below-gate graph tier with ZERO Ray executions: the consistent
-    fills are entity-universe-bounded and already on the driver, so the
-    surface aggregate, canonical rewrite, per-triple combine, and edge
-    construction are plain Arrow/pandas here. Exactly the mid tier's
-    semantics (pinned by tests/test_pipeline_e2e.py::
-    test_graph_driver_tier_equals_mid_tier):
-
-    - surfaces: same (name, type) → Σscore aggregate as
-      ``_surface_table`` (float order differs only below the round(,9)
-      comparison resolution its docstring guarantees);
-    - rewrite: ``apply_canonical``'s batch fn applied once;
-    - combine: one global ``merge_fills_table`` — noisy-or is
-      associative, so it equals ``combine_fills``'s two-level merge;
-    - edges: ``_to_edges`` on the merged table.
-
-    The mid tier ran the same math through two shuffle executions with
-    cpus×4 partitions; on a ~5k-row table that was pure task overhead
-    and measured ANTI-scaling (0.9 s at 8 CPUs → 2.1 s at 32).
-    """
-    import pandas as pd
-
-    from ..stages.canonicalize import ENTITY_TYPES, _to_edges
-    from ..stages.classify import merge_fills_table
-
-    df = fills_tbl.select(
-        ["subj", "subj_type", "obj", "obj_type", "score"]).to_pandas()
-    parts = []
-    for col, tcol in (("subj", "subj_type"), ("obj", "obj_type")):
-        p = df[[col, tcol, "score"]].rename(
-            columns={col: "name", tcol: "type", "score": "weight"})
-        parts.append(p[p["type"].isin(ENTITY_TYPES)])
-    surf = (pd.concat(parts).groupby(["name", "type"], as_index=False)
-            ["weight"].sum())
-    cmap, _w = canonical_map(
-        None, surfaces=pa.Table.from_pandas(surf, preserve_index=False))
-
-    # apply_canonical's rewrite, driver-side
-    cols = {n: fills_tbl.column(n).to_pylist()
-            for n in fills_tbl.column_names}
-    cols["subj"] = [cmap.get((n, t), n) for n, t in
-                    zip(cols["subj"], cols["subj_type"])]
-    cols["obj"] = [cmap.get((n, t), n) if t in ENTITY_TYPES
-                   and not p.endswith("alternate_names") else n
-                   for n, t, p in zip(cols["obj"], cols["obj_type"],
-                                      cols["pred"])]
-    from ..schemas import FILLS_SCHEMA
-    rewritten = pa.Table.from_arrays(
-        [pa.array(cols[n], t) for n, t in
-         zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
-        schema=FILLS_SCHEMA)
-    merged = merge_fills_table(rewritten) \
-        .select(FILLS_SCHEMA.names).combine_chunks()
-
-    # nodes: canonical entities with merged-loser aliases (same block
-    # as materialize_graph)
-    from ..stages.canonicalize import _entity_id
-    from ..schemas import NODES_SCHEMA
-    aliases: dict[tuple, set] = {}
-    for (name, etype), rep in cmap.items():
-        aliases.setdefault((rep, etype), set())
-        if name != rep:
-            aliases[(rep, etype)].add(name)
-    node_rows = sorted(aliases)
-    nodes = pa.Table.from_arrays(
-        [pa.array([_entity_id(n, t) for n, t in node_rows], pa.string()),
-         pa.array([n for n, _ in node_rows], pa.string()),
-         pa.array([t for _, t in node_rows], pa.string()),
-         pa.array([sorted(aliases[k]) for k in node_rows],
-                  pa.list_(pa.string()))],
-        schema=NODES_SCHEMA)
-
-    import ray.data as rd
-    return nodes, rd.from_arrow(_to_edges(merged))
-
-
 def build_graph(consistent_fills):
-    """→ (nodes, edges). Three tiers by size: a ZERO-execution driver
-    tier when the consistent fills themselves are tiny (every fill
-    contributes ≤2 surfaces, so ``2·count ≤ SMALL_SURFACES`` bounds the
-    surface universe below the gate without computing it); the mid tier
-    (driver union-find over a distributed surface aggregate); and the
-    fully distributed tier — blocking, components, root join,
-    representative pick, broadcast-free canonical rewrite — where nodes
-    is a Dataset too (nothing entity-universe-bounded on the driver).
+    """→ (nodes, edges). Two size tiers that run the same
+    canonicalization kernels (stages/canonicalize.py): a ZERO-execution
+    driver tier when the consistent fills themselves are tiny (every
+    fill contributes ≤2 surfaces, so ``2·count ≤ SMALL_SURFACES``
+    bounds the surface universe below the gate without computing it),
+    where nodes is an Arrow table; and the Dataset tier above it —
+    blocking, components, root join, representative pick,
+    co-partition canonical rewrite — where nodes is a Dataset too
+    (nothing entity-universe-bounded on the driver).
     """
-    from ..stages.canonicalize import (SMALL_SURFACES, _surface_table,
-                                       canonical_map_ds,
+    from ..stages.canonicalize import (SMALL_SURFACES, driver_graph,
                                        materialize_graph_ds)
     consistent_fills = consistent_fills.materialize()
     if 2 * consistent_fills.count() <= SMALL_SURFACES:
-        import ray
-
-        from ..schemas import FILLS_SCHEMA
-        blocks = [t for t in ray.get(consistent_fills.to_arrow_refs())
-                  if t.num_rows]
-        tbl = pa.concat_tables(blocks) if blocks else \
-            FILLS_SCHEMA.empty_table()
-        return _graph_driver_side(tbl.combine_chunks())
-    surfaces = _surface_table(consistent_fills).materialize()
-    if surfaces.count() <= SMALL_SURFACES:
-        cmap, _w = canonical_map(consistent_fills, surfaces=surfaces)
-        return materialize_graph(consistent_fills, cmap)
-    return materialize_graph_ds(consistent_fills,
-                                canonical_map_ds(surfaces))
+        return driver_graph(consistent_fills)
+    return materialize_graph_ds(consistent_fills)
 
 
 def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
            checkpoint_dir: str | None = None, n_shards: int = 8,
-           n_salt: int = 4, out_dir: str | None = None):
+           out_dir: str | None = None):
     """The full resumable job. Returns dict with fills/nodes/edges.
 
     With ``checkpoint_dir``, each doc-id shard's fills are materialized
@@ -451,7 +342,7 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
     if checkpoint_dir is None:
         docs = documents_dataset(n_docs, seed)
         fills = extract_fills(docs, seed=seed, aliases_ref=aliases_ref,
-                              model_ref=model_ref, n_salt=n_salt)
+                              model_ref=model_ref)
     else:
         man = Manifest(checkpoint_dir, "fills")
         per = (n_docs + n_shards - 1) // n_shards
@@ -460,7 +351,9 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
             lo, hi = k * per, min((k + 1) * per, n_docs)
             if lo >= hi:
                 continue
-            d = digest("fills", seed, lo, hi, n_salt, model_fp)
+            # the 4 is the retired bag-salt count: kept so the digests
+            # of existing checkpoints stay valid
+            d = digest("fills", seed, lo, hi, 4, model_fp)
             part = f"{k:04d}"
             if man.is_done(part, d):
                 continue
@@ -474,7 +367,7 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
                 batch_size=2048)
             shard_fills = extract_fills(
                 docs, seed=seed, aliases_ref=aliases_ref,
-                model_ref=model_ref, n_salt=n_salt)
+                model_ref=model_ref)
             shard_fills.write_parquet(tmp)
             import pyarrow.dataset as pads
             rows = pads.dataset(tmp).count_rows()

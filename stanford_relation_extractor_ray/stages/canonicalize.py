@@ -2,37 +2,50 @@
 
 Ray-Data shape of the reference's entity merging
 (``GraphConsistencyPostProcessors.java:53-131`` — all-pairs linking →
-equivalence classes → representative → merge edges; SURVEY.md §2.8):
+equivalence classes → representative → merge edges; SURVEY.md §2.8).
+``pipelines.kg.build_graph`` gates between two size tiers that run ONE
+copy of each step:
 
-1. **Blocking** (shuffle): every distinct entity surface gets a block key
-   (its alphabetically-first normalized token, plus acronym expansion
-   blocks) and a ``groupby(block)`` runs pairwise linker scoring ONLY
-   within blocks — never corpus-wide all-pairs.
-2. **Union-find on the driver** over the tiny candidate same-entity edge
-   list (pairs that pass the linker threshold) — the merge graph is
-   orders of magnitude smaller than the corpus, so driver-side
-   union-find is the scalable choice (SURVEY.md §7.2 step 7).
-3. **Canonical map broadcast** (``ray.put``) and applied per batch;
-   edges merged per canonical triple with noisy-or scores
-   (MAX/NOISY_OR merge strategies,
+1. **Surfaces** (``surface_weights``): distinct (name, type) over
+   subjects + entity-typed objects, weight = Σ fill score — one Arrow
+   ``group_by`` sum.
+2. **Blocking** (``_explode_blocks`` → ``_pairs_in_partition``): every
+   surface gets block keys (its alphabetically-first normalized token,
+   plus acronym expansion blocks) and pairwise linker scoring runs
+   ONLY within blocks — never corpus-wide all-pairs.
+3. **Components**: driver union-find (``dedup.connected_components``)
+   below the gate; distributed min-label propagation
+   (``propagate_components_ds``) above it.
+4. **Representative** (``pick_rep``) = highest total incoming fill
+   score, tie-broken by longest then lexicographically-smallest name
+   (the reference picks by entity priority = sum of incoming scores,
+   ``GraphConsistencyPostProcessors.java:68-77``). The canonical map
+   is a ``(name, type, rep)`` table.
+5. **Rewrite + merge** (``canonical_rewrite``): subj/obj surfaces map
+   to their representative and edges merge per canonical triple with
+   noisy-or scores (MAX/NOISY_OR merge strategies,
    ``GraphConsistencyPostProcessors.java:201-229``). Losing surface
-   forms become node aliases (alternate names).
+   forms become node aliases (``make_nodes``).
 
-Representative = highest total incoming fill score, tie-broken by
-longest then lexicographically-smallest name (the reference picks by
-entity priority = sum of incoming scores,
-``GraphConsistencyPostProcessors.java:68-77``).
+The driver tier (``driver_graph``) runs each kernel once over one
+Arrow table with zero Ray executions. The Dataset tier
+(``materialize_graph_ds``) runs the same kernels per batch / per
+coarse-pid partition, so nothing entity-universe-bounded lands on the
+driver.
 """
 
 from __future__ import annotations
 
 import zlib
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.text import is_acronym_of, normalize_tokens, same_entity
 from ..schemas import EDGES_SCHEMA, FILLS_SCHEMA, NODES_SCHEMA
-from .classify import combine_fills
+from .classify import combine_fills, merge_fills_table
 
 ENTITY_TYPES = ("PERSON", "ORGANIZATION")
 
@@ -41,9 +54,41 @@ ENTITY_TYPES = ("PERSON", "ORGANIZATION")
 # variant clusters are orders of magnitude smaller than this)
 MAX_COMPONENT_ADJ = 10_000
 
+# distinct-surface count up to which the whole graph build runs on the
+# driver in one process (``build_graph`` bounds it by 2·fills, since a
+# fill names ≤ 2 surfaces); above it every step runs as a Dataset
+SMALL_SURFACES = 100_000
 
-def _entity_id(name: str, etype: str) -> str:
-    return f"e{zlib.crc32(f'{name}|{etype}'.encode()):08x}"
+CMAP_SCHEMA = pa.schema([("name", pa.string()), ("type", pa.string()),
+                         ("rep", pa.string())])
+
+
+def _n_parts() -> int:
+    """Coarse partition count of every shuffle here — O(CPUs) groups,
+    never one Ray group per key (~200 µs each, see
+    dedup.substring_spans)."""
+    from ..runtime import cluster_cpus
+    return max(16, cluster_cpus() * 4)
+
+
+def _pid(keys, n_parts: int) -> np.ndarray:
+    """Coarse partition id per key (pandas Series or Arrow array) — a
+    vectorized hash, no per-row Python."""
+    if not isinstance(keys, pd.Series):
+        keys = keys.to_pandas()
+    h = pd.util.hash_pandas_object(keys, index=False).to_numpy()
+    return (h % n_parts).astype("int32")
+
+
+def _with_pid(t: pa.Table, keys, n_parts: int) -> pa.Table:
+    return t.append_column("pid", pa.array(_pid(keys, n_parts)))
+
+
+def _key(t: pa.Table, name_col: str = "name", type_col: str = "type"):
+    """``name|type`` join key per row (types never contain ``|``)."""
+    return pc.binary_join_element_wise(
+        t.column(name_col).cast(pa.string()),
+        t.column(type_col).cast(pa.string()), "|")
 
 
 def _blocks_of(name: str) -> list[str]:
@@ -54,50 +99,67 @@ def _blocks_of(name: str) -> list[str]:
     return blocks
 
 
-def _surface_table(fills) -> pa.Table:
-    """Distinct (name, type, weight) over subjects + entity-typed objects
-    — in-batch partial aggregate, then a coarse crc32(name) pid shuffle
-    with an Arrow C++ hash-aggregate per partition. The surface table is
-    entity-universe-bounded but open-domain corpora reach millions of
-    distinct surfaces, where a Ray group per (name, type) pays ~200 µs
-    each (see dedup.substring_spans). Downstream consumers compare
-    weights only through ``round(w, 9)``, so the partition-local float
-    summation order is below the comparison resolution."""
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
+# --- 1. surfaces ----------------------------------------------------------
+
+def _sum_weights(t: pa.Table) -> pa.Table:
+    """(name, type, weight) rows → Σweight per distinct (name, type).
+    Single-threaded so the float summation order is the row order."""
+    return (t.select(["name", "type", "weight"])
+            .group_by(["name", "type"], use_threads=False)
+            .aggregate([("weight", "sum")])
+            .rename_columns(["name", "type", "weight"]))
+
+
+def surface_weights(fills: pa.Table) -> pa.Table:
+    """fills → distinct (name, type, weight) over subjects +
+    entity-typed objects, weight = Σ score of the fills naming it."""
+    both = pa.concat_tables([
+        fills.select([col, f"{col}_type", "score"])
+        .rename_columns(["name", "type", "weight"])
+        for col in ("subj", "obj")])
+    return _sum_weights(both.filter(pc.is_in(
+        both.column("type"), value_set=pa.array(ENTITY_TYPES))))
+
+
+def _surface_table(fills):
+    """Dataset form of ``surface_weights``: the same aggregate per
+    batch, then per coarse name-hash partition. Downstream consumers
+    compare weights only through ``round(w, 9)``, so the
+    partition-local float summation order is below the comparison
+    resolution."""
+    n_parts = _n_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
-        agg: dict[tuple[str, str], float] = {}
-        for col, tcol in (("subj", "subj_type"), ("obj", "obj_type")):
-            names = batch.column(col).to_pylist()
-            types = batch.column(tcol).to_pylist()
-            scores = batch.column("score").to_pylist()
-            for n, t, s in zip(names, types, scores):
-                if t in ENTITY_TYPES:
-                    agg[(n, t)] = agg.get((n, t), 0.0) + s
-        ks = list(agg)
-        return pa.table({
-            "name": pa.array([k[0] for k in ks], pa.string()),
-            "type": pa.array([k[1] for k in ks], pa.string()),
-            "weight": pa.array([agg[k] for k in ks], pa.float64()),
-            "pid": pa.array([zlib.crc32(k[0].encode()) % n_parts
-                             for k in ks], pa.int32())})
-
-    def reduce_part(part: pa.Table) -> pa.Table:
-        return (part.group_by(["name", "type"])
-                .aggregate([("weight", "sum")])
-                .rename_columns(["name", "type", "weight"]))
+        t = surface_weights(batch)
+        return _with_pid(t, t.column("name"), n_parts)
 
     return (fills.map_batches(partial, batch_format="pyarrow")
             .groupby("pid")
-            .map_groups(reduce_part, batch_format="pyarrow"))
+            .map_groups(_sum_weights, batch_format="pyarrow"))
+
+
+# --- 2. blocking + in-block linking ---------------------------------------
+
+def _explode_blocks(surfaces: pa.Table) -> pa.Table:
+    """surfaces (name, type, ...) → one (name, type, block) row per
+    block key of each surface."""
+    bn, bt, bb = [], [], []
+    for n, t in zip(surfaces.column("name").to_pylist(),
+                    surfaces.column("type").to_pylist()):
+        for blk in _blocks_of(n):
+            bn.append(n)
+            bt.append(t)
+            bb.append(f"{t}:{blk}")
+    return pa.table({"name": pa.array(bn, pa.string()),
+                     "type": pa.array(bt, pa.string()),
+                     "block": pa.array(bb, pa.string())})
 
 
 def _pairs_in_partition(group: pa.Table) -> pa.Table:
-    """One coarse partition of blocks: bucket by block key locally,
-    pairwise linker scoring within each block → same-entity pairs.
-    (One Ray group per block would pay per-group overhead on thousands
-    of tiny blocks; a partition holds many whole blocks.)"""
+    """Blocks (whole ones: a coarse partition, or every block on the
+    driver): bucket rows by block key, pairwise linker scoring within
+    each block → same-entity pairs. (One Ray group per block would pay
+    per-group overhead on thousands of tiny blocks.)"""
     names = group.column("name").to_pylist()
     types = group.column("type").to_pylist()
     blocks = group.column("block").to_pylist()
@@ -125,6 +187,23 @@ def _pairs_in_partition(group: pa.Table) -> pa.Table:
                      "type": pa.array(out_t, pa.string())})
 
 
+def _block_pairs_ds(surfaces):
+    """surfaces Dataset → candidate same-entity pair Dataset: whole
+    blocks co-partitioned by block-key hash, ``_pairs_in_partition``
+    inside each partition."""
+    n_parts = _n_parts()
+
+    def explode(batch: pa.Table) -> pa.Table:
+        t = _explode_blocks(batch)
+        return _with_pid(t, t.column("block"), n_parts)
+
+    return (surfaces.map_batches(explode, batch_format="pyarrow")
+            .groupby("pid").map_groups(_pairs_in_partition,
+                                       batch_format="pyarrow"))
+
+
+# --- 3. components (Dataset tier) -----------------------------------------
+
 def propagate_components_ds(pairs, *, max_iter: int = 50):
     """Distributed connected components over the same-entity edge list
     by iterative min-label (hash-to-min) propagation — the successor to
@@ -149,26 +228,16 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
 
     Returns the final (node → root) assignment as a DATASET of
     ``(node, label)`` rows (``a``/``b`` name|type keys → root) —
-    nothing lands on the driver; the list-collecting wrapper below is
-    the mid-scale convenience form.
+    nothing lands on the driver; ``propagate_components`` below is
+    the list-collecting form.
     """
-    import pandas as pd
-
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-
-    def _pid(keys: pd.Series) -> pd.Series:
-        return (pd.util.hash_pandas_object(keys, index=False)
-                % n_parts).astype("int32")
+    n_parts = _n_parts()
 
     def to_edges(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_pylist()
-        b = batch.column("b").to_pylist()
-        t = batch.column("type").to_pylist()
-        ka = [f"{x}|{y}" for x, y in zip(a, t)]
-        kb = [f"{x}|{y}" for x, y in zip(b, t)]
-        return pa.table({"ka": pa.array(ka + kb, pa.string()),
-                         "kb": pa.array(kb + ka, pa.string())})
+        ka, kb = _key(batch, "a"), _key(batch, "b")
+        return pa.table({
+            "ka": pa.chunked_array(ka.chunks + kb.chunks, pa.string()),
+            "kb": pa.chunked_array(kb.chunks + ka.chunks, pa.string())})
 
     def init_group(df: pd.DataFrame) -> pd.DataFrame:
         g = (df.drop_duplicates(["ka", "kb"])
@@ -181,7 +250,8 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
     # state: (node, label, nbrs) — one init shuffle groups the
     # bidirectional edge list into per-node adjacency
     state = (pairs.map_batches(to_edges, batch_format="pyarrow")
-             .map_batches(lambda df: df.assign(pid=_pid(df["ka"])),
+             .map_batches(lambda df: df.assign(pid=_pid(df["ka"],
+                                                        n_parts)),
                           batch_format="pandas")
              .groupby("pid")
              .map_groups(init_group, batch_format="pandas")
@@ -209,7 +279,7 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
             pd.DataFrame({"dest": ptr["label"], "cand": ptr["label"],
                           "own": "", "add": ptr["node"]}),
         ], ignore_index=True)
-        out["pid"] = _pid(out["dest"])
+        out["pid"] = _pid(out["dest"], n_parts)
         return out
 
     def reduce_min(df: pd.DataFrame) -> pd.DataFrame:
@@ -262,179 +332,150 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
 
 def propagate_components(pairs, *, max_iter: int = 50) -> list[dict]:
     """Driver-collected form of ``propagate_components_ds`` (columnar
-    collect — take_all on pandas blocks is per-row-priced). Callers at
-    the fully distributed tier keep the Dataset instead."""
+    collect — take_all on pandas blocks is per-row-priced)."""
     return (propagate_components_ds(pairs, max_iter=max_iter)
             .to_pandas().to_dict("records"))
 
 
-# surfaces-table size below which blocking + pairwise linking +
-# union-find all run driver-side in one process (saves fixed ~1 s Ray
-# execution latency ×3 on tiny data); above it both the blocking AND
-# the component computation run distributed (label propagation)
-SMALL_SURFACES = 100_000
+# --- 4. representative → canonical map ------------------------------------
+
+def pick_rep(df: pd.DataFrame) -> pd.DataFrame:
+    """(name, type, weight, root) rows, whole roots → canonical map
+    ``(name, type, rep)``: per root, the member with the max
+    (round(weight, 9), name length), then the smallest name."""
+    df = df.assign(rw=df["weight"].round(9), ln=df["name"].str.len())
+    df = df.sort_values(["root", "rw", "ln", "name"],
+                        ascending=[True, False, False, True],
+                        kind="mergesort")
+    first = df.drop_duplicates("root")
+    rep_of = dict(zip(first["root"], first["name"]))
+    return pd.DataFrame({"name": df["name"], "type": df["type"],
+                         "rep": df["root"].map(rep_of)})
 
 
-def _block_pairs_ds(surfaces):
-    """surfaces Dataset (name, type) → candidate same-entity pair
-    Dataset via distributed blocking: explode each surface to its
-    block keys, co-partition whole blocks by block-key hash, pairwise
-    linker scoring inside each partition."""
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-
-    def explode_blocks(batch: pa.Table) -> pa.Table:
-        names = batch.column("name").to_pylist()
-        types = batch.column("type").to_pylist()
-        bn, bt, bb, bp = [], [], [], []
-        for n, t in zip(names, types):
-            for blk in _blocks_of(n):
-                bn.append(n)
-                bt.append(t)
-                bb.append(f"{t}:{blk}")
-                bp.append(zlib.crc32(bb[-1].encode()) % n_parts)
-        return pa.table({"name": pa.array(bn, pa.string()),
-                         "type": pa.array(bt, pa.string()),
-                         "block": pa.array(bb, pa.string()),
-                         "pid": pa.array(bp, pa.int32())})
-
-    return (surfaces
-            .map_batches(explode_blocks, batch_format="pyarrow")
-            .groupby("pid").map_groups(_pairs_in_partition,
-                                       batch_format="pyarrow"))
-
-
-def canonical_map(fills, surfaces=None) -> tuple[dict, dict]:
-    """→ (canonical_map {(name,type) → representative}, weights).
-
-    Below the ``SMALL_SURFACES`` gate: driver-side blocking + pairwise
-    linking + union-find (one process, no executions beyond the
-    surface scan). Above it (open-domain web scale — the
-    distinct-surface table is entity-universe-bounded but can reach
-    billions of rows): distributed blocking groupby + pairwise linking
-    per block partition + iterative min-label propagation
-    (``propagate_components``) — the same-entity edge list never lands
-    on the driver; only the cluster-member → root assignment does.
-    Both paths produce identical clusters (pinned by
-    tests/test_canonicalize_scale.py). ``surfaces`` takes an already-
-    materialized surface Dataset (``build_graph`` computes one for its
-    tier gate) to avoid a second scan.
+def canonical_map(surfaces: pa.Table) -> pa.Table:
+    """Driver tier: surfaces (name, type, weight) → canonical map
+    ``(name, type, rep)`` in one process — blocking + in-block linking,
+    union-find, representative pick. Same clusters and representatives
+    as ``canonical_map_ds`` (pinned by tests/test_canonicalize_scale.py).
     """
-    if surfaces is None:
-        surfaces = _surface_table(fills)
-    sdf = surfaces.to_pandas()                  # columnar collect
-    if sdf.empty:                               # empty input: pandas
-        return {}, {}                           # drops the columns too
-    weights = dict(zip(zip(sdf["name"], sdf["type"]), sdf["weight"]))
-    n_surfaces = len(sdf)
-
-    if n_surfaces <= SMALL_SURFACES:
-        by_block: dict[str, list[tuple[str, str]]] = {}
-        for (n, t) in weights:
-            for blk in _blocks_of(n):
-                by_block.setdefault(f"{t}:{blk}", []).append((n, t))
-        pair_rows = []
-        for blk in sorted(by_block):
-            members = sorted(by_block[blk])
-            for ii in range(len(members)):
-                a, ta = members[ii]
-                for jj in range(ii + 1, len(members)):
-                    b, tb = members[jj]
-                    if ta != tb or a == b:
-                        continue
-                    if same_entity(a, b, ta) or is_acronym_of(a, b) \
-                            or is_acronym_of(b, a):
-                        pair_rows.append(
-                            {"a": a, "b": b, "type": ta})
-    else:
-        import ray.data as rd
-        surfaces = rd.from_items(
-            [{"name": n, "type": t} for (n, t) in weights])
-        pairs = _block_pairs_ds(surfaces)
-        # distributed min-label propagation instead of driver
-        # union-find: the pairs never land on the driver, only the
-        # (cluster-member-bounded) final node→root assignment does
-        comp_rows = propagate_components(pairs)
-        root_of: dict[tuple, tuple] = {}
-        for r in comp_rows:
-            name, typ = r["node"].rsplit("|", 1)
-            root_of[(name, typ)] = (r["label"].rsplit("|", 1)[0], typ)
-        clusters: dict[tuple, list[tuple]] = {}
-        for key in weights:
-            clusters.setdefault(root_of.get(key, key), []).append(key)
-        cmap: dict[tuple, str] = {}
-        for members in clusters.values():
-            rep = max(members,
-                      key=lambda k: (round(weights.get(k, 0.0), 9),
-                                     len(k[0]),
-                                     [-ord(c) for c in k[0]]))
-            for m in members:
-                cmap[m] = rep[0]
-        return cmap, weights
-
-    parent: dict[tuple, tuple] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for r in sorted(pair_rows, key=lambda r: (r["type"], r["a"], r["b"])):
-        a, b = (r["a"], r["type"]), (r["b"], r["type"])
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    clusters: dict[tuple, list[tuple]] = {}
-    for key in weights:
-        clusters.setdefault(find(key), []).append(key)
-    cmap: dict[tuple, str] = {}
-    for members in clusters.values():
-        rep = max(members,
-                  key=lambda k: (round(weights.get(k, 0.0), 9),
-                                 len(k[0]),
-                                 [-ord(c) for c in k[0]]))
-        for m in members:
-            cmap[m] = rep[0]
-    return cmap, weights
+    from .dedup import connected_components
+    pairs = _pairs_in_partition(_explode_blocks(surfaces))
+    root_of = connected_components(list(zip(
+        _key(pairs, "a").to_pylist(), _key(pairs, "b").to_pylist())))
+    df = surfaces.to_pandas()
+    key = _key(surfaces).to_pandas()
+    df["root"] = key.map(root_of).fillna(key)
+    return pa.Table.from_pandas(pick_rep(df), schema=CMAP_SCHEMA,
+                                preserve_index=False) \
+        .replace_schema_metadata(None)
 
 
-def apply_canonical(fills, cmap_ref):
-    """Broadcast the canonical map; rewrite subj/obj per batch."""
+def canonical_map_ds(surfaces):
+    """Dataset tier: surfaces Dataset (name, type, weight) → canonical
+    map Dataset ``(name, type, rep)`` — distributed blocking,
+    components by label propagation, a co-partition root join, then
+    ``pick_rep`` per root partition; no driver materialization of the
+    surface universe."""
+    n_parts = _n_parts()
+    surfaces = surfaces.materialize()      # blocking + root join
+    labels = propagate_components_ds(_block_pairs_ds(surfaces))
 
-    def rewrite(batch: pa.Table) -> pa.Table:
-        import ray
-        cmap = ray.get(cmap_ref) if hasattr(cmap_ref, "hex") else cmap_ref
-        cols = {n: batch.column(n).to_pylist()
-                for n in batch.column_names}
-        cols["subj"] = [cmap.get((n, t), n) for n, t in
-                        zip(cols["subj"], cols["subj_type"])]
-        cols["obj"] = [cmap.get((n, t), n) if t in ENTITY_TYPES
-                       and not p.endswith("alternate_names") else n
-                       for n, t, p in zip(cols["obj"], cols["obj_type"],
-                                          cols["pred"])]
-        return pa.Table.from_arrays(
-            [pa.array(cols[n], t) for n, t in
-             zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
-            schema=FILLS_SCHEMA)
+    # root join: surfaces ⋈ component labels on the name|type key;
+    # unpaired surfaces are their own root
+    def tag_surface(df: pd.DataFrame) -> pd.DataFrame:
+        key = df["name"].str.cat(df["type"], sep="|")
+        return pd.DataFrame({
+            "key": key, "root": "", "name": df["name"],
+            "type": df["type"], "weight": df["weight"], "side": "W",
+            "pid": _pid(key, n_parts)})
 
-    return fills.map_batches(rewrite, batch_format="pyarrow")
+    def tag_label(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "key": df["node"], "root": df["label"], "name": "",
+            "type": "", "weight": 0.0, "side": "L",
+            "pid": _pid(df["node"], n_parts)})
+
+    def join_root(df: pd.DataFrame) -> pd.DataFrame:
+        lmap = dict(zip(df.loc[df["side"] == "L", "key"],
+                        df.loc[df["side"] == "L", "root"]))
+        w = df[df["side"] == "W"]
+        root = w["key"].map(lmap).fillna(w["key"])
+        return pd.DataFrame({
+            "name": w["name"], "type": w["type"],
+            "weight": w["weight"], "root": root,
+            "pid2": _pid(root, n_parts)})
+
+    rooted = (surfaces.map_batches(tag_surface, batch_format="pandas")
+              .union(labels.map_batches(tag_label,
+                                        batch_format="pandas"))
+              .groupby("pid")
+              .map_groups(join_root, batch_format="pandas"))
+    # co-partitioned by root, so every cluster member is local
+    return rooted.groupby("pid2").map_groups(pick_rep,
+                                             batch_format="pandas")
+
+
+# --- 5. rewrite, nodes, edges ---------------------------------------------
+
+def canonical_rewrite(fills: pa.Table, cmap: pa.Table,
+                      cols=("subj", "obj")) -> pa.Table:
+    """fills → FILLS-schema fills with each ``cols`` surface replaced
+    by its representative from the ``(name, type, rep)`` canonical
+    map: subjects always; objects only when entity-typed and not an
+    alternate_names value. The map is a pandas index lookup on the
+    name|type key — no per-row Python."""
+    fills = fills.select(FILLS_SCHEMA.names).cast(FILLS_SCHEMA)
+    lut = pd.Series(cmap.column("rep").to_pandas().to_numpy(),
+                    index=_key(cmap).to_pandas().to_numpy())
+    for col in cols:
+        tcol = f"{col}_type"
+        new = _key(fills, col, tcol).to_pandas().map(lut)
+        if col == "obj":
+            new = new.where(
+                fills.column(tcol).to_pandas().isin(ENTITY_TYPES)
+                & ~fills.column("pred").to_pandas()
+                .str.endswith("alternate_names"))
+        new = new.fillna(fills.column(col).to_pandas())
+        fills = fills.set_column(fills.schema.get_field_index(col), col,
+                                 pa.array(new.to_numpy(), pa.string(),
+                                          from_pandas=True))
+    return fills
+
+
+def make_nodes(cmap: pa.Table) -> pa.Table:
+    """Canonical map rows, whole (rep, type) groups → nodes: one per
+    (rep, type), sorted, with the merged-away names as sorted
+    aliases."""
+    df = (cmap.select(["name", "type", "rep"]).to_pandas()
+          .sort_values(["rep", "type", "name"], kind="mergesort"))
+    head = ~df.duplicated(["rep", "type"]).to_numpy()
+    node_of = np.cumsum(head) - 1
+    alias = (df["name"] != df["rep"]).to_numpy()
+    counts = np.bincount(node_of[alias], minlength=int(head.sum()))
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype("int32")
+    reps = pa.array(df["rep"].to_numpy()[head], pa.string())
+    types = pa.array(df["type"].to_numpy()[head], pa.string())
+    return pa.Table.from_arrays(
+        [_entity_id_column(reps, types), reps, types,
+         pa.ListArray.from_arrays(
+             pa.array(offsets),
+             pa.array(df["name"].to_numpy()[alias], pa.string()))],
+        schema=NODES_SCHEMA)
 
 
 def _entity_id_column(names, types, *, gate=None) -> pa.Array:
-    """Vectorized ``_entity_id`` over a column pair: crc32 once per
-    DISTINCT (name, type) via dictionary encoding, gathered back per
-    row — the edges table is the KG's widest output, so the id hash
-    must not run per row. ``gate`` (optional bool ndarray) blanks ids
-    where False (non-entity objects)."""
-    import pyarrow.compute as pc
+    """``e<crc32(name|type)>`` per row: crc32 once per DISTINCT
+    (name, type) via dictionary encoding, gathered back per row — the
+    edges table is the KG's widest output, so the id hash must not run
+    per row. ``gate`` (optional bool ndarray) blanks ids where False
+    (non-entity objects)."""
     key = pc.binary_join_element_wise(names, types, "|")
     if isinstance(key, pa.ChunkedArray):
         key = key.combine_chunks()
     enc = key.dictionary_encode()
     dvals = [f"e{zlib.crc32(s.encode()):08x}"
              for s in enc.dictionary.to_pylist()]
-    import numpy as np
     ids = np.asarray(dvals, dtype=object)[
         enc.indices.to_numpy(zero_copy_only=False)]
     if gate is not None:
@@ -443,8 +484,6 @@ def _entity_id_column(names, types, *, gate=None) -> pa.Array:
 
 
 def _to_edges(batch: pa.Table) -> pa.Table:
-    import numpy as np
-    import pyarrow.compute as pc
     obj_is_entity = pc.is_in(
         batch.column("obj_type"),
         value_set=pa.array(list(ENTITY_TYPES))) \
@@ -463,182 +502,63 @@ def _to_edges(batch: pa.Table) -> pa.Table:
         schema=EDGES_SCHEMA)
 
 
-def materialize_graph(fills, cmap: dict):
-    """consistent fills + canonical map → (nodes_ds, edges_ds)."""
+# --- the two tiers ----------------------------------------------------------
+
+def driver_graph(fills):
+    """Driver tier with ZERO Ray executions: the (materialized,
+    entity-universe-bounded) fills are collected into one Arrow table
+    and every kernel runs once → (nodes pa.Table, edges Dataset). One
+    global ``merge_fills_table`` equals ``combine_fills``'s two-level
+    merge (noisy-or is associative). A shuffle per step here was pure
+    task overhead on a ~5k-row table and measured ANTI-scaling
+    (0.9 s at 8 CPUs → 2.1 s at 32)."""
     import ray
-
-    cmap_ref = ray.put(cmap)
-    merged = combine_fills(apply_canonical(fills, cmap_ref))
-
-    # nodes: canonical entities with merged-loser aliases
-    aliases: dict[tuple, set] = {}
-    for (name, etype), rep in cmap.items():
-        aliases.setdefault((rep, etype), set())
-        if name != rep:
-            aliases[(rep, etype)].add(name)
-    node_rows = sorted(aliases)
-    nodes = pa.Table.from_arrays(
-        [pa.array([_entity_id(n, t) for n, t in node_rows], pa.string()),
-         pa.array([n for n, _ in node_rows], pa.string()),
-         pa.array([t for _, t in node_rows], pa.string()),
-         pa.array([sorted(aliases[k]) for k in node_rows],
-                  pa.list_(pa.string()))],
-        schema=NODES_SCHEMA)
-
-    edges = merged.map_batches(_to_edges, batch_format="pyarrow")
-    return nodes, edges
-
-
-# --- fully distributed tier (open-domain web scale) -----------------------
-#
-# Above SMALL_SURFACES, `canonical_map` still lands the whole distinct-
-# surface table (weights, representative pick, the cmap broadcast dict,
-# the driver-built nodes table) on the driver — entity-universe-bounded,
-# which at the 10^12-doc design point can be billions of rows. The
-# functions below keep EVERYTHING as Datasets: blocking, components,
-# root join, representative selection, canonical rewrite (co-partition
-# join instead of broadcast), and the nodes table. `build_graph` gates
-# between the two tiers on the surface count.
-
-def canonical_map_ds(surfaces):
-    """surfaces Dataset (name, type, weight) → canonical-map Dataset
-    ``(name, type, rep)`` with the SAME clusters and representative
-    choice as ``canonical_map`` (pinned by
-    tests/test_canonicalize_scale.py), with no driver materialization
-    of the surface universe."""
-    import pandas as pd
-
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-
-    labels = propagate_components_ds(_block_pairs_ds(surfaces))
-
-    def _pid(keys: pd.Series) -> pd.Series:
-        return (pd.util.hash_pandas_object(keys, index=False)
-                % n_parts).astype("int32")
-
-    # root join: surfaces ⋈ component labels on the name|type key;
-    # unpaired surfaces are their own root
-    def tag_surface(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["name"].str.cat(df["type"], sep="|")
-        return pd.DataFrame({
-            "key": key, "root": "", "name": df["name"],
-            "type": df["type"], "weight": df["weight"], "side": "W",
-            "pid": _pid(key)})
-
-    def tag_label(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "key": df["node"], "root": df["label"], "name": "",
-            "type": "", "weight": 0.0, "side": "L",
-            "pid": _pid(df["node"])})
-
-    def join_root(df: pd.DataFrame) -> pd.DataFrame:
-        lmap = dict(zip(df.loc[df["side"] == "L", "key"],
-                        df.loc[df["side"] == "L", "root"]))
-        w = df[df["side"] == "W"]
-        root = w["key"].map(lmap).fillna(w["key"])
-        return pd.DataFrame({
-            "name": w["name"], "type": w["type"],
-            "weight": w["weight"], "root": root,
-            "pid2": _pid(root)})
-
-    rooted = (surfaces.map_batches(tag_surface, batch_format="pandas")
-              .union(labels.map_batches(tag_label,
-                                        batch_format="pandas"))
-              .groupby("pid")
-              .map_groups(join_root, batch_format="pandas"))
-
-    # representative per root — co-partitioned by root, so every
-    # cluster member is local; the comparator matches canonical_map:
-    # max (rounded weight, name length), then smallest name
-    def pick_rep(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(rw=df["weight"].round(9),
-                       ln=df["name"].str.len())
-        df = df.sort_values(["root", "rw", "ln", "name"],
-                            ascending=[True, False, False, True],
-                            kind="mergesort")
-        first = df.drop_duplicates("root")
-        rep_of = dict(zip(first["root"], first["name"]))
-        return pd.DataFrame({
-            "name": df["name"], "type": df["type"],
-            "rep": df["root"].map(rep_of)})
-
-    return rooted.groupby("pid2").map_groups(pick_rep,
-                                             batch_format="pandas")
+    import ray.data as rd
+    blocks = [t for t in ray.get(fills.to_arrow_refs()) if t.num_rows]
+    tbl = pa.concat_tables(blocks).combine_chunks() if blocks else \
+        FILLS_SCHEMA.empty_table()
+    cmap = canonical_map(surface_weights(tbl))
+    merged = merge_fills_table(canonical_rewrite(tbl, cmap)) \
+        .select(FILLS_SCHEMA.names).combine_chunks()
+    return make_nodes(cmap), rd.from_arrow(_to_edges(merged))
 
 
 def apply_canonical_join(fills, cmap_ds):
-    """Broadcast-free canonical rewrite: two co-partition tagged-union
-    joins of the fills against the canonical-map Dataset — first on
-    (subj, subj_type), then on (obj, obj_type) with the same
-    entity-type / alternate-names guard as ``apply_canonical``. Arrow
-    tagging with canonical FILLS types on both sides (the
-    ``attach_gloss`` shape) keeps the union schema-aligned."""
-    import pandas as pd
-    import pyarrow.compute as pc
+    """Dataset-tier canonical rewrite: per column (subj, then obj) one
+    co-partition tagged-union join of the fills with the canonical-map
+    Dataset on name|type, each partition running ``canonical_rewrite``
+    on its own rows. Map rows carry their (name, type) in the joined
+    column pair and a non-null ``rep``; fill rows a null one — both
+    sides stay FILLS-typed, so the union is schema-aligned."""
+    n_parts = _n_parts()
 
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-    fill_names = list(FILLS_SCHEMA.names)
-    fill_types = dict(zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types))
+    def one_join(ds, col: str):
+        tcol = f"{col}_type"
 
-    def _key_pid(keys) -> pa.Array:
-        h = pd.util.hash_pandas_object(
-            pd.Series(keys.to_pylist(), dtype="object"), index=False)
-        return pa.array((h.to_numpy() % n_parts).astype("int32"))
-
-    def one_join(ds, name_col: str, type_col: str, guard: bool):
         def tag_fill(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            key = pc.binary_join_element_wise(
-                pc.cast(batch.column(name_col), pa.string()),
-                pc.cast(batch.column(type_col), pa.string()), "|")
-            cols = {nm: batch.column(nm).cast(fill_types[nm])
-                    for nm in fill_names}
-            cols["key"] = key
-            cols["rep"] = pa.nulls(n, pa.string())
-            cols["side"] = pa.array(["F"] * n, pa.string())
-            cols["pid"] = _key_pid(key)
-            return pa.table(cols)
+            t = batch.select(FILLS_SCHEMA.names).cast(FILLS_SCHEMA) \
+                .append_column("rep", pa.nulls(batch.num_rows,
+                                               pa.string()))
+            return _with_pid(t, _key(t, col, tcol), n_parts)
 
         def tag_map(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            key = pc.binary_join_element_wise(
-                batch.column("name"), batch.column("type"), "|")
-            cols = {nm: pa.nulls(n, ty)
-                    for nm, ty in fill_types.items()}
-            cols["key"] = key
-            cols["rep"] = batch.column("rep")
-            cols["side"] = pa.array(["M"] * n, pa.string())
-            cols["pid"] = _key_pid(key)
-            return pa.table(cols)
+            cols = {nm: pa.nulls(batch.num_rows, ty)
+                    for nm, ty in zip(FILLS_SCHEMA.names,
+                                      FILLS_SCHEMA.types)}
+            cols[col] = batch.column("name").cast(pa.string())
+            cols[tcol] = batch.column("type").cast(pa.string())
+            t = pa.table(cols).append_column(
+                "rep", batch.column("rep").cast(pa.string()))
+            return _with_pid(t, _key(t, col, tcol), n_parts)
 
         def rewrite(group: pa.Table) -> pa.Table:
-            # vectorized per-partition join: the canonical map rows
-            # become a pandas index lookup, the fill keys map through
-            # it in C, and the entity-type / alternate-names guard is
-            # a boolean mask — no per-row Python at the open-domain
-            # tier's widest point (VERDICT r4 "what's wrong" #2)
-            import pandas as pd
-            sides = group.column("side")
-            m = group.filter(pc.equal(sides, "M"))
-            f = group.filter(pc.equal(sides, "F"))
-            lut = pd.Series(
-                m.column("rep").to_pandas().to_numpy(),
-                index=m.column("key").to_pandas().to_numpy())
-            lut = lut[~lut.index.duplicated(keep="first")]
-            names = f.column(name_col).to_pandas()
-            new = f.column("key").to_pandas().map(lut)
-            if guard:
-                ok = (f.column(type_col).to_pandas()
-                      .isin(ENTITY_TYPES)
-                      & ~f.column("pred").to_pandas()
-                      .str.endswith("alternate_names"))
-                new = new.where(ok)
-            new = new.fillna(names)
-            f = f.set_column(f.column_names.index(name_col), name_col,
-                             pa.array(new.to_numpy(), pa.string()))
-            return f.drop_columns(["key", "rep", "side", "pid"])
+            is_map = pc.is_valid(group.column("rep"))
+            m = group.filter(is_map)
+            cmap = pa.table({"name": m.column(col),
+                             "type": m.column(tcol),
+                             "rep": m.column("rep")})
+            return canonical_rewrite(group.filter(pc.invert(is_map)),
+                                     cmap, cols=(col,))
 
         return (ds.map_batches(tag_fill, batch_format="pyarrow")
                 .union(cmap_ds.map_batches(tag_map,
@@ -646,45 +566,21 @@ def apply_canonical_join(fills, cmap_ds):
                 .groupby("pid")
                 .map_groups(rewrite, batch_format="pyarrow"))
 
-    out = one_join(fills, "subj", "subj_type", guard=False)
-    return one_join(out, "obj", "obj_type", guard=True)
+    return one_join(one_join(fills, "subj"), "obj")
 
 
-def materialize_graph_ds(fills, cmap_ds):
-    """Fully distributed graph materialization: (nodes_ds, edges_ds),
-    both Datasets — nothing entity-universe-bounded on the driver."""
-    import pandas as pd
-
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-    cmap_ds = cmap_ds.materialize()     # consumed by rewrite + nodes
+def materialize_graph_ds(fills):
+    """Dataset tier: fills Dataset → (nodes_ds, edges_ds), both
+    Datasets — nothing entity-universe-bounded on the driver."""
+    n_parts = _n_parts()
+    cmap_ds = canonical_map_ds(_surface_table(fills)).materialize()
     merged = combine_fills(apply_canonical_join(fills, cmap_ds))
 
-    def _pid(keys: pd.Series) -> pd.Series:
-        return (pd.util.hash_pandas_object(keys, index=False)
-                % n_parts).astype("int32")
+    def by_node(batch: pa.Table) -> pa.Table:
+        return _with_pid(batch, _key(batch, "rep"), n_parts)
 
-    def add_pid(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(
-            pid=_pid(df["rep"].str.cat(df["type"], sep="|")))
-
-    def make_nodes(df: pd.DataFrame) -> pa.Table:
-        by_node: dict[tuple, list] = {}
-        for name, typ, rep in zip(df["name"], df["type"], df["rep"]):
-            by_node.setdefault((rep, typ), [])
-            if name != rep:
-                by_node[(rep, typ)].append(name)
-        ks = sorted(by_node)
-        return pa.Table.from_arrays(
-            [pa.array([_entity_id(n, t) for n, t in ks], pa.string()),
-             pa.array([n for n, _ in ks], pa.string()),
-             pa.array([t for _, t in ks], pa.string()),
-             pa.array([sorted(by_node[k]) for k in ks],
-                      pa.list_(pa.string()))],
-            schema=NODES_SCHEMA)
-
-    nodes = (cmap_ds.map_batches(add_pid, batch_format="pandas")
+    nodes = (cmap_ds.map_batches(by_node, batch_format="pyarrow")
              .groupby("pid")
-             .map_groups(make_nodes, batch_format="pandas"))
+             .map_groups(make_nodes, batch_format="pyarrow"))
     edges = merged.map_batches(_to_edges, batch_format="pyarrow")
     return nodes, edges

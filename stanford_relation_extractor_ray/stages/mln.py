@@ -93,9 +93,14 @@ def parse_mln_rules(text: str) -> list[Rule]:
             continue                       # predicate declaration etc.
         if len(head) < 2:
             raise ValueError(f"weight without clause: {line!r}")
-        clause = head[1]
+        # every ``v``-separated term must be one whole literal: a
+        # partial match (``p(x,,y)``, ``p(x y)``) must not drop a term
+        terms = [_LIT_RE.fullmatch(t)
+                 for t in re.split(r"\s+v\s+", head[1].strip())]
+        if not all(terms):
+            raise ValueError(f"malformed literal in clause: {line!r}")
         ants, cons = [], []
-        for neg, pred, a, b in _LIT_RE.findall(clause):
+        for neg, pred, a, b in (m.groups() for m in terms):
             (ants if neg else cons).append((pred, a, b))
         if len(cons) != 1:
             raise ValueError(

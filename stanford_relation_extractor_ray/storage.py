@@ -34,19 +34,20 @@ def read_parquet_clean(path, *, columns=None):
     deduplication): unhashable type: 'dict'`` (Ray's
     ``transform_pyarrow.unify_schemas`` set-dedup) and pays the slow
     unify path. One metadata read per file + an explicit clean
-    ``schema=`` keeps blocks hashable end-to-end."""
+    ``schema=`` keeps blocks hashable end-to-end. The schema is unified
+    over EVERY listed file (a column only a later file has is kept,
+    null-filled elsewhere); conflicting column types raise."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
-    first = path
-    if isinstance(path, (list, tuple)):
-        first = path[0]
+    files = path if isinstance(path, (list, tuple)) else [path]
     try:
-        schema = pq.read_schema(first).remove_metadata()
-        if columns is not None:
-            schema = pa.schema([schema.field(c) for c in columns])
+        schemas = [pq.read_schema(f).remove_metadata() for f in files]
     except Exception:            # directory input etc.: let Ray infer
         return rd.read_parquet(path, columns=columns)
+    schema = pa.unify_schemas(schemas)
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
     return rd.read_parquet(path, columns=columns, schema=schema)
 
 

@@ -1,5 +1,5 @@
-"""Label-propagation canonicalization (the above-gate scale path)
-equals driver union-find, and converges on multi-hop chains."""
+"""Label-propagation canonicalization (the above-gate Dataset tier)
+equals the driver tier, and converges on multi-hop chains."""
 
 import pyarrow as pa
 import pytest
@@ -34,18 +34,55 @@ def variant_fills(ray_session):
         pa.Table.from_pylist(rows, schema=FILLS_SCHEMA)).materialize()
 
 
-def test_propagation_equals_union_find(ray_session, variant_fills,
-                                       monkeypatch):
-    cmap_uf, w_uf = C.canonical_map(variant_fills)
+def _rows(t, cols):
+    df = t.to_pandas()
+    return sorted(zip(*(df[c].tolist() for c in cols)))
+
+
+def test_propagation_equals_union_find(ray_session, variant_fills):
+    """Driver canonical_map (union-find over the driver surface
+    aggregate) == canonical_map_ds (label propagation over the Dataset
+    surface aggregate): same surfaces, clusters and representatives."""
+    import ray
+    tbl = pa.concat_tables(ray.get(variant_fills.to_arrow_refs()))
+    surf_uf = C.surface_weights(tbl)
+    surf_lp = C._surface_table(variant_fills).materialize()
+    assert [(n, t, round(w, 9)) for n, t, w in
+            _rows(surf_lp, ["name", "type", "weight"])] == \
+        [(n, t, round(w, 9)) for n, t, w in
+         _rows(surf_uf, ["name", "type", "weight"])]
+    cmap_uf = _rows(C.canonical_map(surf_uf), ["name", "type", "rep"])
     # non-trivial cluster actually formed, rep = highest weight
-    assert cmap_uf[("Acme Dynamics", "ORGANIZATION")] == \
+    rep = {(n, t): r for n, t, r in cmap_uf}
+    assert rep[("Acme Dynamics", "ORGANIZATION")] == \
         "Acme Dynamics Corporation"
-    assert cmap_uf[("Acme Dynamics Corp", "ORGANIZATION")] == \
+    assert rep[("Acme Dynamics Corp", "ORGANIZATION")] == \
         "Acme Dynamics Corporation"
-    monkeypatch.setattr(C, "SMALL_SURFACES", 0)    # force scale path
-    cmap_lp, w_lp = C.canonical_map(variant_fills)
-    assert cmap_lp == cmap_uf
-    assert w_lp == w_uf
+    assert rep[("Julie Laurent", "PERSON")] == "Julie Laurent"
+    cmap_lp = C.canonical_map_ds(surf_lp)
+    assert _rows(cmap_lp, ["name", "type", "rep"]) == cmap_uf
+
+
+def test_make_nodes_equals_loop_reference():
+    """The vectorized node assembly == the per-row dict/set loop it
+    replaced: one node per (rep, type), sorted, merged-away names as
+    sorted aliases, id = crc32 of name|type."""
+    import zlib
+    rows = [("Bo X", "PERSON", "Bo"), ("Bo", "PERSON", "Bo"),
+            ("Al", "PERSON", "Bo"), ("Bo", "ORGANIZATION", "Bo"),
+            ("Zed", "ORGANIZATION", "Zed"), ("Yo", "ORGANIZATION", "Zed")]
+    aliases: dict[tuple, set] = {}
+    for name, etype, rep in rows:
+        aliases.setdefault((rep, etype), set())
+        if name != rep:
+            aliases[(rep, etype)].add(name)
+    want = [(f"e{zlib.crc32(f'{n}|{t}'.encode()):08x}", n, t,
+             sorted(aliases[(n, t)])) for n, t in sorted(aliases)]
+    cmap = pa.table({k: [r[i] for r in rows]
+                     for i, k in enumerate(("name", "type", "rep"))})
+    got = C.make_nodes(cmap)
+    assert [tuple(r.values()) for r in got.to_pylist()] == want
+    assert C.make_nodes(cmap.slice(0, 0)).num_rows == 0
 
 
 def test_propagate_components_multi_hop(ray_session):
@@ -102,10 +139,13 @@ def test_propagate_components_long_chain_pointer_jumping(ray_session):
 
 def test_build_graph_distributed_tier_equals_driver(
         ray_session, variant_fills, monkeypatch):
-    """Above the gate, build_graph runs the fully distributed tier
-    (Dataset-only canonical map, co-partition rewrite joins,
-    distributed nodes) — same nodes and edges as the driver tier."""
-    from stanford_relation_extractor_ray.pipelines.kg import build_graph
+    """Above the gate, build_graph runs the Dataset tier (Dataset-only
+    canonical map, co-partition rewrite joins, distributed nodes) —
+    same nodes and edges (scores at the round-9 resolution of the
+    surface aggregate) as the driver tier, on the variant cluster and
+    on the consistent fills of a 150-doc corpus."""
+    from stanford_relation_extractor_ray.corpus import documents_dataset
+    from stanford_relation_extractor_ray.pipelines import kg
 
     def norm_nodes(obj):
         df = obj.to_pandas()
@@ -117,11 +157,20 @@ def test_build_graph_distributed_tier_equals_driver(
         df["score"] = df["score"].round(9)
         return sorted(map(tuple, df.to_numpy().tolist()))
 
-    nodes_small, edges_small = build_graph(variant_fills)
-    n_small, e_small = norm_nodes(nodes_small), norm_edges(edges_small)
+    corpus = kg.finalize_fills(
+        kg.extract_fills(documents_dataset(150))).materialize()
+    inputs = [variant_fills, corpus]
+    small = []
+    for fills in inputs:
+        nodes, edges = kg.build_graph(fills)
+        assert isinstance(nodes, pa.Table)          # the driver tier
+        small.append((norm_nodes(nodes), norm_edges(edges)))
+    assert len(small[1][1]) > 100
+    assert any(row[3] for row in small[1][0])    # aliases were merged
     monkeypatch.setattr(C, "SMALL_SURFACES", 0)
-    nodes_big, edges_big = build_graph(variant_fills)
-    assert norm_nodes(nodes_big) == n_small
-    assert norm_edges(edges_big) == e_small
-    # the distributed tier actually produced a Dataset, not a Table
-    assert not isinstance(nodes_big, __import__("pyarrow").Table)
+    for fills, (n_small, e_small) in zip(inputs, small):
+        nodes_big, edges_big = kg.build_graph(fills)
+        # the Dataset tier produced a Dataset, not a Table
+        assert not isinstance(nodes_big, pa.Table)
+        assert norm_nodes(nodes_big) == n_small
+        assert norm_edges(edges_big) == e_small

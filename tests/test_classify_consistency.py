@@ -166,15 +166,20 @@ def test_self_reference_dropped():
 
 
 def test_fused_combine_enforce_equals_unfused_chain(ray_session):
-    """combine_enforce (one shuffle) == combine_fills → link → enforce
-    (three stages) on the real pipeline's partial fills."""
+    """combine_enforce (one shuffle, inside finalize_fills) ==
+    combine_fills → link → enforce (three public stages) on the real
+    pipeline's partial fills."""
     from stanford_relation_extractor_ray.corpus import documents_dataset
     from stanford_relation_extractor_ray.pipelines.kg import (
         extract_fills, finalize_fills)
+    from stanford_relation_extractor_ray.stages import (classify,
+                                                        consistency, link)
     partials = extract_fills(documents_dataset(150)).materialize()
     key = lambda r: (r["subj"], r["pred"], r["obj"])
     fused = {key(r): round(r["score"], 9)
-             for r in finalize_fills(partials, fused=True).take_all()}
-    unfused = {key(r): round(r["score"], 9)
-               for r in finalize_fills(partials, fused=False).take_all()}
-    assert fused == unfused
+             for r in finalize_fills(partials,
+                                     postprocess=False).take_all()}
+    chain = consistency.enforce(
+        link.link(classify.combine_fills(partials)))
+    unfused = {key(r): round(r["score"], 9) for r in chain.take_all()}
+    assert fused == unfused and len(fused) > 50

@@ -213,3 +213,8 @@ def test_parse_mln_rules_float_forms_and_errors():
         parse_mln_rules("2.0 not a clause at all")
     with pytest.raises(ValueError):
         parse_mln_rules("2.0")
+    # a malformed literal must not be dropped from the clause
+    with pytest.raises(ValueError):
+        parse_mln_rules("1.0 !p(x,,y) v q(x,y)")
+    with pytest.raises(ValueError):
+        parse_mln_rules("1.0 !p(x y) v !r(y,z) v q(x,z)")

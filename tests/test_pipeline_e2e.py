@@ -88,13 +88,17 @@ def test_checkpoint_resume(ray_session, tmp_path):
 
 def test_fast_path_equals_bag_path(ray_session):
     """CandidateScorer partial noisy-or == bag assembly + bag scorer
-    (noisy-or distributes over bag partitions)."""
+    (noisy-or distributes over bag partitions). The bag path is the
+    literal reference dataflow, chained from the public stages."""
     from stanford_relation_extractor_ray.pipelines.kg import (
         extract_fills, finalize_fills)
+    from stanford_relation_extractor_ray.stages import (
+        bags, classify, featurize, link, mentions, nlp)
     fast = finalize_fills(
         extract_fills(documents_dataset(120))).take_all()
-    bag = finalize_fills(
-        extract_fills(documents_dataset(120), use_bags=True)).take_all()
+    cands = link.link(mentions.pair(nlp.annotate(documents_dataset(120))))
+    bagged = bags.assemble(featurize.featurize(cands))
+    bag = finalize_fills(classify.classify(bagged)).take_all()
     key = lambda r: (r["subj"], r["pred"], r["obj"])
     fast_scores = {key(r): round(r["score"], 9) for r in fast}
     bag_scores = {key(r): round(r["score"], 9) for r in bag}
@@ -164,19 +168,29 @@ def test_graph_driver_tier_equals_mid_tier(ray_session):
     """build_graph's zero-execution driver tier (fills tiny enough that
     2·count bounds the surface universe below SMALL_SURFACES) produces
     the same nodes and the same edges (scores compared at the round-9
-    resolution the surface aggregate documents) as the mid tier it
-    gates in front of."""
+    resolution the surface aggregate documents) as the mixed dataflow
+    chained from the surviving kernels: Dataset surface aggregate,
+    driver canonical map, Dataset co-partition rewrite and merge."""
+    import pyarrow as pa
+    import ray.data as rd
+
     import stanford_relation_extractor_ray.pipelines.kg as kg
-    from stanford_relation_extractor_ray.stages.canonicalize import (
-        _surface_table)
+    from stanford_relation_extractor_ray.stages import canonicalize as C
+    from stanford_relation_extractor_ray.stages.classify import (
+        combine_fills)
 
     cons = kg.finalize_fills(
         kg.extract_fills(documents_dataset(150))).materialize()
     nodes_fast, edges_fast = kg.build_graph(cons)
 
-    surfaces = _surface_table(cons).materialize()
-    cmap, _w = kg.canonical_map(cons, surfaces=surfaces)
-    nodes_mid, edges_mid = kg.materialize_graph(cons, cmap)
+    surfaces = pa.Table.from_pylist(
+        C._surface_table(cons).select_columns(
+            ["name", "type", "weight"]).take_all())
+    cmap = C.canonical_map(surfaces)
+    nodes_mid = C.make_nodes(cmap)
+    edges_mid = combine_fills(C.apply_canonical_join(
+        cons, rd.from_arrow(cmap))).map_batches(
+            C._to_edges, batch_format="pyarrow")
 
     def nkey(d):
         return (d["entity_id"], d["name"], d["type"],
@@ -184,6 +198,7 @@ def test_graph_driver_tier_equals_mid_tier(ray_session):
 
     assert sorted(map(nkey, nodes_fast.to_pylist())) == \
         sorted(map(nkey, nodes_mid.to_pylist()))
+    assert any(d["aliases"] for d in nodes_fast.to_pylist())
 
     def ekey(r):
         return tuple(round(v, 9) if isinstance(v, float) else v

@@ -120,3 +120,21 @@ def test_write_predictions_tab(small_fills, tmp_path):
     f0 = lines[0].split("\t")
     assert f0[1] == "John Smith" and f0[3] == "per:age"
     assert f0[8] == "0-2" and f0[9] == "3-4"
+
+
+def test_read_parquet_clean_unifies_every_file_schema(ray_session,
+                                                      tmp_path):
+    """A column only the second file has is kept (null-filled for the
+    first file's rows); a type conflict between files raises."""
+    import pyarrow.parquet as pq
+
+    from stanford_relation_extractor_ray.storage import read_parquet_clean
+    f1, f2, f3 = (str(tmp_path / f"f{i}.parquet") for i in (1, 2, 3))
+    pq.write_table(pa.table({"a": [1, 2]}), f1)
+    pq.write_table(pa.table({"a": [3], "b": ["x"]}), f2)
+    pq.write_table(pa.table({"a": ["s"]}), f3)
+    rows = read_parquet_clean([f1, f2]).take_all()
+    assert sorted((r["a"], r["b"]) for r in rows) == \
+        sorted([(1, None), (2, None), (3, "x")])
+    with pytest.raises(pa.ArrowTypeError):
+        read_parquet_clean([f1, f3])
