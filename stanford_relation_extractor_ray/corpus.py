@@ -332,10 +332,10 @@ def documents_dataset(n_docs: int, seed: int = 42, *,
 
     Block count sets the extract-stage task granularity (map stages
     fuse into per-block tasks): target ~4k docs/task for large runs,
-    at least 2 tasks per CPU so the actor pool never quantizes to
-    1-2 waves (measured: Ray's default sizing gave 65 blocks for a
-    500k-doc range → 2.6 tasks/actor at 32 CPUs and a straggler-bound
-    tail)."""
+    at least 2 tasks per CPU so extraction never quantizes to 1-2
+    waves (measured with the former extract actor pool: Ray's default
+    sizing gave 65 blocks for a 500k-doc range → 2.6 tasks/actor at
+    32 CPUs and a straggler-bound tail)."""
     import ray.data as rd
     if override_num_blocks is None:
         from .runtime import cluster_cpus

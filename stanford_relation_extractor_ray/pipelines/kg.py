@@ -1,11 +1,13 @@
 """End-to-end knowledge-graph construction pipeline.
 
 The Ray-Data re-expression of the reference's slot-filling lifecycle
-(SURVEY.md §3.1): documents → NLP annotate (actor pool) → mention pairing
-(stateless flat-map) → subject entity-linking (actor pool, broadcast
-aliases) → featurize → salted-key bag groupby (shuffle #1) → ensemble
-classification (actor pool) → per-triple combine → object linking →
-per-entity greedy consistency (groupby.map_groups) → canonicalization
+(SURVEY.md §3.1): documents → fused extraction (NLP annotate → mention
+pairing → subject entity-linking → featurize → per-candidate scoring
+with in-batch partial noisy-or, one stateless task per batch over
+per-worker cached components, ``stages/extract_fused``) → per-triple
+combine → object linking → per-entity greedy consistency (one shuffle,
+``consistency.combine_enforce``) → unary rewrite/filter chain →
+canonicalization
 (two tiers sharing one set of kernels — a zero-execution driver tier
 below the surface gate and a Dataset-only tier above it, see
 ``build_graph``) → node/edge tables.
@@ -40,7 +42,7 @@ def passthrough_documents(documents):
 
 
 def extract_fills(documents, *, seed: int = 42, aliases_ref=None,
-                  model_ref=None, nlp_concurrency=None):
+                  model_ref=None):
     """documents Dataset → raw (partial) fills Dataset (lazy, streaming).
 
     The fused fast path: per-candidate scoring with in-batch partial
@@ -52,7 +54,7 @@ def extract_fills(documents, *, seed: int = 42, aliases_ref=None,
     """
     from ..stages.extract_fused import extract
     return extract(documents, seed=seed, aliases_ref=aliases_ref,
-                   model_ref=model_ref, concurrency=nlp_concurrency)
+                   model_ref=model_ref)
 
 
 def provenance_sentences(fills_mat, seed: int = 42):
@@ -218,8 +220,8 @@ def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
     from ..stages import postprocess as pp
 
     # consistent fills are tiny (entity-universe-bounded); materialize
-    # once so the extraction pool's reservation is released before the
-    # gloss join runs, and so the provenance doc-id set can be read
+    # once so the gloss join and the provenance doc-id read below do
+    # not each re-run the combine/consistency shuffle
     consistent = consistent.materialize()
     if isinstance(sentences, str) and sentences == "auto":
         if consistent.count() <= SMALL_FILLS:
@@ -266,24 +268,13 @@ def extract_alternate_names(documents, *, seed: int = 42,
     observed in ≥ min_sentences distinct sentences (the
     AlternateNamesExtractor path — stages/altnames.py)."""
     from ..stages.altnames import alternate_name_fills
+    from ..stages.link import _cached_linker
     sentences = nlp.annotate(documents, seed=seed)
     cands = mentions.pair(sentences)
     cands = cands.map_batches(
-        lambda b: _linked_keep_raw(b, aliases_ref, seed),
+        lambda b: _cached_linker(aliases_ref, seed, keep_raw=True)(b),
         batch_format="pyarrow")
     return alternate_name_fills(cands, min_sentences=min_sentences)
-
-
-def _linked_keep_raw(batch, aliases_ref, seed):
-    from ..stages.link import EntityLinker, _WORKER_LINKERS
-    key = ("keepraw",
-           aliases_ref.hex() if hasattr(aliases_ref, "hex") else None,
-           seed)
-    linker = _WORKER_LINKERS.get(key)
-    if linker is None:
-        linker = EntityLinker(aliases_ref, seed, keep_raw=True)
-        _WORKER_LINKERS[key] = linker
-    return linker(batch)
 
 
 def _model_fingerprint(model_ref) -> str:

@@ -104,10 +104,9 @@ def official_eval(n_docs: int, *, seed: int = 42, queries=None,
                          for s in batch.column("subj").to_pylist()])
         return batch.filter(mask)
 
-    # the per-query fills table is tiny — materialize it so the
-    # extraction actor pool releases its CPU reservation before the
-    # gloss join's NLP pool spins up (two concurrent fixed pools
-    # oversubscribe the node; same pattern as kg.run_kg)
+    # the per-query fills table is tiny — materialize it so extraction
+    # and the consistency shuffle have finished before the gloss join's
+    # NLP actor pool reserves its CPUs
     consistent = consistent.map_batches(
         only_queries, batch_format="pyarrow").materialize()
 

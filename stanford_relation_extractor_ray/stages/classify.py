@@ -340,7 +340,7 @@ def _span_pairs(begin: np.ndarray, end: np.ndarray) -> pa.ListArray:
 
 
 class CandidateScorer:
-    """Fast-path actor-pool scorer: featurized candidate rows → per-batch
+    """Fast-path scorer: featurized candidate rows → per-batch
     PARTIAL fills (one row per triple per batch).
 
     Equivalent to bag assembly + bag scoring (bags.assemble +
@@ -382,10 +382,17 @@ class CandidateScorer:
         # template corpora repeat (phrase, types) keys near-100%:
         # dictionary-encode the joined key once per batch, call
         # resolve_relation only per DISTINCT key (memoized across
-        # batches on this actor), and map the verdicts back with one
+        # batches on this scorer), and map the verdicts back with one
         # numpy gather — no per-candidate Python at all
+        between = batch.column("between")
+        if between.null_count:
+            # a null phrase is not the empty phrase of adjacent
+            # mentions: resolving it as "" would invent pattern hits
+            raise ValueError(
+                f"CandidateScorer: {between.null_count} candidate rows "
+                "have a null 'between' phrase")
         key = pc.binary_join_element_wise(
-            pc.coalesce(batch.column("between"), ""),
+            between,
             batch.column("subj_type"), batch.column("obj_type"),
             "\x1f").combine_chunks().dictionary_encode()
         kidx = key.indices.to_numpy(zero_copy_only=False) \

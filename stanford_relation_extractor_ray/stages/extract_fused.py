@@ -1,46 +1,66 @@
 """Fused per-document extraction stage.
 
 The modular stage chain (nlp → pair → link → featurize → score) is four
-map stages, two of them actor pools. Three concurrent actor pools on
-one node either starve each other (fixed pools reserve idle CPUs) or
-spend the job's wall-clock scaling up (autoscaling pools ramp from 1) —
-both measured on the bench corpus. Since every one of these stages is a
-pure per-row transform with no shuffle between them, the scalable shape
-is ONE actor pool whose ``__call__`` runs the whole chain per batch:
-documents in, per-batch partial fills out. Intermediate tables never
-leave the actor, the object store carries only documents and (tiny)
-partial fills, and a single pool can own most of the node.
+map stages. Every one of them is a pure per-row transform with no
+shuffle between them, so ``extract`` runs the whole chain per batch in
+ONE stateless ``map_batches`` task: documents in, per-batch partial
+fills out. Intermediate tables never leave the worker, and the object
+store carries only documents and (tiny) partial fills.
 
-The fused actor composes the SAME component classes the modular stages
-use (NLPAnnotator, EntityLinker, CandidateScorer, featurize_batch,
-pair_mentions) — behavior is identical by construction and the
-equivalence is pinned by tests/test_pipeline_e2e.py.
+The chain's components are built once per worker process and kept in
+the bounded worker cache (``runtime.worker_cached``). Ray reuses task
+workers, so the annotator's scan/pair memos, the linker and the
+scorer's relation memo stay warm from one batch, execution, shard or
+``run_kg`` call to the next, as a long-lived actor's would. Nothing
+reserves CPUs while idle, so extraction uses every CPU the moment
+offers, and a worker that cannot import the package fails its task at
+once.
+
+The cache keys are what keep reuse exact:
+- annotator: ``(seed, with_ctx)`` — the pair memo stores candidate rows
+  per text, and ``with_ctx`` rows carry ``ctx_features`` where
+  pattern-only rows carry ``[]``;
+- linker: ``(aliases ref, seed)``, shared with the other linking stages;
+- scorer: the model ref.
+
+``FusedExtractor`` composes the SAME component classes the modular
+stages use (NLPAnnotator, EntityLinker, CandidateScorer,
+featurize_batch, pair_mentions) — behavior is identical by
+construction, and the equivalence is pinned by
+tests/test_pipeline_e2e.py.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
+from ..runtime import ref_key, worker_cached
 from .classify import CandidateScorer
 from .featurize import featurize_batch
-from .link import EntityLinker
+from .link import EntityLinker, _cached_linker
 from .mentions import pair_candidates_fused
 from .nlp import NLPAnnotator
 
 
 class FusedExtractor:
-    def __init__(self, seed: int = 42, aliases_ref=None, model_ref=None):
-        # the per-batch chain allocates millions of short-lived Python
-        # objects; the default gen-0 threshold (700) makes cyclic GC a
-        # measurable fraction of actor CPU at high concurrency. Raise
-        # the thresholds — Ray's raylet already broadcasts periodic
-        # gc.collect() requests to workers, bounding any cycle growth.
-        import gc
-        gc.set_threshold(100_000, 50, 50)
-        self.nlp = NLPAnnotator(seed)
-        self.linker = EntityLinker(aliases_ref, seed)
-        self.scorer = CandidateScorer(model_ref)
-        self.need_features = self.scorer.lr is not None
+    """documents batch → partial fills: pair → link → [featurize] →
+    score, over the given components."""
+
+    def __init__(self, nlp: NLPAnnotator, linker: EntityLinker,
+                 scorer: CandidateScorer):
+        self.nlp = nlp
+        self.linker = linker
+        self.scorer = scorer
+        self.need_features = scorer.lr is not None
+
+    @classmethod
+    def cached(cls, seed: int, aliases_ref, model_ref):
+        """This worker process's chain, from the worker cache."""
+        scorer = worker_cached("scorer", ref_key(model_ref),
+                               lambda: CandidateScorer(model_ref))
+        nlp = worker_cached("annotator", (seed, scorer.lr is not None),
+                            lambda: NLPAnnotator(seed))
+        return cls(nlp, _cached_linker(aliases_ref, seed), scorer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cands = pair_candidates_fused(self.nlp, batch,
@@ -51,25 +71,17 @@ class FusedExtractor:
         return self.scorer(cands)
 
 
+def _extract_batch(batch: pa.Table, seed: int, aliases_ref,
+                   model_ref) -> pa.Table:
+    return FusedExtractor.cached(seed, aliases_ref, model_ref)(batch)
+
+
 def extract(documents, *, seed: int = 42, aliases_ref=None,
-            model_ref=None, concurrency=None, batch_size: int = 4096,
-            num_cpus: float = 1):
-    """documents Dataset → partial fills Dataset (single actor pool)."""
-    if concurrency is None:
-        from ..runtime import pool_size
-        # this pool is the only fixed reservation in the fused pipeline
-        # (the linker downstream runs as stateless tasks) — take the
-        # whole pool budget
-        concurrency = pool_size(share=1.0, num_cpus=num_cpus)
-    from ray.data import DataContext
-    ctx = DataContext.get_current()
-    # deeper per-actor task queues close dispatch gaps that left actors
-    # ~70% utilized (measured: 2M-doc extract 49s → 42s at 32 CPUs)
-    ctx.max_tasks_in_flight_per_actor = max(
-        ctx.max_tasks_in_flight_per_actor or 0, 8)
+            model_ref=None, batch_size: int = 4096):
+    """documents Dataset → partial fills Dataset (stateless tasks).
+    ``aliases_ref`` and ``model_ref`` are ``ray.put`` refs (or None)."""
     return documents.map_batches(
-        FusedExtractor,
-        fn_constructor_kwargs={"seed": seed, "aliases_ref": aliases_ref,
-                               "model_ref": model_ref},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=num_cpus)
+        _extract_batch,
+        fn_kwargs={"seed": seed, "aliases_ref": aliases_ref,
+                   "model_ref": model_ref},
+        batch_format="pyarrow", batch_size=batch_size)

@@ -3,11 +3,11 @@
 Ray-Data shape of the reference's entity linker
 (``kbp/entitylinking/EntityLinker.java:293-330`` token-overlap scoring,
 ``WikidictEntityLinker.java:79-126`` alias index, nickname maps
-``EntityLinker.java:51-55``, acronyms ``AcronymMatcher.java:70-86``): a
-**stateful actor pool** whose per-actor state is the broadcast alias
-dictionary — ``ray.put`` once on the driver, ``ray.get`` once per actor
-in ``__init__`` (NOT per batch), token-blocked candidate scoring per
-unknown surface with a per-actor memo cache.
+``EntityLinker.java:51-55``, acronyms ``AcronymMatcher.java:70-86``):
+the broadcast alias dictionary is ``ray.put`` once on the driver and
+turned into an ``EntityLinker`` once per worker process
+(``_cached_linker``, NOT per batch), with token-blocked candidate
+scoring per unknown surface and a per-linker memo cache.
 
 Subjects (always PERSON/ORGANIZATION) and PERSON/ORGANIZATION slot
 values are canonicalized; other slot types pass through unchanged.
@@ -29,7 +29,7 @@ def build_alias_ref(seed: int = 42):
 
 
 class EntityLinker:
-    """Actor-pool batch transform canonicalizing candidate rows."""
+    """Batch transform canonicalizing candidate rows."""
 
     THRESHOLDS = {"PERSON": 0.49, "ORGANIZATION": 0.79}
 
@@ -120,17 +120,13 @@ class EntityLinker:
                                     names=list(cols.keys()))
 
 
-_WORKER_LINKERS: dict = {}
-
-
-def _cached_linker(aliases_ref, seed: int) -> EntityLinker:
-    key = (aliases_ref.hex() if hasattr(aliases_ref, "hex") else None,
-           seed)
-    linker = _WORKER_LINKERS.get(key)
-    if linker is None:
-        linker = EntityLinker(aliases_ref, seed)
-        _WORKER_LINKERS[key] = linker
-    return linker
+def _cached_linker(aliases_ref, seed: int,
+                   keep_raw: bool = False) -> EntityLinker:
+    """This worker process's linker over ``aliases_ref``."""
+    from ..runtime import ref_key, worker_cached
+    return worker_cached(
+        "linker", (ref_key(aliases_ref), seed, keep_raw),
+        lambda: EntityLinker(aliases_ref, seed, keep_raw=keep_raw))
 
 
 def alias_dataset(seed: int = 42):
@@ -355,7 +351,7 @@ def link(ds, *, aliases_ref=None, seed: int = 42,
     (subjects + objects; detected via the ``pred`` column).
 
     Stateless tasks, not an actor pool: the alias dictionary is built
-    once per WORKER PROCESS (module cache above — Ray reuses worker
+    once per WORKER PROCESS (``_cached_linker`` — Ray reuses worker
     processes across tasks) from the broadcast ``aliases_ref``. A
     dedicated pool here reserved CPUs for the whole pipeline lifetime
     and added ~1 s of pool spin-up to every run, while the post-combine

@@ -183,3 +183,23 @@ def test_fused_combine_enforce_equals_unfused_chain(ray_session):
         link.link(classify.combine_fills(partials)))
     unfused = {key(r): round(r["score"], 9) for r in chain.take_all()}
     assert fused == unfused and len(fused) > 50
+
+
+def test_candidate_scorer_rejects_null_between():
+    """A null 'between' phrase is not the empty phrase of adjacent
+    mentions: the scorer must refuse it instead of resolving it as ""."""
+    import pytest
+
+    from stanford_relation_extractor_ray.schemas import CANDIDATES_SCHEMA
+    from stanford_relation_extractor_ray.stages.classify import \
+        CandidateScorer
+    row = {"subj": "Ann Lee", "subj_type": "PERSON", "obj": "Paris",
+           "obj_type": "CITY", "doc_id": "d000000001", "sent_idx": 0,
+           "subj_begin": 0, "subj_end": 2, "obj_begin": 5, "obj_end": 6,
+           "between": None, "ctx_features": []}
+    batch = pa.Table.from_pylist([row], schema=CANDIDATES_SCHEMA)
+    with pytest.raises(ValueError, match="null 'between'"):
+        CandidateScorer()(batch)
+    row["between"] = "was born in"
+    assert CandidateScorer()(pa.Table.from_pylist(
+        [row], schema=CANDIDATES_SCHEMA)).num_rows == 1
