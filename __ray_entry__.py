@@ -257,25 +257,17 @@ def _q_dedup_substring(sf_dir: str):
 
 def _q_dedup_substring_scrub(sf_dir: str):
     """Exact-substring dedup removal half: detect flagged 5-grams,
-    broadcast them, scrub every covered token (SpanScrubber) —
+    broadcast them, scrub every covered token (``scrub_spans``) —
     returns the full corpus with scrubbed text. Single-pass contract
     (see SpanScrubber docstring): the oracle rebuilds touched docs
     the same way."""
-    import ray
-    from stanford_relation_extractor_ray.runtime import pool_size
     from stanford_relation_extractor_ray.stages.dedup import (
-        SpanScrubber, substring_spans)
+        scrub_spans, substring_spans)
     grams = {r["gram"] for r in
              substring_spans(_docs_with_id_text(sf_dir),
                              n=5, min_docs=2).take_all()}
-    ref = ray.put(grams)
-    return (_docs_with_id_text(sf_dir)
-            .map_batches(SpanScrubber,
-                         fn_constructor_kwargs={"grams_ref": ref,
-                                                "n": 5},
-                         batch_format="pyarrow", batch_size=4096,
-                         concurrency=pool_size())
-            .sort("doc_id"))
+    return scrub_spans(_docs_with_id_text(sf_dir), grams,
+                       n=5).sort("doc_id")
 
 
 def _q_dedup_substring_ranges(sf_dir: str):
@@ -938,7 +930,7 @@ def oracle_sql() -> dict[str, str]:
         """,
         "text_langid": """
             -- stopword-overlap argmax; ties -> alphabetically first
-            -- language (matches the LangId actor's strict-> scan)
+            -- language (matches LangId's strict-> scan)
             WITH t AS (SELECT doc_id,
                        list_distinct(string_split(lower(text), ' ')) w
                        FROM documents),

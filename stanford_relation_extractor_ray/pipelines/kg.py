@@ -32,8 +32,14 @@ import os
 import pyarrow as pa
 
 from ..corpus import documents_dataset
+from ..schemas import FILLS_SCHEMA
 from ..state.manifest import Manifest, digest
 from ..stages import consistency, link, mentions, nlp
+
+# folded into every shard checkpoint digest (with the fills schema):
+# bump on any change to what extraction writes for the same inputs, so
+# checkpoints written by older code recompute instead of being reused
+PIPELINE_VERSION = 1
 
 
 def passthrough_documents(documents):
@@ -145,7 +151,6 @@ def _postprocess_driver_side(consistent_mat, seed: int,
     import ray.data as rd
 
     from ..corpus import doc_plan
-    from ..schemas import FILLS_SCHEMA
     from ..stages.postprocess import unary_chain
     from ..stages.worldknowledge import get_geography
     from ..world import get_world
@@ -342,9 +347,8 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
             lo, hi = k * per, min((k + 1) * per, n_docs)
             if lo >= hi:
                 continue
-            # the 4 is the retired bag-salt count: kept so the digests
-            # of existing checkpoints stay valid
-            d = digest("fills", seed, lo, hi, 4, model_fp)
+            d = digest("fills", seed, lo, hi, PIPELINE_VERSION,
+                       str(FILLS_SCHEMA), model_fp)
             part = f"{k:04d}"
             if man.is_done(part, d):
                 continue

@@ -104,11 +104,8 @@ def official_eval(n_docs: int, *, seed: int = 42, queries=None,
                          for s in batch.column("subj").to_pylist()])
         return batch.filter(mask)
 
-    # the per-query fills table is tiny — materialize it so extraction
-    # and the consistency shuffle have finished before the gloss join's
-    # NLP actor pool reserves its CPUs
-    consistent = consistent.map_batches(
-        only_queries, batch_format="pyarrow").materialize()
+    consistent = consistent.map_batches(only_queries,
+                                        batch_format="pyarrow")
 
     # unary rewrite/filter chain with the distributed gloss join
     sentences = nlp.annotate(documents_dataset(n_docs, seed), seed=seed)

@@ -23,7 +23,8 @@ Ray-Data re-expression of the reference's train lifecycle (SURVEY.md
   (``JointBayesRelationExtractor.java:138,512-515``); bag-level
   noisy-or aggregation happens at inference (stages/classify.py).
 
-The trained model is broadcast (``ray.put``) to the scorer actor pool.
+The trained model is broadcast (``ray.put``) to the scorer, which each
+worker process builds once per model ref.
 """
 
 from __future__ import annotations

@@ -1,27 +1,12 @@
-"""Worker-process runtime helpers: actor-pool sizing and the
-per-worker component cache.
+"""Worker-process runtime helpers: cluster sizing and the per-worker
+component cache.
 
-Fixed-size actor pools (not autoscaling) because a pool that ramps from
-1 actor spends seconds of the job's wall-clock scaling up — measured as
-the main reason a 32-CPU run failed to beat an 8-CPU run by more than
-1.6× on the bench corpus.
-
-The hard constraint: every fixed pool in a streaming pipeline reserves
-its CPUs for the WHOLE execution, even while its stage has no input
-yet, and Ray Data's stateless tasks (read/generate, shuffle map, sort,
-map_groups) each need a full CPU slot. If the pools reserve ~all CPUs
-the stateless stages never schedule and the pipeline livelocks at ~0%
-CPU.
-
-Rule: all pools together may reserve at most ``pool_budget()`` CPUs =
-cluster − headroom, headroom = max(2, cpus/16). Each pool takes a
-``share`` of that budget scaled by its per-actor ``num_cpus``.
-
-Stages whose state is only a cache of immutable inputs (lexicons,
-alias indexes, model weights and the memos built over them) do not
-need an actor at all: they run as stateless tasks over
-``worker_cached`` components, which Ray's worker reuse keeps warm
-across tasks, executions and Datasets.
+Stages whose state is only a cache of immutable inputs (lexicons, alias
+indexes, model weights, codec tables and the memos built over them) need
+no actor: they run as stateless ``map_batches`` tasks over
+``worker_cached`` components, which Ray's worker reuse keeps warm across
+tasks, executions and Datasets. ``map_cached`` is that shape for a
+component class; no package stage reserves CPUs for an actor pool.
 """
 
 from __future__ import annotations
@@ -38,19 +23,16 @@ def cluster_cpus(default: int = 8) -> int:
 
 
 def pool_budget() -> float:
-    """CPUs available to actor pools after task headroom.
-
-    Headroom cpus/16 (floor 2): at 32 CPUs this reserves 2 instead of
-    the old cpus/8 = 4; the 2-CPU floor keeps a task slot free at
-    small cluster sizes (the livelock documented above)."""
+    """Perfbench's ``runtime.actors`` metric only; goes with ROADMAP
+    direction 1."""
     cpus = cluster_cpus()
     return max(1.0, cpus - max(2, cpus // 16))
 
 
 def pool_size(share: float = 1 / 3, cap: int | None = None,
               num_cpus: float = 1.0) -> int:
-    """Actor count for a pool taking ``share`` of the pool budget with
-    ``num_cpus`` reserved per actor."""
+    """Perfbench's ``runtime.actors`` metric only; goes with ROADMAP
+    direction 1."""
     n = max(1, int(pool_budget() * share / num_cpus))
     if cap is not None:
         n = min(n, cap)
@@ -97,3 +79,38 @@ def worker_cached(kind: str, key, build):
             del cache[next(iter(cache))]     # dicts keep insertion order
         cache[key] = obj
     return obj
+
+
+def _key_part(value):
+    """Cache-key form of one constructor argument: a broadcast ObjectRef
+    by its id, a scalar as itself. Anything else would key by ``id()``,
+    which the driver reuses, or not at all — ``ray.put`` it instead."""
+    import ray
+    if isinstance(value, ray.ObjectRef):
+        return "ref", ref_key(value)
+    if value is None or isinstance(value, (str, int, float, bytes)):
+        return value
+    raise TypeError(f"map_cached: pass {type(value).__name__} arguments "
+                    f"as ray.put refs")
+
+
+def map_cached(ds, cls, *, batch_size: int, **ctor_kwargs):
+    """``ds.map_batches`` as stateless tasks over this worker's cached
+    ``cls(**ctor_kwargs)`` (pyarrow batches).
+
+    The cache key is built from EVERY constructor argument, so a cached
+    component is reused only for the inputs that built it. ``cls`` must
+    be a module-level class: one defined inside a function could close
+    over an input the key cannot see. Arguments are scalars or
+    ``ray.put`` refs (``_key_part``)."""
+    kind = f"{cls.__module__}.{cls.__qualname__}"
+    if "<locals>" in cls.__qualname__:
+        raise ValueError(f"map_cached needs a module-level class, got "
+                         f"{kind}: its closure is outside the cache key")
+    key = tuple(sorted((k, _key_part(v)) for k, v in ctor_kwargs.items()))
+
+    def fn(batch):
+        return worker_cached(kind, key, lambda: cls(**ctor_kwargs))(batch)
+
+    return ds.map_batches(fn, batch_format="pyarrow",
+                          batch_size=batch_size)

@@ -1,11 +1,13 @@
 """Relation classification: bags → scored slot fills.
 
 Ray-Data shape of the reference's classifier ensemble
-(``kbp/slotfilling/classify/``): ONE actor pool holds every component
-model and emits the combined score in a single pass over the bags
-dataset — the reference likewise calls component models sequentially
-in-process (``EnsembleRelationExtractor.java:265-278``), and a single
-combined actor avoids per-model shuffles (SURVEY.md §2.4 RD note).
+(``kbp/slotfilling/classify/``): ONE scorer holds every component model
+and emits the combined score in a single pass over the bags dataset —
+the reference likewise calls component models sequentially in-process
+(``EnsembleRelationExtractor.java:265-278``), and a single combined
+scorer avoids per-model shuffles (SURVEY.md §2.4 RD note). Scorers run
+as stateless tasks over a per-worker cached instance
+(``runtime.map_cached``), keyed by the model ref and options.
 
 Components:
 - **PatternScorer** — the TokensRegex/Semgrex analog
@@ -174,7 +176,8 @@ def ensemble_combine(components: list[dict], mode: str = "any") -> dict:
 
 
 class EnsembleScorer:
-    """Actor-pool batch transform: bags table → fills table."""
+    """Batch transform: bags table → fills table (built once per
+    worker process by ``classify``)."""
 
     def __init__(self, model_ref=None, mode: str = "any",
                  with_top_employees: bool = False,
@@ -310,18 +313,12 @@ class EnsembleScorer:
             schema=FILLS_SCHEMA)
 
 
-def classify(bags, *, model_ref=None, concurrency=None,
-             batch_size: int = 1024, mode: str = "any",
-             with_top_employees: bool = False):
-    if concurrency is None:
-        from ..runtime import pool_size
-        concurrency = pool_size()
-    return bags.map_batches(
-        EnsembleScorer,
-        fn_constructor_kwargs={"model_ref": model_ref, "mode": mode,
-                               "with_top_employees": with_top_employees},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+def classify(bags, *, model_ref=None, batch_size: int = 1024,
+             mode: str = "any", with_top_employees: bool = False):
+    from ..runtime import map_cached
+    return map_cached(bags, EnsembleScorer, batch_size=batch_size,
+                      model_ref=model_ref, mode=mode,
+                      with_top_employees=with_top_employees)
 
 
 _MISS = object()   # resolve_relation memo sentinel (None is a valid hit)
@@ -462,16 +459,12 @@ class CandidateScorer:
         return merge_fills_table(t)
 
 
-def score_candidates(featurized, *, model_ref=None, concurrency=None,
+def score_candidates(featurized, *, model_ref=None,
                      batch_size: int = 8192):
-    """Fast path: featurized candidates → partial fills (actor pool)."""
-    if concurrency is None:
-        from ..runtime import pool_size
-        concurrency = pool_size()
-    return featurized.map_batches(
-        CandidateScorer, fn_constructor_kwargs={"model_ref": model_ref},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+    """Fast path: featurized candidates → partial fills."""
+    from ..runtime import map_cached
+    return map_cached(featurized, CandidateScorer, batch_size=batch_size,
+                      model_ref=model_ref)
 
 
 _PRIOR_SUM = {

@@ -756,14 +756,16 @@ def substring_spans(ds, *, text_col: str = "text",
 
 
 class SpanScrubber:
-    """Actor-pool stage removing flagged repeated n-gram spans from a
+    """Batch transform removing flagged repeated n-gram spans from a
     text column — the removal half of the exact-substring dedup loop
-    (run ``substring_spans`` first, scrub its grams here).
+    (run ``substring_spans`` first, scrub its grams with
+    ``scrub_spans``).
 
     The flagged gram set is output-bounded (grams seen in ≥min_docs
     documents), so it broadcasts: pass ``grams_ref = ray.put(set)``
-    and every actor reads the object-store copy ONCE in ``__init__``
-    — never re-shipped per batch. Tokens covered by any flagged
+    and each worker process reads the object-store copy ONCE in
+    ``__init__`` (``scrub_spans`` caches the scrubber per ref) — never
+    re-shipped per batch. Tokens covered by any flagged
     window are dropped; surviving tokens re-join with single spaces.
 
     Fully vectorized (shares ``_token_windows`` with the detection
@@ -781,10 +783,11 @@ class SpanScrubber:
     spanning removed regions — one detect→scrub round removes every
     gram flagged by the PRECEDING detection, not a fixpoint. Callers
     needing a repeat-free corpus iterate detect→scrub until
-    ``substring_spans`` over the scrubbed text is empty (the driver
-    query ``dedup_substring_scrub`` pins one round against a SQL
-    oracle). Untouched documents keep their original byte-exact text;
-    scrubbed documents come back single-space normalized.
+    ``substring_spans`` over the scrubbed text is empty
+    (``scrub_repeats``; the query ``dedup_substring_scrub`` pins one
+    round against a SQL oracle). Untouched documents keep their
+    original byte-exact text; scrubbed documents come back
+    single-space normalized.
     """
 
     def __init__(self, grams_ref, *, text_col: str = "text",
@@ -792,7 +795,7 @@ class SpanScrubber:
         import ray
         grams = ray.get(grams_ref) if hasattr(grams_ref, "hex") \
             else grams_ref
-        # probe state for _flag_hits (built once per actor)
+        # probe state for _flag_hits (built once per worker)
         self.gram_tokens, self.gram_set = _gram_probe_state(grams, n)
         self.text_col = text_col
         self.n = n
@@ -834,11 +837,28 @@ class SpanScrubber:
         return batch.set_column(idx, self.text_col, out)
 
 
+def _gram_ref(grams):
+    """Broadcast ref of a flagged gram collection (a ref passes
+    through)."""
+    import ray
+    return grams if hasattr(grams, "hex") else ray.put(sorted(set(grams)))
+
+
+def scrub_spans(ds, grams, *, text_col: str = "text", n: int = 5):
+    """One detect→scrub round's scrub half: drop every token covered by
+    a flagged n-gram in ``grams`` (from ``substring_spans``; a
+    collection or its ``ray.put`` ref) — the ``SpanScrubber``
+    single-pass contract."""
+    from ..runtime import map_cached
+    return map_cached(ds, SpanScrubber, batch_size=4096,
+                      grams_ref=_gram_ref(grams), text_col=text_col, n=n)
+
+
 def scrub_repeats(ds, *, text_col: str = "text",
                   id_col: str = "doc_id", n: int = 5,
                   min_docs: int = 2, max_rounds: int = 10):
     """Detect→scrub to a FIXPOINT: iterate ``substring_spans`` +
-    ``SpanScrubber`` until no n-gram appears in ≥ ``min_docs``
+    ``scrub_spans`` until no n-gram appears in ≥ ``min_docs``
     documents. One scrub pass is not idempotent — re-joining
     survivors can create new cross-document n-grams spanning the
     removed regions (the ``SpanScrubber`` single-pass contract) — so
@@ -851,9 +871,6 @@ def scrub_repeats(ds, *, text_col: str = "text",
     The flagged gram set is output-bounded and collected per round to
     broadcast (the SpanScrubber contract); the corpus itself never
     lands on the driver."""
-    import ray
-
-    from ..runtime import pool_size
     # max_rounds + 1 detections: the LAST scrub still needs its own
     # verification pass, else a corpus that converges exactly at
     # max_rounds would be mis-reported as non-convergent
@@ -867,17 +884,47 @@ def scrub_repeats(ds, *, text_col: str = "text",
             return ds, rounds
         if rounds == max_rounds:
             break
-        ref = ray.put(grams)
-        ds = ds.map_batches(
-            SpanScrubber,
-            fn_constructor_kwargs={"grams_ref": ref,
-                                   "text_col": text_col, "n": n},
-            batch_format="pyarrow", batch_size=4096,
-            concurrency=pool_size()).materialize()
+        ds = scrub_spans(ds, grams, text_col=text_col, n=n).materialize()
     raise RuntimeError(
         f"scrub_repeats did not reach a repeat-free fixpoint in "
         f"{max_rounds} rounds — the corpus keeps regenerating shared "
         f"n-grams; raise max_rounds or lower min_docs pressure")
+
+
+class SpanRanges:
+    """documents batch → maximal merged flagged-span rows
+    ``(id_col, span_start, span_end)`` (see ``substring_span_ranges``).
+    """
+
+    def __init__(self, gram_ref, *, id_col: str, text_col: str, n: int):
+        import ray
+        self.gram_tokens, self.gram_set = _gram_probe_state(
+            ray.get(gram_ref), n)
+        self.id_col, self.text_col, self.n = id_col, text_col, n
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        id_col, n = self.id_col, self.n
+        empty = pa.table({
+            id_col: pa.array([], batch.schema.field(id_col).type),
+            "span_start": pa.array([], pa.int64()),
+            "span_end": pa.array([], pa.int64())})
+        win = _token_windows(batch.column(self.text_col).combine_chunks(),
+                             n, build_grams=False)
+        if win is None:
+            return empty
+        hw = _flag_hits(win, n, self.gram_tokens, self.gram_set)
+        if len(hw) == 0:
+            return empty
+        d = win["doc_idx"][hw]
+        wi = win["within"][hw]
+        brk = np.ones(len(hw), dtype=bool)
+        brk[1:] = (d[1:] != d[:-1]) | (wi[1:] > wi[:-1] + n)
+        first = np.flatnonzero(brk)
+        last = np.append(first[1:] - 1, len(hw) - 1)
+        return pa.table({
+            id_col: batch.column(id_col).take(pa.array(d[first])),
+            "span_start": pa.array(wi[first], pa.int64()),
+            "span_end": pa.array(wi[last] + n, pa.int64())})
 
 
 def substring_span_ranges(ds, grams, *, text_col: str = "text",
@@ -891,47 +938,16 @@ def substring_span_ranges(ds, grams, *, text_col: str = "text",
 
     ``grams`` is the flagged gram collection from ``substring_spans``
     (output-bounded, broadcast via ``ray.put`` exactly like
-    ``SpanScrubber``). Merging is one vectorized sorted pass per batch
+    ``scrub_spans``). Merging is one vectorized sorted pass per batch
     (windows arrive doc-major, offset-ascending from
     ``_token_windows``): a new span starts when the window offset
     jumps more than ``n`` past its predecessor. No shuffle — document
     rows are whole, so spans are per-doc local.
     """
-    import ray
-    gram_ref = grams if hasattr(grams, "hex") else ray.put(
-        sorted(set(grams)))
-
-    class _Ranges:
-        def __init__(self):
-            self.gram_tokens, self.gram_set = _gram_probe_state(
-                ray.get(gram_ref), n)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            empty = pa.table({
-                id_col: pa.array([], batch.schema.field(id_col).type),
-                "span_start": pa.array([], pa.int64()),
-                "span_end": pa.array([], pa.int64())})
-            win = _token_windows(batch.column(text_col).combine_chunks(),
-                                 n, build_grams=False)
-            if win is None:
-                return empty
-            hw = _flag_hits(win, n, self.gram_tokens, self.gram_set)
-            if len(hw) == 0:
-                return empty
-            d = win["doc_idx"][hw]
-            wi = win["within"][hw]
-            brk = np.ones(len(hw), dtype=bool)
-            brk[1:] = (d[1:] != d[:-1]) | (wi[1:] > wi[:-1] + n)
-            first = np.flatnonzero(brk)
-            last = np.append(first[1:] - 1, len(hw) - 1)
-            return pa.table({
-                id_col: batch.column(id_col).take(pa.array(d[first])),
-                "span_start": pa.array(wi[first], pa.int64()),
-                "span_end": pa.array(wi[last] + n, pa.int64())})
-
-    from ..runtime import pool_size
-    return ds.map_batches(_Ranges, batch_format="pyarrow",
-                          batch_size=4096, concurrency=pool_size())
+    from ..runtime import map_cached
+    return map_cached(ds, SpanRanges, batch_size=4096,
+                      gram_ref=_gram_ref(grams), id_col=id_col,
+                      text_col=text_col, n=n)
 
 
 SMALL_CC_PAIRS = 100_000

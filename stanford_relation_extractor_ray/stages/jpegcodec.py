@@ -28,14 +28,14 @@ Coverage:
 Per-block entropy coding is a Python loop by necessity (bit-serial
 Huffman); the DCT/IDCT, quantization, color transforms and chroma
 resampling are vectorized numpy over whole planes. At pipeline scale
-this runs inside the media actor pool (one codec instance per actor),
-never on the driver.
+this runs inside the media stages' tasks (one cached codec instance per
+worker process), never on the driver.
 
 Performance note (ADVICE r4): progressive decode runs the bit-serial
 entropy loop once per SCAN (typical emitted scripts have ~10 scans),
 so SOF2 images decode roughly an order of magnitude slower than
 baseline. On a progressive-heavy corpus this dominates the media
-tier; size the media actor pool accordingly (or transcode upstream).
+tier (transcode upstream if it matters).
 Refinement scans whose band carries no coefficients still consume
 their bits, so they cannot be skipped without parsing them.
 """

@@ -151,7 +151,7 @@ def link_via_join(candidates, aliases, *, surface_col: str = "subj",
     surface form via a tagged-union coarse-pid join — the scale path
     when the alias index exceeds broadcast size. Exact hits are
     rewritten to their canonical; misses pass through unchanged
-    (fuzzy resolution stays in the per-actor linker, which handles
+    (fuzzy resolution stays in the per-worker linker, which handles
     the small residue). Wikidict-faithful: the reference's wikidict is
     likewise an exact surface → article index."""
     import zlib
@@ -277,7 +277,7 @@ class TrainedLinker(EntityLinker):
     TrainedEntityLinker.java``). Training pairs come from the broadcast
     alias table itself: (alias, canonical) positives vs (alias, other
     same-type entity) negatives; deterministic seeded SGD in
-    ``__init__`` (once per actor)."""
+    ``__init__`` (once per worker)."""
 
     def __init__(self, aliases_ref=None, seed: int = 42,
                  keep_raw: bool = False, epochs: int = 20):
@@ -346,7 +346,7 @@ class TrainedLinker(EntityLinker):
 
 
 def link(ds, *, aliases_ref=None, seed: int = 42,
-         concurrency=None, batch_size: int = 4096):
+         batch_size: int = 4096):
     """Link a candidates dataset (subjects) or a fills dataset
     (subjects + objects; detected via the ``pred`` column).
 
@@ -356,8 +356,7 @@ def link(ds, *, aliases_ref=None, seed: int = 42,
     dedicated pool here reserved CPUs for the whole pipeline lifetime
     and added ~1 s of pool spin-up to every run, while the post-combine
     fills table this stage usually sees is tiny; plain tasks use
-    whatever CPUs the moment offers. ``concurrency`` is accepted for
-    API compatibility and ignored.
+    whatever CPUs the moment offers.
     """
     def fn(batch: pa.Table) -> pa.Table:
         return _cached_linker(aliases_ref, seed)(batch)

@@ -5,14 +5,16 @@ engine targets (driver ``input_hint``) interleaves opaque media spans
 with text spans inside every document row. These stages give media
 spans the same first-class treatment text gets: fetch → decode →
 (resize | frame-sample) → feature-extract, each expressed as a
-``map_batches`` stage over Arrow batches, with decode/resize as
-actor pools (codecs are per-worker state at real scale).
+``map_batches`` stage over Arrow batches. Codecs are per-worker state
+at real scale, so decode, resize, window stats and featurize run as
+stateless tasks over a per-worker cached instance
+(``runtime.map_cached``).
 
 Codec stubs: the container has no image/audio libraries, so the
 decode step is a clearly-marked deterministic fake
 (``_fake_decode_*``): it parses a structured header out of the
 deterministic payload bytes. The Ray-side plumbing — schemas, batch
-sizes, actor signatures, output layout — is real and tested
+sizes, component signatures, output layout — is real and tested
 (tests/test_media.py); dropping in PIL/ffmpeg means replacing the
 ``_fake_decode_*`` bodies only (they raise ``NotImplementedError``
 when handed a payload that does not carry the synthetic magic, which
@@ -369,7 +371,7 @@ def encode_ppm(px: np.ndarray) -> bytes:
 
 
 # --------------------------------------------------------------------------
-# decode: payload → typed metadata (actor pool; codec = per-actor state)
+# decode: payload → typed metadata (codec = per-worker cached state)
 # --------------------------------------------------------------------------
 
 def _fake_decode_image(header: bytes) -> tuple[int, int, int]:
@@ -392,7 +394,7 @@ def _fake_decode_table(header: bytes) -> tuple[int, int]:
 class MediaDecoder:
     """payload bytes → typed metadata columns.
 
-    Real codecs (PIL / soundfile / ffmpeg) load once per actor here;
+    Real codecs (PIL / soundfile / ffmpeg) load once per worker here;
     the fake path validates the synthetic magic and parses the header.
     """
 
@@ -443,17 +445,13 @@ class MediaDecoder:
         return batch
 
 
-def decode(media_items, *, concurrency=None, batch_size: int = 64):
-    if concurrency is None:
-        from ..runtime import pool_size
-        concurrency = pool_size()
-    return media_items.map_batches(
-        MediaDecoder, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+def decode(media_items, *, batch_size: int = 64):
+    from ..runtime import map_cached
+    return map_cached(media_items, MediaDecoder, batch_size=batch_size)
 
 
 # --------------------------------------------------------------------------
-# resize (images): decoded rows → thumbnail payloads (actor pool)
+# resize (images): decoded rows → thumbnail payloads
 # --------------------------------------------------------------------------
 
 class ImageResizer:
@@ -518,15 +516,10 @@ class ImageResizer:
         return out.append_column("payload", pa.array(thumbs, pa.binary()))
 
 
-def resize_images(decoded, *, max_side: int = 256, concurrency=None,
-                  batch_size: int = 64):
-    if concurrency is None:
-        from ..runtime import pool_size
-        concurrency = pool_size()
-    return decoded.map_batches(
-        ImageResizer, fn_constructor_kwargs={"max_side": max_side},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+def resize_images(decoded, *, max_side: int = 256, batch_size: int = 64):
+    from ..runtime import map_cached
+    return map_cached(decoded, ImageResizer, batch_size=batch_size,
+                      max_side=max_side)
 
 
 # --------------------------------------------------------------------------
@@ -570,9 +563,9 @@ class AudioWindowStats:
     (synthetic magic / exotic codecs) get deterministic digest-derived
     stats, mirroring the image stages' real/stub split.
 
-    Actor-pool stage: per-window reduction is a vectorized
-    cumulative-sum-of-squares over the mono mixdown (one pass per
-    payload, no per-sample Python).
+    Per-window reduction is a vectorized cumulative-sum-of-squares
+    over the mono mixdown (one pass per payload, no per-sample
+    Python).
     """
 
     def __init__(self, *, every_s: float = 1.0, max_frames: int = 16):
@@ -655,22 +648,15 @@ class AudioWindowStats:
 
 
 def audio_window_stats(media_items, *, every_s: float = 1.0,
-                       max_frames: int = 16, concurrency=None,
-                       batch_size: int = 64):
+                       max_frames: int = 16, batch_size: int = 64):
     """media items (with payloads) → per-window audio statistics."""
-    if concurrency is None:
-        from ..runtime import pool_size
-        concurrency = pool_size()
-    return media_items.map_batches(
-        AudioWindowStats,
-        fn_constructor_kwargs={"every_s": every_s,
-                               "max_frames": max_frames},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+    from ..runtime import map_cached
+    return map_cached(media_items, AudioWindowStats, batch_size=batch_size,
+                      every_s=every_s, max_frames=max_frames)
 
 
 # --------------------------------------------------------------------------
-# feature extraction: payload → embedding (actor pool, batched "model")
+# feature extraction: payload → embedding (batched "model")
 # --------------------------------------------------------------------------
 
 class MediaFeaturizer:
@@ -701,12 +687,7 @@ class MediaFeaturizer:
             "embedding", emb)
 
 
-def featurize_media(media_items, *, dim: int = 64, concurrency=None,
-                    batch_size: int = 64):
-    if concurrency is None:
-        from ..runtime import pool_size
-        concurrency = pool_size()
-    return media_items.map_batches(
-        MediaFeaturizer, fn_constructor_kwargs={"dim": dim},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+def featurize_media(media_items, *, dim: int = 64, batch_size: int = 64):
+    from ..runtime import map_cached
+    return map_cached(media_items, MediaFeaturizer, batch_size=batch_size,
+                      dim=dim)

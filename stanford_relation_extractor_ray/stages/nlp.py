@@ -1,12 +1,12 @@
 """NLP annotation stage: documents → sentences with typed mentions.
 
 The Ray-Data shape of the reference's CoreNLP + PostIR step
-(``SimpleSlotFiller.java:360-429``, ``PostIRAnnotator.java:291-322``): a
-**stateful actor pool** via ``map_batches(NLPAnnotator, concurrency=N,
-batch_format="pyarrow")``. All expensive setup — the NER lexicon compiled
-into one longest-match-first alternation regex, the date/number/url
-patterns — happens once per actor in ``__init__``; ``__call__`` is a
-per-batch pass whose inner work is C-level regex scanning.
+(``SimpleSlotFiller.java:360-429``, ``PostIRAnnotator.java:291-322``):
+stateless ``map_batches`` tasks over a per-worker cached
+``NLPAnnotator`` (``runtime.map_cached``). All expensive setup — the
+NER token trie, the date/number/url recognizers — happens once per
+worker process in ``__init__``, and the scan memos stay warm across
+tasks; ``__call__`` is a per-batch pass.
 
 The annotator is a deterministic stand-in with the same record contract
 as a real model (SURVEY.md §7.0): swap the class, keep the pipeline.
@@ -40,7 +40,7 @@ _MONTHS = frozenset([
 
 
 class NLPAnnotator:
-    """Actor-pool batch transform: documents table → sentences table.
+    """Batch transform: documents table → sentences table.
 
     Mention detection is a single greedy left-to-right token scan with a
     token-trie of lexicon surfaces (longest match wins) plus token-level
@@ -211,7 +211,7 @@ class NLPAnnotator:
         state → (surface, ner, begin, end, antecedent) tuples. Tuples,
         not dicts: the fused extraction path consumes these directly
         in the pairing loop and dict construction/lookup was a
-        measured ~15% of actor CPU.
+        measured ~15% of annotator CPU.
 
         ``stats`` (``doc_stats``) enables the document-level
         approximate/acronym coref slice: an unmatched capitalized
@@ -264,7 +264,7 @@ class NLPAnnotator:
         Span access is columnar: the list<struct> column is flattened
         once and only the kind/text child arrays are converted —
         to_pylist of the nested struct built a throwaway dict per span
-        (~20% of actor CPU)."""
+        (~20% of annotator CPU)."""
         doc_ids = batch.column("doc_id").to_pylist()
         spans = batch.column("spans")
         if isinstance(spans, pa.ChunkedArray):
@@ -350,17 +350,9 @@ class NLPAnnotator:
             schema=SENTENCES_SCHEMA)
 
 
-def annotate(documents, *, seed: int = 42, concurrency=None,
-             batch_size: int = 512, num_cpus: float = 1,
+def annotate(documents, *, seed: int = 42, batch_size: int = 512,
              max_sentence_tokens: int | None = None):
-    """documents Dataset → sentences Dataset (actor pool)."""
-    if concurrency is None:
-        from ..runtime import pool_size
-        concurrency = pool_size()
-    return documents.map_batches(
-        NLPAnnotator,
-        fn_constructor_kwargs={"seed": seed,
-                               "max_sentence_tokens":
-                                   max_sentence_tokens},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=num_cpus)
+    """documents Dataset → sentences Dataset (cached-component tasks)."""
+    from ..runtime import map_cached
+    return map_cached(documents, NLPAnnotator, batch_size=batch_size,
+                      seed=seed, max_sentence_tokens=max_sentence_tokens)

@@ -8,9 +8,9 @@ phrase between two noun phrases must START with a verb and consist
 only of verb/adverb/particle/determiner/preposition tokens, ending in
 a verb or preposition. The POS tagger and NP chunking come from the
 deterministic stand-in (stages/deps.py), so extraction is reproducible
-and model-free; the stage is an actor pool (tagger state per actor,
-one instance per worker — Ray's analog of ReVerb's per-thread
-instances).
+and model-free; the stage runs as stateless tasks over one cached
+``OpenIE`` per worker process (``runtime.map_cached`` — Ray's analog of
+ReVerb's per-thread instances).
 """
 
 from __future__ import annotations
@@ -66,38 +66,33 @@ def open_triples_in_sentence(tokens: list[str],
     return out
 
 
-def extract_open_triples(sentences, *, concurrency=None,
-                         batch_size: int = 1024):
-    """sentences Dataset → open triples Dataset (actor pool)."""
+class OpenIE:
+    """sentences batch → open triples batch."""
 
-    class OpenIE:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            docs = batch.column("doc_id").to_pylist()
-            idxs = batch.column("sent_idx").to_pylist()
-            texts = batch.column("text").to_pylist()
-            pos_col = batch.column("pos").to_pylist() \
-                if "pos" in batch.column_names else [None] * len(docs)
-            cols: dict[str, list] = {n: []
-                                     for n in OPEN_TRIPLES_SCHEMA.names}
-            for d, si, t, pos in zip(docs, idxs, texts, pos_col):
-                tokens = t.split(" ") if t else []
-                if not tokens:
-                    continue
-                for s, r, o in open_triples_in_sentence(tokens, pos):
-                    cols["subj"].append(s)
-                    cols["rel"].append(r)
-                    cols["obj"].append(o)
-                    cols["doc_id"].append(d)
-                    cols["sent_idx"].append(si)
-            return pa.Table.from_arrays(
-                [pa.array(cols[n], ty) for n, ty in
-                 zip(OPEN_TRIPLES_SCHEMA.names,
-                     OPEN_TRIPLES_SCHEMA.types)],
-                schema=OPEN_TRIPLES_SCHEMA)
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        docs = batch.column("doc_id").to_pylist()
+        idxs = batch.column("sent_idx").to_pylist()
+        texts = batch.column("text").to_pylist()
+        pos_col = batch.column("pos").to_pylist() \
+            if "pos" in batch.column_names else [None] * len(docs)
+        cols: dict[str, list] = {n: [] for n in OPEN_TRIPLES_SCHEMA.names}
+        for d, si, t, pos in zip(docs, idxs, texts, pos_col):
+            tokens = t.split(" ") if t else []
+            if not tokens:
+                continue
+            for s, r, o in open_triples_in_sentence(tokens, pos):
+                cols["subj"].append(s)
+                cols["rel"].append(r)
+                cols["obj"].append(o)
+                cols["doc_id"].append(d)
+                cols["sent_idx"].append(si)
+        return pa.Table.from_arrays(
+            [pa.array(cols[n], ty) for n, ty in
+             zip(OPEN_TRIPLES_SCHEMA.names, OPEN_TRIPLES_SCHEMA.types)],
+            schema=OPEN_TRIPLES_SCHEMA)
 
-    if concurrency is None:
-        from ..runtime import pool_size
-        concurrency = pool_size(share=0.5)
-    return sentences.map_batches(OpenIE, batch_format="pyarrow",
-                                 batch_size=batch_size,
-                                 concurrency=concurrency)
+
+def extract_open_triples(sentences, *, batch_size: int = 1024):
+    """sentences Dataset → open triples Dataset."""
+    from ..runtime import map_cached
+    return map_cached(sentences, OpenIE, batch_size=batch_size)

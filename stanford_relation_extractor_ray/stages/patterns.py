@@ -122,8 +122,7 @@ class TokenPattern:
 class TokensRegexExtractor:
     """Per-relation token-pattern rules → relation hits
     (``TokensRegexExtractor.java:66-``). ``rules``:
-    {relation: [pattern strings]}; compiled once (per actor when used
-    inside a pool)."""
+    {relation: [pattern strings]}; compiled once per instance."""
 
     def __init__(self, rules: dict[str, list[str]]):
         self.rules = {rel: [TokenPattern(p) for p in pats]

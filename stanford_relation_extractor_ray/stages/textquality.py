@@ -2,8 +2,8 @@
 document fingerprinting.
 
 Vectorized ``map_batches`` stages over a documents table; the language
-identifier is a stateful actor pool (stopword profiles compiled once per
-actor). Fingerprinting = content hash of normalized text (the corpus
+identifier's stopword profiles are compiled once per worker process
+(``runtime.map_cached``). Fingerprinting = content hash of normalized text (the corpus
 analog of the reference's sentence-gloss keys,
 ``KBPProcess.java:171-172``).
 """
@@ -80,8 +80,8 @@ def add_quality(ds, text_col: str = "text"):
 
 
 class LangId:
-    """Actor-pool language identifier (stopword-profile heuristic).
-    Profiles compiled once per actor; per-batch work is set lookups."""
+    """Language identifier (stopword-profile heuristic). Profiles are
+    compiled once per worker process; per-batch work is set lookups."""
 
     def __init__(self):
         self.profiles = {lang: frozenset(ws)
@@ -102,9 +102,9 @@ class LangId:
                                    pa.array(langs, pa.string()))
 
 
-def add_lang_id(ds, concurrency=(1, 4)):
-    return ds.map_batches(LangId, batch_format="pyarrow",
-                          batch_size=4096, concurrency=concurrency)
+def add_lang_id(ds):
+    from ..runtime import map_cached
+    return map_cached(ds, LangId, batch_size=4096)
 
 
 def add_fingerprint(ds, text_col: str = "text"):

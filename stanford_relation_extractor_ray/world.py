@@ -341,7 +341,7 @@ _WORLD_CACHE: dict[int, World] = {}
 
 
 def get_world(seed: int = 42) -> World:
-    """Memoized world constructor (cheap, but called in every actor)."""
+    """Memoized world constructor (cheap, but called in every worker)."""
     if seed not in _WORLD_CACHE:
         _WORLD_CACHE[seed] = World(seed)
     return _WORLD_CACHE[seed]

@@ -10,3 +10,16 @@ def ray_session():
     DataContext.get_current().enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def fresh_worker_cache(monkeypatch):
+    """Run a test against an empty driver-side worker cache, then
+    restore the driver's cache and GC thresholds."""
+    import gc
+
+    from stanford_relation_extractor_ray import runtime
+    monkeypatch.setattr(runtime, "_WORKER_CACHE", {})
+    thresholds = gc.get_threshold()
+    yield runtime._WORKER_CACHE
+    gc.set_threshold(*thresholds)

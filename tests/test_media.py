@@ -31,7 +31,7 @@ def test_extract_media_schema_and_refs(media_items):
 
 
 def test_decode_metadata(media_items):
-    dec = media.decode(media_items, concurrency=2).materialize()
+    dec = media.decode(media_items).materialize()
     rows = dec.take_all()
     assert len(rows) == media_items.count()
     for r in rows:
@@ -52,8 +52,8 @@ def test_decode_rejects_non_synthetic_payload():
 
 
 def test_resize_fits_box_and_is_deterministic(media_items):
-    dec = media.decode(media_items, concurrency=2)
-    small = media.resize_images(dec, max_side=128, concurrency=2)
+    dec = media.decode(media_items)
+    small = media.resize_images(dec, max_side=128)
     rows = sorted(small.take_all(), key=lambda r: r["media_ref"])
     assert rows, "corpus should contain image spans"
     for r in rows:
@@ -62,14 +62,14 @@ def test_resize_fits_box_and_is_deterministic(media_items):
         assert len(r["payload"]) > 0
     # determinism: second run bit-identical
     rows2 = sorted(
-        media.resize_images(media.decode(media_items, concurrency=2),
-                            max_side=128, concurrency=2).take_all(),
+        media.resize_images(media.decode(media_items),
+                            max_side=128).take_all(),
         key=lambda r: r["media_ref"])
     assert [r["payload"] for r in rows] == [r["payload"] for r in rows2]
 
 
 def test_frame_sampling_multiplicity(media_items):
-    dec = media.decode(media_items, concurrency=2).materialize()
+    dec = media.decode(media_items).materialize()
     frames = media.sample_frames(dec, every_s=1.0, max_frames=16)
     rows = frames.take_all()
     n_audio = sum(1 for r in dec.take_all() if r["kind"] == "audio")
@@ -88,7 +88,7 @@ def test_frame_sampling_multiplicity(media_items):
 
 def test_media_features_unit_norm(media_items):
     import numpy as np
-    feats = media.featurize_media(media_items, dim=32, concurrency=2)
+    feats = media.featurize_media(media_items, dim=32)
     rows = feats.take_all()
     assert len(rows) == media_items.count()
     for r in rows[:20]:

@@ -86,6 +86,42 @@ def test_checkpoint_resume(ray_session, tmp_path):
     assert t1 == t2
 
 
+def test_pipeline_version_bump_recomputes_every_shard(ray_session,
+                                                     tmp_path,
+                                                     monkeypatch):
+    """A checkpoint written by older code is never reused silently:
+    bumping ``PIPELINE_VERSION`` recomputes every shard (an unchanged
+    rerun recomputes none), and the rerun's kg_triples are
+    byte-identical."""
+    import stanford_relation_extractor_ray.pipelines.kg as kg
+    from stanford_relation_extractor_ray.state.manifest import Manifest
+
+    committed = []
+    commit = Manifest.commit
+
+    def spy(self, partition, input_digest, row_count):
+        committed.append(partition)
+        commit(self, partition, input_digest, row_count)
+
+    monkeypatch.setattr(Manifest, "commit", spy)
+    cols = ["subj", "subj_type", "pred", "obj", "obj_type", "doc_id",
+            "sent_idx"]
+
+    def kg_triples() -> str:
+        committed.clear()
+        out = kg.run_kg(80, checkpoint_dir=str(tmp_path / "ckpt"),
+                        n_shards=2)
+        return out["fills"].to_pandas()[cols].sort_values(cols) \
+            .to_csv(index=False)
+
+    first = kg_triples()
+    assert committed == ["0000", "0001"] and first.count("\n") > 10
+    assert kg_triples() == first and committed == []
+    monkeypatch.setattr(kg, "PIPELINE_VERSION", kg.PIPELINE_VERSION + 1)
+    assert kg_triples() == first
+    assert committed == ["0000", "0001"]
+
+
 def test_fast_path_equals_bag_path(ray_session):
     """CandidateScorer partial noisy-or == bag assembly + bag scorer
     (noisy-or distributes over bag partitions). The bag path is the

@@ -90,13 +90,31 @@ def test_vote_span_ner():
     assert vote_span_ner([(0, 1, "B"), (1, 2, "A")], (0, 2)) == "A"
 
 
-def test_max_sentence_length_gate(ray_session):
+def test_max_sentence_length_gate(ray_session, fresh_worker_cache):
+    import pyarrow as pa
+
     from stanford_relation_extractor_ray.corpus import documents_dataset
     from stanford_relation_extractor_ray.stages import nlp
-    capped = nlp.annotate(documents_dataset(30),
-                          max_sentence_tokens=8).take_all()
+    docs = documents_dataset(30).materialize()
+    batches = ray_session.get(docs.to_arrow_refs())
+
+    def rows(tables):
+        return sorted(map(repr, pa.concat_tables(tables).to_pylist()))
+
+    runs = []
+    for cap in (8, None):
+        # the warm call (Ray workers, and the driver's own cache) equals
+        # a fresh annotator's output: the cap is part of the cache key
+        want = rows([nlp.NLPAnnotator(42, max_sentence_tokens=cap)(b)
+                     for b in batches])
+        ds = nlp.annotate(docs, max_sentence_tokens=cap)
+        fn = ds._logical_plan.dag._fn
+        assert rows([fn(b) for b in batches]) == want
+        got = ds.take_all()
+        assert sorted(map(repr, got)) == want
+        runs.append(got)
+    capped, full = runs
     assert all(s["n_tokens"] <= 8 for s in capped)
-    full = nlp.annotate(documents_dataset(30)).take_all()
     assert len(full) > len(capped)
     # sentence indices are preserved for surviving sentences
     full_keys = {(s["doc_id"], s["sent_idx"]): s["text"] for s in full}
