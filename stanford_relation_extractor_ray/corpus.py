@@ -24,6 +24,7 @@ from bisect import bisect
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .world import (DISTRACTOR_PHRASES, NOISE_SENTENCES, World, get_world)
 from .vocab import RELATIONS
@@ -295,6 +296,17 @@ def doc_plan(doc_id: int, world: World, with_gold: bool = True,
                       "offset": offset})
         mi += 1
     return spans, (gold if with_gold else None)
+
+
+def parse_doc_ids(doc_ids) -> pa.Array:
+    """Generator doc number (int64) per doc id; null for any id not in
+    the exact ``d%09d`` format ``_docs_batch`` writes. An external
+    corpus's ids must never be "recovered" from the generator: the
+    join would attach a wrong document's text."""
+    if isinstance(doc_ids, pa.ChunkedArray):
+        doc_ids = doc_ids.combine_chunks()
+    m = pc.extract_regex(doc_ids, r"^d(?P<n>\d{9})$")
+    return pc.struct_field(m, [0]).cast(pa.int64())
 
 
 def _docs_batch(batch: dict, seed: int) -> pa.Table:

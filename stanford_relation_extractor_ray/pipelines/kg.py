@@ -5,12 +5,13 @@ The Ray-Data re-expression of the reference's slot-filling lifecycle
 pairing → subject entity-linking → featurize → per-candidate scoring
 with in-batch partial noisy-or, one stateless task per batch over
 per-worker cached components, ``stages/extract_fused``) → per-triple
-combine → object linking → per-entity greedy consistency (one shuffle,
-``consistency.combine_enforce``) → unary rewrite/filter chain →
-canonicalization
-(two tiers sharing one set of kernels — a zero-execution driver tier
-below the surface gate and a Dataset-only tier above it, see
-``build_graph``) → node/edge tables.
+combine → object linking → per-entity greedy consistency (one
+kernel, ``consistency.finalize_partition``, in two tiers: once on the
+driver below the fills gate, per partition behind one shuffle above
+it, see ``finalize_fills``) → unary rewrite/filter chain →
+canonicalization (two tiers sharing one set of kernels — a
+zero-execution driver tier below the surface gate and a Dataset-only
+tier above it, see ``build_graph``) → node/edge tables.
 
 Two entry styles:
 - ``extract_fills(docs)`` — the streaming lazy pipeline for one shard.
@@ -29,7 +30,9 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..corpus import documents_dataset
 from ..schemas import FILLS_SCHEMA
@@ -63,9 +66,17 @@ def extract_fills(documents, *, seed: int = 42, aliases_ref=None,
                    model_ref=model_ref)
 
 
+def _doc_numbers(doc_ids) -> list[int]:
+    """Sorted distinct generator doc numbers among ``doc_ids``
+    (``corpus.parse_doc_ids``: other ids are skipped)."""
+    from ..corpus import parse_doc_ids
+    return sorted(pc.unique(parse_doc_ids(doc_ids).drop_null())
+                  .to_pylist())
+
+
 def provenance_sentences(fills_mat, seed: int = 42):
     """(doc_id, sent_idx, text) rows for exactly the provenance
-    documents of a (small, materialized) fills table.
+    documents of a (materialized) fills Dataset.
 
     The consistent-fills table is bounded by the entity universe, not
     the corpus, so its distinct provenance doc-id set is tiny; those
@@ -73,22 +84,17 @@ def provenance_sentences(fills_mat, seed: int = 42):
     pass over (or shuffle of) the full corpus. This is the gloss
     substrate for the unary rewrite chain and provenance recovery
     (``SimpleSlotFiller.java:484-676`` restructured per SURVEY §7.4).
-    Returns None when no provenance doc id is recoverable (external
-    corpora should pass their own sentences dataset instead).
+    Returns None when no provenance doc id is generator-format
+    (external corpora should pass their own sentences dataset instead).
     """
-    import re
-
     import ray.data as rd
 
     from ..corpus import _docs_batch
+    from ..runtime import collect_table
 
-    doc_ids = set(
-        fills_mat.select_columns(["doc_id"]).to_pandas()["doc_id"])
-    # only exact generator-format ids (d%09d): anything else (e.g. a
-    # virtual-IR TSV's own ids) must NOT be "recovered" from the
-    # generator — the join would attach a wrong document's gloss
-    ids = sorted(int(m.group(1)) for d in doc_ids
-                 if (m := re.fullmatch(r"d(\d{9})", d)))
+    ids = _doc_numbers(collect_table(
+        fills_mat.select_columns(["doc_id"]),
+        pa.schema([("doc_id", pa.string())])).column("doc_id"))
     if not ids:
         return None
 
@@ -100,94 +106,73 @@ def provenance_sentences(fills_mat, seed: int = 42):
     return sentences_from_documents(docs)
 
 
-def sentences_from_documents(documents):
+def document_sentences(batch: pa.Table) -> pa.Table:
     """documents → (doc_id, sent_idx, text) rows; sent_idx counts text
     spans positionally (media spans skipped), matching
-    ``NLPAnnotator.iter_sentences``. No NLP — pure span splitting."""
-    def split(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        doc_col = batch.column("doc_id").to_pylist()
-        spans = batch.column("spans")
-        if isinstance(spans, pa.ChunkedArray):
-            spans = spans.combine_chunks()
-        flat = spans.flatten()
-        kinds = flat.field("kind").to_pylist()
-        texts = flat.field("text").to_pylist()
-        lengths = pc.list_value_length(spans).to_pylist()
-        out_d, out_s, out_t = [], [], []
-        pos = 0
-        for doc_id, ln in zip(doc_col, lengths):
-            sent_idx = 0
-            for k in range(pos, pos + ln):
-                if kinds[k] != "text":
-                    continue
-                out_d.append(doc_id)
-                out_s.append(sent_idx)
-                out_t.append(texts[k])
-                sent_idx += 1
-            pos += ln
-        return pa.table({"doc_id": pa.array(out_d, pa.string()),
-                         "sent_idx": pa.array(out_s, pa.int32()),
-                         "text": pa.array(out_t, pa.string())})
-
-    return documents.map_batches(split, batch_format="pyarrow")
+    ``NLPAnnotator.iter_sentences``. Arrow list kernels, no per-span
+    Python."""
+    spans = batch.column("spans")
+    if isinstance(spans, pa.ChunkedArray):
+        spans = spans.combine_chunks()
+    flat = spans.flatten()
+    parent = pc.list_parent_indices(spans).to_numpy()
+    is_text = pc.fill_null(pc.equal(flat.field("kind"), "text"), False) \
+        .to_numpy(zero_copy_only=False)
+    # text spans before each span, minus those before its parent's
+    # first span (a parent's spans are contiguous in the flattening)
+    before = np.concatenate([[0], np.cumsum(is_text)])
+    pos = np.arange(len(parent))
+    first = np.ones(len(parent), bool)
+    first[1:] = parent[1:] != parent[:-1]
+    start = np.maximum.accumulate(np.where(first, pos, 0))
+    keep = np.flatnonzero(is_text)
+    return pa.Table.from_arrays(
+        [batch.column("doc_id").take(parent[keep]),
+         pa.array((before[keep] - before[start[keep]]).astype(np.int32)),
+         flat.field("text").take(keep)],
+        names=["doc_id", "sent_idx", "text"])
 
 
-# fills-table size below which the unary chain runs driver-side in one
-# process (saves three fixed-latency Ray executions on tiny data); the
-# distributed gloss join + apply_unary handles everything above it
+def sentences_from_documents(documents):
+    """``document_sentences`` over a documents Dataset."""
+    return documents.map_batches(document_sentences,
+                                 batch_format="pyarrow")
+
+
+# row count up to which finalize runs on the driver: partial fills
+# for the combine + consistency kernel (they bound the consistent
+# fills), consistent fills for the unary chain
 SMALL_FILLS = 100_000
 
 
-def _postprocess_driver_side(consistent_mat, seed: int,
-                             known: dict | None):
-    """Driver-side unary chain over a (small, materialized) fills
-    table: glosses regenerated from the seeded corpus per provenance
-    doc, the SAME ``unary_chain`` applied in one call. Returns None
-    when the rows can't be collected (defensive; callers fall back to
-    the distributed path)."""
-    import re
+def _generator_sentences(doc_ids, seed: int) -> pa.Table:
+    """(doc_id, sent_idx, text) of every generator-format document
+    among ``doc_ids``, each regenerated once on the driver."""
+    from ..corpus import _docs_batch
+    return document_sentences(_docs_batch(
+        {"id": np.asarray(_doc_numbers(doc_ids), np.int64)}, seed))
 
+
+def _postprocess_driver_side(consistent: pa.Table, sentences: pa.Table,
+                             known: dict | None):
+    """The SAME ``unary_chain`` in one driver-side call, each fill's
+    gloss looked up in ``sentences`` on (doc_id, sent_idx) ("" when
+    absent) → Dataset."""
     import ray.data as rd
 
-    from ..corpus import doc_plan
     from ..stages.postprocess import unary_chain
     from ..stages.worldknowledge import get_geography
-    from ..world import get_world
 
-    # columnar collection: Ray's per-row take_all on pandas blocks
-    # costs ~7 ms/row (profiled 37 s on a 5.6k-fill table) — to_pandas
-    # is a vectorized block concat
-    df = consistent_mat.to_pandas()
-    if len(df) == 0:
-        return consistent_mat
-    world = get_world(seed)
-    sent_cache: dict[int, list[str]] = {}
+    def key(t: pa.Table) -> pa.Array:
+        return pc.binary_join_element_wise(
+            t.column("doc_id"), t.column("sent_idx").cast(pa.string()),
+            "|")
 
-    def sentences_of(did: int) -> list[str]:
-        hit = sent_cache.get(did)
-        if hit is None:
-            spans, _ = doc_plan(did, world)
-            hit = sent_cache[did] = [s["text"] for s in spans
-                                     if s["kind"] == "text"]
-        return hit
-
-    glosses = []
-    for d, si in zip(df["doc_id"], df["sent_idx"]):
-        m = re.fullmatch(r"d(\d{9})", d)
-        gloss = ""
-        if m is not None:
-            sents = sentences_of(int(m.group(1)))
-            if 0 <= si < len(sents):
-                gloss = sents[si]
-        glosses.append(gloss)
-    batch = pa.Table.from_arrays(
-        [pa.array([v.tolist() if hasattr(v, "tolist") else v
-                   for v in df[name]], typ)
-         for name, typ in zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
-        schema=FILLS_SCHEMA) \
-        .append_column("gloss", pa.array(glosses, pa.string()))
-    out = unary_chain(batch, known=known, geo=get_geography()) \
+    at = pc.index_in(key(consistent),
+                     value_set=key(sentences).combine_chunks())
+    gloss = pc.fill_null(sentences.column("text").take(at), "")
+    out = unary_chain(consistent.append_column("gloss", gloss),
+                      known=known, geo=get_geography()) \
         .drop_columns(["gloss"])
     return rd.from_arrow(out)
 
@@ -197,67 +182,75 @@ def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
                    mixing_time: int = 10, postprocess: bool = True,
                    sentences="auto", known: dict | None = None,
                    repair: bool = False):
-    """raw fills → consistent, object-linked fills (global stages).
+    """raw (partial) fills → consistent, object-linked fills (global
+    stages).
 
-    One fused shuffle (``consistency.combine_enforce``), equivalent to
-    the three-stage chain classify.combine_fills → link.link →
-    consistency.enforce. ``objective`` selects the consistency engine
-    (TOP greedy / SUM Gibbs restarts).
+    Two size tiers run one kernel, ``consistency.finalize_partition``
+    (noisy-or merge → object linking → per-subject consistency engine),
+    equivalent to the three-stage chain classify.combine_fills →
+    link.link → consistency.enforce. The partials are materialized and
+    gated on their row count: up to ``SMALL_FILLS`` the kernel runs
+    once on the driver over one Arrow table — zero Ray Data executions
+    on a materialized input; above it ``consistency.combine_enforce``
+    runs it per partition behind one shuffle. ``objective`` selects the
+    consistency engine (TOP greedy / SUM Gibbs restarts).
 
     ``postprocess=True`` (the default — the reference applies its
     unary rewrite/filter chain to EVERY fill,
     ``SlotfillPostProcessor.java:104-141``,
-    ``SimpleSlotFiller.java:293-313``) runs
-    ``stages.postprocess.apply_unary`` over the consistent fills with
-    sentence glosses attached. ``sentences`` is "auto" (regenerate the
-    tiny provenance-doc set from the seeded corpus —
-    ``provenance_sentences``), a (doc_id, sent_idx, text) Dataset, or
-    None (chain without glosses). ``known`` feeds the
-    FilterAlreadyKnownSlots anti-join. The official-eval pipeline
-    passes ``postprocess=False`` and applies the chain itself with
-    per-query ignored slots.
+    ``SimpleSlotFiller.java:293-313``) runs that chain over the
+    consistent fills with sentence glosses attached: on the driver
+    while the consistent fills fit ``SMALL_FILLS`` (always, in the
+    driver tier), else ``stages.postprocess.apply_unary``'s distributed
+    gloss join. ``sentences`` is "auto" (regenerate the provenance
+    documents from the seeded corpus), a (doc_id, sent_idx, text)
+    Dataset, or None (chain without glosses). ``known`` feeds the
+    FilterAlreadyKnownSlots anti-join. ``repair`` re-points weak
+    provenance to the best supporting sentence among those sentences.
+    The official-eval pipeline passes ``postprocess=False`` and
+    applies the chain itself with per-query ignored slots.
     """
-    consistent = consistency.combine_enforce(
-        fills, aliases_ref=aliases_ref, seed=seed,
-        objective=objective, mixing_time=mixing_time)
-    if not postprocess:
-        return consistent
+    import ray.data as rd
+
+    from ..runtime import collect_table
     from ..stages import postprocess as pp
 
-    # consistent fills are tiny (entity-universe-bounded); materialize
-    # once so the gloss join and the provenance doc-id read below do
-    # not each re-run the combine/consistency shuffle
-    consistent = consistent.materialize()
-    if isinstance(sentences, str) and sentences == "auto":
-        if consistent.count() <= SMALL_FILLS:
-            # small-side gate (the canonical_map pattern): the chain
-            # is 3 fixed-latency Ray executions on a table this size;
-            # run the IDENTICAL unary_chain driver-side with glosses
-            # regenerated from the seeded corpus. Above the gate the
-            # distributed gloss join below takes over. Equality is
-            # pinned by tests/test_pipeline_e2e.py.
-            out = _postprocess_driver_side(consistent, seed, known)
-            if repair and out is not None:
-                # same None guard as the distributed branch below:
-                # external corpora yield no recoverable provenance docs
-                repair_sents = provenance_sentences(consistent, seed)
-                if repair_sents is not None:
-                    import ray
+    fills = fills.materialize()
+    if fills.count() <= SMALL_FILLS:
+        from ..stages.link import EntityLinker
 
-                    from ..world import get_world
-                    alias_rows = ray.get(aliases_ref) \
-                        if aliases_ref is not None \
-                        else get_world(seed).alias_table()
-                    out = pp.repair_provenance(
-                        out, repair_sents, aliases=alias_rows)
-            if out is not None:
-                return out
-        sentences = provenance_sentences(consistent, seed)
-    out = pp.apply_unary(consistent, sentences, known=known,
-                         with_geo=True)
+        # a plain linker, not ``_cached_linker``: worker_cached would
+        # retune this (client) process's GC thresholds
+        table = consistency.finalize_partition(
+            collect_table(fills, FILLS_SCHEMA),
+            linker=EntityLinker(aliases_ref, seed),
+            engine=consistency.make_engine(objective, mixing_time, seed))
+        consistent = rd.from_arrow(table)
+    else:
+        consistent = consistency.combine_enforce(
+            fills, aliases_ref=aliases_ref, seed=seed,
+            objective=objective, mixing_time=mixing_time)
+        if postprocess:
+            # materialize once so the gloss join and the provenance
+            # doc-id read below do not each re-run the combine shuffle
+            consistent = consistent.materialize()
+            table = collect_table(consistent, FILLS_SCHEMA) \
+                if consistent.count() <= SMALL_FILLS else None
+    if not postprocess:
+        return consistent
+    auto = isinstance(sentences, str) and sentences == "auto"
+    if auto and table is not None:
+        sents = _generator_sentences(table.column("doc_id"), seed)
+        out = _postprocess_driver_side(table, sents, known)
+        sentences = rd.from_arrow(sents) if sents.num_rows else None
+    else:
+        if auto:
+            sentences = provenance_sentences(consistent, seed)
+        out = pp.apply_unary(consistent, sentences, known=known,
+                             with_geo=True)
     if repair and sentences is not None:
         # opt-in provenance-recovery pass (weak provenance → best
-        # supporting sentence within the supplied sentences dataset)
+        # supporting sentence within the sentences)
         import ray
 
         from ..world import get_world

@@ -22,6 +22,41 @@ def cluster_cpus(default: int = 8) -> int:
     return default
 
 
+def shuffle_parts() -> int:
+    """Coarse partition count of a ``groupby("pid")`` shuffle — O(CPUs)
+    groups, never one Ray group per key (~200 µs each, see
+    dedup.substring_spans)."""
+    return max(16, cluster_cpus() * 4)
+
+
+def pid_of(keys, n_parts: int):
+    """Coarse partition id per key (pandas Series or Arrow array) — a
+    vectorized, process-stable hash (pandas siphash with its fixed
+    key; Python's str hash is salted per process), no per-row Python."""
+    import pandas as pd
+    if not isinstance(keys, pd.Series):
+        keys = keys.to_pandas()
+    h = pd.util.hash_pandas_object(keys, index=False).to_numpy()
+    return (h % n_parts).astype("int32")
+
+
+def with_pid(t, keys, n_parts: int):
+    """``t`` plus its ``pid`` column over ``keys`` (one key per row)."""
+    import pyarrow as pa
+    return t.append_column("pid", pa.array(pid_of(keys, n_parts)))
+
+
+def collect_table(ds, schema):
+    """A materialized Dataset's blocks as one Arrow table on the driver
+    (no Ray Data execution); ``schema``'s empty table when it has no
+    rows."""
+    import pyarrow as pa
+    import ray
+    blocks = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(blocks).combine_chunks() if blocks else \
+        schema.empty_table()
+
+
 def pool_budget() -> float:
     """Perfbench's ``runtime.actors`` metric only; goes with ROADMAP
     direction 1."""

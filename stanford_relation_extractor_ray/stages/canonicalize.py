@@ -44,6 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import is_acronym_of, normalize_tokens, same_entity
+from ..runtime import collect_table, pid_of, shuffle_parts, with_pid
 from ..schemas import EDGES_SCHEMA, FILLS_SCHEMA, NODES_SCHEMA
 from .classify import combine_fills, merge_fills_table
 
@@ -61,27 +62,6 @@ SMALL_SURFACES = 100_000
 
 CMAP_SCHEMA = pa.schema([("name", pa.string()), ("type", pa.string()),
                          ("rep", pa.string())])
-
-
-def _n_parts() -> int:
-    """Coarse partition count of every shuffle here — O(CPUs) groups,
-    never one Ray group per key (~200 µs each, see
-    dedup.substring_spans)."""
-    from ..runtime import cluster_cpus
-    return max(16, cluster_cpus() * 4)
-
-
-def _pid(keys, n_parts: int) -> np.ndarray:
-    """Coarse partition id per key (pandas Series or Arrow array) — a
-    vectorized hash, no per-row Python."""
-    if not isinstance(keys, pd.Series):
-        keys = keys.to_pandas()
-    h = pd.util.hash_pandas_object(keys, index=False).to_numpy()
-    return (h % n_parts).astype("int32")
-
-
-def _with_pid(t: pa.Table, keys, n_parts: int) -> pa.Table:
-    return t.append_column("pid", pa.array(_pid(keys, n_parts)))
 
 
 def _key(t: pa.Table, name_col: str = "name", type_col: str = "type"):
@@ -127,11 +107,11 @@ def _surface_table(fills):
     compare weights only through ``round(w, 9)``, so the
     partition-local float summation order is below the comparison
     resolution."""
-    n_parts = _n_parts()
+    n_parts = shuffle_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         t = surface_weights(batch)
-        return _with_pid(t, t.column("name"), n_parts)
+        return with_pid(t, t.column("name"), n_parts)
 
     return (fills.map_batches(partial, batch_format="pyarrow")
             .groupby("pid")
@@ -191,11 +171,11 @@ def _block_pairs_ds(surfaces):
     """surfaces Dataset → candidate same-entity pair Dataset: whole
     blocks co-partitioned by block-key hash, ``_pairs_in_partition``
     inside each partition."""
-    n_parts = _n_parts()
+    n_parts = shuffle_parts()
 
     def explode(batch: pa.Table) -> pa.Table:
         t = _explode_blocks(batch)
-        return _with_pid(t, t.column("block"), n_parts)
+        return with_pid(t, t.column("block"), n_parts)
 
     return (surfaces.map_batches(explode, batch_format="pyarrow")
             .groupby("pid").map_groups(_pairs_in_partition,
@@ -231,7 +211,7 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
     nothing lands on the driver; ``propagate_components`` below is
     the list-collecting form.
     """
-    n_parts = _n_parts()
+    n_parts = shuffle_parts()
 
     def to_edges(batch: pa.Table) -> pa.Table:
         ka, kb = _key(batch, "a"), _key(batch, "b")
@@ -250,7 +230,7 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
     # state: (node, label, nbrs) — one init shuffle groups the
     # bidirectional edge list into per-node adjacency
     state = (pairs.map_batches(to_edges, batch_format="pyarrow")
-             .map_batches(lambda df: df.assign(pid=_pid(df["ka"],
+             .map_batches(lambda df: df.assign(pid=pid_of(df["ka"],
                                                         n_parts)),
                           batch_format="pandas")
              .groupby("pid")
@@ -279,7 +259,7 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
             pd.DataFrame({"dest": ptr["label"], "cand": ptr["label"],
                           "own": "", "add": ptr["node"]}),
         ], ignore_index=True)
-        out["pid"] = _pid(out["dest"], n_parts)
+        out["pid"] = pid_of(out["dest"], n_parts)
         return out
 
     def reduce_min(df: pd.DataFrame) -> pd.DataFrame:
@@ -377,7 +357,7 @@ def canonical_map_ds(surfaces):
     components by label propagation, a co-partition root join, then
     ``pick_rep`` per root partition; no driver materialization of the
     surface universe."""
-    n_parts = _n_parts()
+    n_parts = shuffle_parts()
     surfaces = surfaces.materialize()      # blocking + root join
     labels = propagate_components_ds(_block_pairs_ds(surfaces))
 
@@ -388,13 +368,13 @@ def canonical_map_ds(surfaces):
         return pd.DataFrame({
             "key": key, "root": "", "name": df["name"],
             "type": df["type"], "weight": df["weight"], "side": "W",
-            "pid": _pid(key, n_parts)})
+            "pid": pid_of(key, n_parts)})
 
     def tag_label(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "key": df["node"], "root": df["label"], "name": "",
             "type": "", "weight": 0.0, "side": "L",
-            "pid": _pid(df["node"], n_parts)})
+            "pid": pid_of(df["node"], n_parts)})
 
     def join_root(df: pd.DataFrame) -> pd.DataFrame:
         lmap = dict(zip(df.loc[df["side"] == "L", "key"],
@@ -404,7 +384,7 @@ def canonical_map_ds(surfaces):
         return pd.DataFrame({
             "name": w["name"], "type": w["type"],
             "weight": w["weight"], "root": root,
-            "pid2": _pid(root, n_parts)})
+            "pid2": pid_of(root, n_parts)})
 
     rooted = (surfaces.map_batches(tag_surface, batch_format="pandas")
               .union(labels.map_batches(tag_label,
@@ -512,11 +492,8 @@ def driver_graph(fills):
     merge (noisy-or is associative). A shuffle per step here was pure
     task overhead on a ~5k-row table and measured ANTI-scaling
     (0.9 s at 8 CPUs → 2.1 s at 32)."""
-    import ray
     import ray.data as rd
-    blocks = [t for t in ray.get(fills.to_arrow_refs()) if t.num_rows]
-    tbl = pa.concat_tables(blocks).combine_chunks() if blocks else \
-        FILLS_SCHEMA.empty_table()
+    tbl = collect_table(fills, FILLS_SCHEMA)
     cmap = canonical_map(surface_weights(tbl))
     merged = merge_fills_table(canonical_rewrite(tbl, cmap)) \
         .select(FILLS_SCHEMA.names).combine_chunks()
@@ -530,7 +507,7 @@ def apply_canonical_join(fills, cmap_ds):
     on its own rows. Map rows carry their (name, type) in the joined
     column pair and a non-null ``rep``; fill rows a null one — both
     sides stay FILLS-typed, so the union is schema-aligned."""
-    n_parts = _n_parts()
+    n_parts = shuffle_parts()
 
     def one_join(ds, col: str):
         tcol = f"{col}_type"
@@ -539,7 +516,7 @@ def apply_canonical_join(fills, cmap_ds):
             t = batch.select(FILLS_SCHEMA.names).cast(FILLS_SCHEMA) \
                 .append_column("rep", pa.nulls(batch.num_rows,
                                                pa.string()))
-            return _with_pid(t, _key(t, col, tcol), n_parts)
+            return with_pid(t, _key(t, col, tcol), n_parts)
 
         def tag_map(batch: pa.Table) -> pa.Table:
             cols = {nm: pa.nulls(batch.num_rows, ty)
@@ -549,7 +526,7 @@ def apply_canonical_join(fills, cmap_ds):
             cols[tcol] = batch.column("type").cast(pa.string())
             t = pa.table(cols).append_column(
                 "rep", batch.column("rep").cast(pa.string()))
-            return _with_pid(t, _key(t, col, tcol), n_parts)
+            return with_pid(t, _key(t, col, tcol), n_parts)
 
         def rewrite(group: pa.Table) -> pa.Table:
             is_map = pc.is_valid(group.column("rep"))
@@ -572,12 +549,12 @@ def apply_canonical_join(fills, cmap_ds):
 def materialize_graph_ds(fills):
     """Dataset tier: fills Dataset → (nodes_ds, edges_ds), both
     Datasets — nothing entity-universe-bounded on the driver."""
-    n_parts = _n_parts()
+    n_parts = shuffle_parts()
     cmap_ds = canonical_map_ds(_surface_table(fills)).materialize()
     merged = combine_fills(apply_canonical_join(fills, cmap_ds))
 
     def by_node(batch: pa.Table) -> pa.Table:
-        return _with_pid(batch, _key(batch, "rep"), n_parts)
+        return with_pid(batch, _key(batch, "rep"), n_parts)
 
     nodes = (cmap_ds.map_batches(by_node, batch_format="pyarrow")
              .groupby("pid")

@@ -345,8 +345,9 @@ class CandidateScorer:
     independently and the bag aggregate is a noisy-or, which distributes
     over any partition of the bag:  1-∏(1-sᵢ) over the whole bag equals
     the noisy-or of per-batch partial noisy-ors. This removes the
-    100k-group bag shuffle entirely; the only remaining shuffle is the
-    (much smaller) per-triple combine (``combine_fills``), and in-batch
+    100k-group bag shuffle entirely; what remains is the (much smaller)
+    per-triple combine in finalize (``consistency.finalize_partition``,
+    shuffled only above the size gate), and in-batch
     partial aggregation keeps hot-entity groups bounded by the number of
     batches rather than the number of supporting sentences.
     """
@@ -363,10 +364,10 @@ class CandidateScorer:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Collects sentence-level hits with vectorized masks + arrow
-        takes, then pre-combines them per triple with the SAME
-        vectorized pandas kernel the global combine uses
-        (``merge_fills_df`` — noisy-or is associative, so in-batch
-        partial merging is exact). This replaced a per-row Python dict
+        takes, then pre-combines them per triple with the SAME Arrow
+        kernel every later merge uses (``merge_fills_table`` —
+        noisy-or is associative, so in-batch partial merging is
+        exact). This replaced a per-row Python dict
         aggregation that was the scorer's top CPU line, while keeping
         the output compact (one row per triple per batch, not per
         hit — emitting raw hits was measured to balloon the combine
@@ -497,62 +498,31 @@ def apply_probability_priors(fills):
     return fills.map_batches(fn, batch_format="pyarrow")
 
 
-def _merge_fill_group(group: pa.Table) -> pa.Table:
-    """Noisy-or merge of one triple's fills across partial batches."""
-    scores = group.column("score").to_pylist()
-    merged = 1.0
-    for s in scores:
-        merged *= (1.0 - s)
-    merged = 1.0 - merged
-    if "prov_score" in group.column_names:
-        ps = group.column("prov_score").to_pylist()
-    else:
-        ps = scores
-    docs = group.column("doc_id").to_pylist()
-    sents = group.column("sent_idx").to_pylist()
-    best = min(range(len(scores)),
-               key=lambda i: (-ps[i], docs[i], sents[i]))
-    row = group.slice(best, 1)
-    arrays = []
-    for name in FILLS_SCHEMA.names:
-        if name == "score":
-            arrays.append(pa.array([merged], pa.float64()))
-        else:
-            arrays.append(row.column(name))
-    return pa.Table.from_arrays(arrays, schema=FILLS_SCHEMA)
-
-
 TRIPLE_KEY = ["subj", "subj_type", "pred", "obj", "obj_type"]
 
 
 def combine_fills(fills):
     """Per-triple noisy-or combine across partial fills.
 
-    Two-level combine, both levels C-speed pandas kernels (prod for
-    the noisy-or, sorted drop_duplicates for best-provenance
-    selection — noisy-or is associative so local-then-global merging
-    is exact):
+    Two-level combine, both levels ``merge_fills_table`` (noisy-or is
+    associative, so local-then-global merging is exact):
 
     1. ``local_combine`` — map-side pre-aggregation over ~64k-row
        windows of partial fills. Hot triples recur in nearly every
        extract task's output, so this collapses the shuffle input by
        the window/task ratio (measured 2.5M → ~0.3M rows at 2M docs).
-       It also assigns ``pid = hash(triple) % (4·CPUs)`` with a
-       vectorized hash — the previous per-row Python crc32 loop was
-       ~2/3 of a 10.6 s combine phase.
+       It also assigns the coarse ``pid`` of the triple key
+       (``runtime.pid_of``, a vectorized hash).
     2. shuffle on the COARSE pid (O(CPUs) groups, not O(triples)) and
        a final per-partition merge.
     """
-    import pandas as pd
-
-    def merge_partition(df: pd.DataFrame) -> pd.DataFrame:
-        return merge_fills_df(df, list(FILLS_SCHEMA.names))
+    def merge_partition(group: pa.Table) -> pa.Table:
+        return merge_fills_table(group).select(FILLS_SCHEMA.names)
 
     return (fills.map_batches(local_combine_factory(),
-                              batch_format="pandas", batch_size=65536)
+                              batch_format="pyarrow", batch_size=65536)
             .groupby("pid")
-            .map_groups(merge_partition, batch_format="pandas")
-            .select_columns(FILLS_SCHEMA.names))
+            .map_groups(merge_partition, batch_format="pyarrow"))
 
 
 def _rank_codes(col) -> np.ndarray:
@@ -571,14 +541,15 @@ def _rank_codes(col) -> np.ndarray:
 
 
 def merge_fills_table(t: pa.Table) -> pa.Table:
-    """``merge_fills_df`` for an Arrow fills(+prov_score) table with no
-    pandas round-trip: dictionary-rank lexsort + ``multiply.reduceat``
-    noisy-or. Bit-identical to the pandas kernel — same stable sort
-    keys (triple asc, prov_score desc, doc_id/sent_idx asc) and the
-    same sequential per-group product order (numpy's multiply.reduce
-    is sequential for float64, pinned in tests/test_pipeline_e2e.py).
-    The per-column rank codes keep tuple-wise string ordering exact —
-    no joined-key separator assumption."""
+    """The package's one noisy-or merge: (partial) fills(+prov_score)
+    → one row per triple, score ``1 − ∏(1 − sᵢ)``, best provenance
+    (highest prov_score, then lowest doc_id/sent_idx), plus the kept
+    ``prov_score``. Dictionary-rank lexsort + ``multiply.reduceat``:
+    stable sort keys (triple asc, prov_score desc, doc_id/sent_idx
+    asc) and a sequential per-group product (numpy's multiply.reduce
+    is sequential for float64) — bit-identical to the pandas oracle
+    in tests/oracles.py. The per-column rank codes keep tuple-wise
+    string ordering exact — no joined-key separator assumption."""
     if t.num_rows == 0:
         return t
     score = t.column("score").to_numpy()
@@ -604,44 +575,28 @@ def merge_fills_table(t: pa.Table) -> pa.Table:
                              pa.array(ps[first_idx], pa.float64()))
 
 
-def merge_fills_df(df, keep_cols: list):
-    """Vectorized per-triple noisy-or merge of (partial) fills in one
-    pandas frame; keeps best provenance (highest prov_score, then
-    lowest doc_id/sent_idx)."""
-    ps = df["prov_score"] if "prov_score" in df.columns else df["score"]
-    df = df.assign(_om=1.0 - df["score"], _ps=ps)
-    df = df.sort_values(TRIPLE_KEY + ["_ps", "doc_id", "sent_idx"],
-                        ascending=[True] * len(TRIPLE_KEY)
-                        + [False, True, True], kind="mergesort")
-    merged = df.groupby(TRIPLE_KEY, sort=False)["_om"].prod()
-    first = df.drop_duplicates(TRIPLE_KEY, keep="first") \
-        .set_index(TRIPLE_KEY)
-    first["score"] = 1.0 - merged
-    first["prov_score"] = first["_ps"]
-    return first.reset_index()[keep_cols]
+# partial fills as they leave ``local_combine``
+PARTIAL_SCHEMA = FILLS_SCHEMA.append(pa.field("prov_score", pa.float64())) \
+    .append(pa.field("pid", pa.int32()))
 
 
 def local_combine_factory(pid_cols: list | None = None):
-    """Map-side pre-combine fn: merge within the batch window, then
-    route to ``pid = hash(pid_cols) % (4·CPUs)`` (default: the full
-    triple key; pass ``["subj"]`` to co-locate whole subjects so a
-    downstream per-entity pass can share the same shuffle)."""
-    import numpy as np
-    import pandas as pd
-
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
+    """Map-side pre-combine fn over pyarrow batches: merge within the
+    batch window (``merge_fills_table``), then route to the coarse
+    ``pid`` of ``pid_cols`` (default: the full triple key; pass
+    ``["subj"]`` to co-locate whole subjects so a downstream
+    per-entity pass can share the same shuffle)."""
+    from ..runtime import shuffle_parts, with_pid
+    n_parts = shuffle_parts()
     keys = pid_cols or TRIPLE_KEY
-    part_cols = list(FILLS_SCHEMA.names) + ["prov_score"]
 
-    def local_combine(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(columns=part_cols + ["pid"])
-        out = merge_fills_df(df, part_cols)
-        key = out[keys[0]] if len(keys) == 1 else \
-            out[keys[0]].str.cat([out[c] for c in keys[1:]], sep="|")
-        out["pid"] = (pd.util.hash_pandas_object(key, index=False)
-                      .to_numpy() % n_parts).astype(np.int32)
-        return out
+    def local_combine(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return PARTIAL_SCHEMA.empty_table()
+        out = merge_fills_table(batch)
+        key = out.column(keys[0]) if len(keys) == 1 else \
+            pc.binary_join_element_wise(
+                *[out.column(c) for c in keys], "|")
+        return with_pid(out, key, n_parts)
 
     return local_combine

@@ -1,10 +1,13 @@
-"""Per-entity greedy consistency: fills → consistent fills.
+"""Per-entity combine + greedy consistency: partial fills → consistent
+fills.
 
-Ray-Data shape of the reference's consistency engine (SURVEY.md §2.9,
-``HeuristicSlotfillPostProcessor.java:68-114`` filterStep +
-``HeuristicSlotfillPostProcessors.java`` filter/rewrite chain): entirely
-per-entity, so ``ds.groupby("subj").map_groups(...)`` — embarrassingly
-parallel, deterministic given the comparator.
+Ray-Data shape of the reference's combine and consistency steps
+(SURVEY.md §2.9, ``HeuristicSlotfillPostProcessor.java:68-114``
+filterStep + ``HeuristicSlotfillPostProcessors.java`` filter/rewrite
+chain): noisy-or per triple, then the greedy pass per entity. One Arrow
+kernel, ``finalize_partition``, does both for any table holding every
+partial of its subjects; ``pipelines.kg.finalize_fills`` runs it on the
+driver below a size gate, per ``hash(subj)`` partition above it.
 
 Greedy pass: sort the entity's fills by (score desc, obj token count
 **desc** — longer slot values first — then pred asc, obj asc) — the
@@ -122,21 +125,32 @@ def gibbs_greedy(rows: list[dict], *, mixing_time: int = 10,
     return [r for r in rows if id(r) in chosen]
 
 
-def _rows_to_table(accepted: list[dict]) -> pa.Table:
-    if not accepted:
-        return FILLS_SCHEMA.empty_table()
-    return pa.Table.from_arrays(
-        [pa.array([a[n] for a in accepted], t)
-         for n, t in zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
-        schema=FILLS_SCHEMA)
+# what the engine reads of a fill (``raw_obj`` once linking added it)
+_ENGINE_COLS = ("subj", "subj_type", "pred", "obj", "obj_type", "score",
+                "raw_obj", "doc_id", "sent_idx")
+
+
+def consistent_fills(tbl: pa.Table, engine) -> pa.Table:
+    """fills → the consistent fills of every subject in ``tbl``:
+    subjects in sorted order, each in its engine's output order. The
+    engine sees one row dict per fill (``_ENGINE_COLS`` only), and the
+    accepted rows are gathered back from ``tbl`` with one ``take``."""
+    names = [c for c in _ENGINE_COLS if c in tbl.column_names]
+    keys = names + ["_row"]
+    by_subj: dict[str, list[dict]] = {}
+    for vals in zip(*(tbl.column(c).to_pylist() for c in names),
+                    range(tbl.num_rows)):
+        r = dict(zip(keys, vals))
+        by_subj.setdefault(r["subj"], []).append(r)
+    take = [r["_row"] for subj in sorted(by_subj)
+            for r in engine(by_subj[subj])]
+    return tbl.select(FILLS_SCHEMA.names) \
+        .take(pa.array(take, pa.int64())).cast(FILLS_SCHEMA)
 
 
 def consistent_group(group: pa.Table) -> pa.Table:
     """One entity's fills → its consistent fills (test surface)."""
-    rows = [dict(zip(group.column_names, vals))
-            for vals in zip(*(group.column(c).to_pylist()
-                              for c in group.column_names))]
-    return _rows_to_table(mitigate_loc_of_death(_greedy(rows)))
+    return consistent_fills(group, make_engine("TOP", 10, 42))
 
 
 LOC_OF_DEATH = frozenset({"per:city_of_death",
@@ -157,7 +171,7 @@ def mitigate_loc_of_death(accepted: list[dict]) -> list[dict]:
     return [r for r in accepted if r["pred"] not in LOC_OF_DEATH]
 
 
-def _engine(objective: str, mixing_time: int, seed: int):
+def make_engine(objective: str, mixing_time: int, seed: int):
     """TOP (plain greedy) vs SUM (Gibbs restarts) per-entity engine;
     both run the nonlocal MitigateLocOfDeath prune over the accepted
     set (the reference applies it as a leave-one-out post-processor
@@ -176,91 +190,71 @@ def enforce(fills, *, objective: str = "TOP", mixing_time: int = 10,
 
     The greedy pass is per-entity, but one Ray group per entity pays
     per-group overhead on thousands of tiny groups. Rows are routed to
-    ``pid = hash(subj) % (4·CPUs)`` coarse partitions (every fill of an
-    entity lands in one partition, which is the only property the
-    greedy pass needs); each partition buckets by subject locally.
+    coarse ``hash(subj)`` partitions (``runtime.pid_of``: every fill of
+    an entity lands in one partition, which is the only property the
+    greedy pass needs); each partition runs ``consistent_fills``.
     ``objective`` selects the per-entity engine (TOP = greedy, SUM =
     seeded Gibbs restarts — test.consistency.gibbsobjective).
     """
-    import pandas as pd
-
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-    engine = _engine(objective, mixing_time, seed)
+    from ..runtime import shuffle_parts, with_pid
+    n_parts = shuffle_parts()
+    engine = make_engine(objective, mixing_time, seed)
 
     def add_pid(batch: pa.Table) -> pa.Table:
-        s = batch.column("subj").to_pandas()
-        pid = (pd.util.hash_pandas_object(s, index=False)
-               .to_numpy() % n_parts).astype("int32")
-        return batch.append_column("pid", pa.array(pid))
+        return with_pid(batch, batch.column("subj"), n_parts)
 
     def run_partition(group: pa.Table) -> pa.Table:
-        names = [n for n in group.column_names if n != "pid"]
-        by_subj: dict[str, list[dict]] = {}
-        for vals in zip(*(group.column(c).to_pylist() for c in names)):
-            r = dict(zip(names, vals))
-            by_subj.setdefault(r["subj"], []).append(r)
-        accepted: list[dict] = []
-        for subj in sorted(by_subj):
-            accepted.extend(engine(by_subj[subj]))
-        return _rows_to_table(accepted)
+        return consistent_fills(group, engine)
 
     return (fills.map_batches(add_pid, batch_format="pyarrow")
             .groupby("pid")
             .map_groups(run_partition, batch_format="pyarrow"))
 
 
+def finalize_partition(tbl: pa.Table, *, linker, engine) -> pa.Table:
+    """Partial fills holding every partial of their subjects →
+    consistent, object-linked fills: the one finalize kernel of both
+    tiers. In exact unfused order: (1) the noisy-or merge per RAW
+    triple (``classify.merge_fills_table``), (2) object linking
+    (``link.link_objects``), (3) the per-subject engine
+    (``consistent_fills``) — which also dedups triples whose raw
+    objects linked to the same canonical, keeping the higher-scored
+    one exactly as the unfused ``combine_fills → link → enforce``
+    chain does."""
+    from .classify import merge_fills_table
+    from .link import link_objects
+    if tbl.num_rows == 0:
+        return FILLS_SCHEMA.empty_table()
+    return consistent_fills(link_objects(merge_fills_table(tbl), linker),
+                            engine)
+
+
 def combine_enforce(partial_fills, *, aliases_ref=None, seed: int = 42,
                     objective: str = "TOP", mixing_time: int = 10):
-    """Fused per-triple noisy-or combine + object entity-linking +
-    per-entity greedy consistency in ONE shuffle.
+    """The distributed tier of finalize: ``finalize_partition`` per
+    coarse partition, in ONE shuffle.
 
     Partials are routed by ``hash(subj)`` (not the triple key —
-    subjects are already canonical after extraction): a subject's
-    partition then holds every partial of every one of its triples, so
-    inside one ``map_groups`` call we can run, in exact unfused order,
-    (1) the associative noisy-or merge per RAW triple, (2) per-row
-    object linking (the per-worker cached linker), (3) the per-entity
-    greedy pass — which also dedups triples whose raw objects linked to
-    the same canonical, keeping the higher-scored one exactly as the
-    unfused ``combine_fills → link → enforce`` chain does. Replaces
-    two shuffles + three executions with one of each. Equality with
-    the unfused chain is pinned by tests/test_classify_consistency.py.
+    subjects are already canonical after extraction), so a partition
+    holds every partial of every one of its subjects' triples; the map
+    side pre-merges each ~64k-row window
+    (``classify.local_combine_factory``). Each partition links with
+    this worker's cached linker. Equality with the unfused chain and
+    with the driver tier is pinned by
+    tests/test_classify_consistency.py.
     """
-    import pandas as pd
-
-    from .classify import local_combine_factory, merge_fills_df
+    from .classify import local_combine_factory
     from .link import _cached_linker
 
-    engine = _engine(objective, mixing_time, seed)
+    engine = make_engine(objective, mixing_time, seed)
 
-    def run_partition(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(columns=list(FILLS_SCHEMA.names))
-        merged = merge_fills_df(df, list(FILLS_SCHEMA.names))
-        linker = _cached_linker(aliases_ref, seed)
-        # raw pre-link object: the greedy comparator's deterministic
-        # tie-break between fills whose objects link to one canonical
-        merged["raw_obj"] = merged["obj"]
-        obj = merged["obj"].tolist()
-        objt = merged["obj_type"].tolist()
-        pred = merged["pred"].tolist()
-        merged["obj"] = [
-            linker.resolve(o, t)
-            if t in ("PERSON", "ORGANIZATION")
-            and not p.endswith("alternate_names") else o
-            for o, t, p in zip(obj, objt, pred)]
-        accepted: list[dict] = []
-        for _subj, grp in merged.sort_values("subj").groupby(
-                "subj", sort=False):
-            accepted.extend(engine(grp.to_dict("records")))
-        if not accepted:
-            return pd.DataFrame(columns=list(FILLS_SCHEMA.names))
-        return pd.DataFrame(accepted)[list(FILLS_SCHEMA.names)]
+    def run_partition(group: pa.Table) -> pa.Table:
+        return finalize_partition(
+            group, linker=_cached_linker(aliases_ref, seed),
+            engine=engine)
 
     return (partial_fills
             .map_batches(local_combine_factory(["subj"]),
-                         batch_format="pandas", batch_size=65536)
+                         batch_format="pyarrow", batch_size=65536)
             .groupby("pid")
-            .map_groups(run_partition, batch_format="pandas")
-            .select_columns(FILLS_SCHEMA.names))
+            .map_groups(run_partition, batch_format="pyarrow"))

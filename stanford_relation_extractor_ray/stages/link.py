@@ -16,6 +16,7 @@ values are canonicalized; other slot types pass through unchanged.
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.text import approx_match_score, is_acronym_of, \
     normalize_tokens
@@ -99,25 +100,42 @@ class EntityLinker:
         subj = batch.column("subj").to_pylist()
         subj_t = batch.column("subj_type").to_pylist()
         new_subj = [self.resolve(s, t) for s, t in zip(subj, subj_t)]
-        cols = {n: batch.column(n) for n in batch.column_names}
-        cols["subj"] = pa.array(new_subj, pa.string())
+        out = batch.set_column(batch.schema.get_field_index("subj"),
+                               "subj", pa.array(new_subj, pa.string()))
         if getattr(self, "keep_raw", False):
-            cols["raw_subj"] = pa.array(subj, pa.string())
-        if "pred" in cols:
-            obj = batch.column("obj").to_pylist()
-            obj_t = batch.column("obj_type").to_pylist()
-            pred = batch.column("pred").to_pylist()
-            new_obj = [
-                self.resolve(o, t)
-                if t in ("PERSON", "ORGANIZATION")
-                and not p.endswith("alternate_names") else o
-                for o, t, p in zip(obj, obj_t, pred)]
-            cols["obj"] = pa.array(new_obj, pa.string())
-            # pre-link object: consumed by the consistency greedy as
-            # its deterministic tie-break (consistency._sort_key)
-            cols["raw_obj"] = pa.array(obj, pa.string())
-        return pa.Table.from_arrays(list(cols.values()),
-                                    names=list(cols.keys()))
+            out = out.append_column("raw_subj", pa.array(subj, pa.string()))
+        return link_objects(out, self) if "pred" in out.column_names \
+            else out
+
+
+LINKABLE_TYPES = ("PERSON", "ORGANIZATION")
+
+
+def link_objects(tbl: pa.Table, linker) -> pa.Table:
+    """Canonicalize PERSON/ORGANIZATION objects — not
+    ``*alternate_names`` values, which ARE the alias — with
+    ``linker.resolve`` once per DISTINCT (obj, obj_type): dictionary-
+    encode, resolve the dictionary, gather back (the scorer's
+    ``_resolve_memo`` idiom). The pre-link object is kept as
+    ``raw_obj``: the greedy comparator's deterministic tie-break
+    between fills whose objects link to one canonical."""
+    obj = tbl.column("obj").combine_chunks()
+    linkable = pc.fill_null(pc.and_(
+        pc.is_in(tbl.column("obj_type"),
+                 value_set=pa.array(LINKABLE_TYPES)),
+        pc.invert(pc.ends_with(tbl.column("pred"), "alternate_names"))),
+        False).combine_chunks()
+    sel = tbl.filter(linkable)
+    # types carry no \x1f, so splitting at the first one is exact
+    key = pc.binary_join_element_wise(
+        sel.column("obj_type"), sel.column("obj"), "\x1f") \
+        .combine_chunks().dictionary_encode()
+    canon = [linker.resolve(o, t) for t, o in
+             (k.split("\x1f", 1) for k in key.dictionary.to_pylist())]
+    linked = pa.array(canon, obj.type).take(key.indices)
+    return tbl.set_column(tbl.schema.get_field_index("obj"), "obj",
+                          pc.replace_with_mask(obj, linkable, linked)) \
+        .append_column("raw_obj", obj)
 
 
 def _cached_linker(aliases_ref, seed: int,

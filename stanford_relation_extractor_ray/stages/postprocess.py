@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..schemas import FILLS_SCHEMA
 from ..vocab import RELATIONS
@@ -435,26 +435,20 @@ def attach_gloss(fills, sentences):
     union → coarse-pid groupby → in-partition dict join; the
     provenance-recovery shape of ``SimpleSlotFiller.java:484-676``
     restructured per SURVEY.md §7.4."""
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
+    from ..runtime import pid_of, shuffle_parts
+    n_parts = shuffle_parts()
     fill_names = list(FILLS_SCHEMA.names)
 
-
-    def _key_pid(doc_ids, sent_idxs):
-        # vectorized process-stable key hash (pandas siphash with its
-        # fixed default key; Python str hash is per-process salted)
-        import pandas as pd
-        key = pd.Series(doc_ids, dtype="object").str.cat(
-            pd.Series(sent_idxs).astype(str), sep="|")
-        return (pd.util.hash_pandas_object(key, index=False)
-                .to_numpy() % n_parts).astype(np.int32)
+    def _key_pid(batch: pa.Table):
+        return pid_of(pc.binary_join_element_wise(
+            batch.column("doc_id"),
+            batch.column("sent_idx").cast(pa.string()), "|"), n_parts)
 
     fill_types = dict(zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types))
 
     def tag_fill(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        pid = _key_pid(batch.column("doc_id").to_pylist(),
-                       batch.column("sent_idx").to_pylist())
+        pid = _key_pid(batch)
         # cast to canonical FILLS types: pandas-built upstream stages
         # widen int32 → int64, which breaks the union
         cols = {nm: batch.column(nm).cast(fill_types[nm])
@@ -466,8 +460,7 @@ def attach_gloss(fills, sentences):
 
     def tag_sent(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        pid = _key_pid(batch.column("doc_id").to_pylist(),
-                       batch.column("sent_idx").to_pylist())
+        pid = _key_pid(batch)
         cols = {}
         for nm, ty in zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types):
             if nm == "doc_id":

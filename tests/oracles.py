@@ -1,0 +1,82 @@
+"""Reference implementations kept only as test oracles.
+
+Each one is the former package kernel the vectorized Arrow kernel
+replaced; the tests pin the package kernel against it.
+"""
+
+import pyarrow as pa
+
+from stanford_relation_extractor_ray.schemas import FILLS_SCHEMA
+from stanford_relation_extractor_ray.stages.classify import TRIPLE_KEY
+
+
+def merge_fill_group(group: pa.Table) -> pa.Table:
+    """Noisy-or merge of one triple's fills across partial batches,
+    row by row."""
+    scores = group.column("score").to_pylist()
+    merged = 1.0
+    for s in scores:
+        merged *= (1.0 - s)
+    merged = 1.0 - merged
+    if "prov_score" in group.column_names:
+        ps = group.column("prov_score").to_pylist()
+    else:
+        ps = scores
+    docs = group.column("doc_id").to_pylist()
+    sents = group.column("sent_idx").to_pylist()
+    best = min(range(len(scores)),
+               key=lambda i: (-ps[i], docs[i], sents[i]))
+    row = group.slice(best, 1)
+    arrays = []
+    for name in FILLS_SCHEMA.names:
+        if name == "score":
+            arrays.append(pa.array([merged], pa.float64()))
+        else:
+            arrays.append(row.column(name))
+    return pa.Table.from_arrays(arrays, schema=FILLS_SCHEMA)
+
+
+def merge_fills_df(df, keep_cols: list):
+    """Vectorized per-triple noisy-or merge of (partial) fills in one
+    pandas frame; keeps best provenance (highest prov_score, then
+    lowest doc_id/sent_idx)."""
+    ps = df["prov_score"] if "prov_score" in df.columns else df["score"]
+    df = df.assign(_om=1.0 - df["score"], _ps=ps)
+    df = df.sort_values(TRIPLE_KEY + ["_ps", "doc_id", "sent_idx"],
+                        ascending=[True] * len(TRIPLE_KEY)
+                        + [False, True, True], kind="mergesort")
+    merged = df.groupby(TRIPLE_KEY, sort=False)["_om"].prod()
+    first = df.drop_duplicates(TRIPLE_KEY, keep="first") \
+        .set_index(TRIPLE_KEY)
+    first["score"] = 1.0 - merged
+    first["prov_score"] = first["_ps"]
+    return first.reset_index()[keep_cols]
+
+
+def sentences_loop(batch: pa.Table) -> pa.Table:
+    """documents → (doc_id, sent_idx, text) with a per-span Python loop:
+    sent_idx counts text spans positionally, media spans skipped."""
+    import pyarrow.compute as pc
+    doc_col = batch.column("doc_id").to_pylist()
+    spans = batch.column("spans")
+    if isinstance(spans, pa.ChunkedArray):
+        spans = spans.combine_chunks()
+    flat = spans.flatten()
+    kinds = flat.field("kind").to_pylist()
+    texts = flat.field("text").to_pylist()
+    lengths = pc.list_value_length(spans).to_pylist()
+    out_d, out_s, out_t = [], [], []
+    pos = 0
+    for doc_id, ln in zip(doc_col, lengths):
+        sent_idx = 0
+        for k in range(pos, pos + ln):
+            if kinds[k] != "text":
+                continue
+            out_d.append(doc_id)
+            out_s.append(sent_idx)
+            out_t.append(texts[k])
+            sent_idx += 1
+        pos += ln
+    return pa.table({"doc_id": pa.array(out_d, pa.string()),
+                     "sent_idx": pa.array(out_s, pa.int32()),
+                     "text": pa.array(out_t, pa.string())})

@@ -3,13 +3,16 @@ mirrors EnsembleRelationExtractorTest / PostProcessorsData semantics)."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from stanford_relation_extractor_ray.schemas import BAGS_SCHEMA, \
     FILLS_SCHEMA
 from stanford_relation_extractor_ray.stages.classify import (
-    EnsembleScorer, LRModel, _merge_fill_group, hash_features)
+    EnsembleScorer, LRModel, hash_features)
 from stanford_relation_extractor_ray.stages.consistency import \
     consistent_group
+
+from oracles import merge_fill_group
 
 
 def _bag(subj, subj_type, obj, obj_type, sent_feats):
@@ -85,7 +88,7 @@ def test_merge_fill_group_noisy_or():
          "doc_id": "d2", "sent_idx": 1, "subj_span": [0, 2],
          "obj_span": [3, 4]},
     ], schema=FILLS_SCHEMA)
-    out = _merge_fill_group(t).to_pylist()
+    out = merge_fill_group(t).to_pylist()
     assert len(out) == 1
     assert abs(out[0]["score"] - (1 - 0.5 * 0.2)) < 1e-9
     assert out[0]["doc_id"] == "d2"        # best provenance wins
@@ -165,15 +168,21 @@ def test_self_reference_dropped():
     assert out == []
 
 
-def test_fused_combine_enforce_equals_unfused_chain(ray_session):
-    """combine_enforce (one shuffle, inside finalize_fills) ==
-    combine_fills → link → enforce (three public stages) on the real
-    pipeline's partial fills."""
+@pytest.mark.parametrize("tier", ["driver", "distributed"])
+def test_fused_combine_enforce_equals_unfused_chain(ray_session,
+                                                    monkeypatch, tier):
+    """finalize_fills' one kernel (``finalize_partition``) — on the
+    driver below the gate, per partition behind combine_enforce's one
+    shuffle above it — == combine_fills → link → enforce (three public
+    stages) on the real pipeline's partial fills."""
+    import stanford_relation_extractor_ray.pipelines.kg as kg
     from stanford_relation_extractor_ray.corpus import documents_dataset
     from stanford_relation_extractor_ray.pipelines.kg import (
         extract_fills, finalize_fills)
     from stanford_relation_extractor_ray.stages import (classify,
                                                         consistency, link)
+    if tier == "distributed":
+        monkeypatch.setattr(kg, "SMALL_FILLS", 0)
     partials = extract_fills(documents_dataset(150)).materialize()
     key = lambda r: (r["subj"], r["pred"], r["obj"])
     fused = {key(r): round(r["score"], 9)

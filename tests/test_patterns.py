@@ -125,6 +125,31 @@ def test_trained_linker_deterministic():
     assert (a._w == b._w).all() and a._b == b._b
 
 
+def test_link_objects_equals_per_row_rule():
+    """link_objects (one resolve per distinct (obj, obj_type)) == the
+    per-row rule: PERSON/ORGANIZATION objects resolve; alternate_names
+    values and other slot types stay surface forms; ``raw_obj`` keeps
+    the pre-link object."""
+    import pyarrow as pa
+    from stanford_relation_extractor_ray.stages.link import (
+        EntityLinker, link_objects)
+    base = EntityLinker()
+    aliases = [(s, t) for (s, t), c in sorted(base.exact.items())
+               if s != c][:30]
+    rows = [{"pred": p, "obj": s, "obj_type": ot}
+            for s, t in aliases + aliases[:10]
+            for p, ot in (("rel:x", t), ("org:alternate_names", t),
+                          ("per:alternate_names", t), ("rel:x", "CITY"))]
+    out = link_objects(pa.Table.from_pylist(rows), base).to_pylist()
+    want = [base.resolve(r["obj"], r["obj_type"])
+            if r["obj_type"] in ("PERSON", "ORGANIZATION")
+            and not r["pred"].endswith("alternate_names") else r["obj"]
+            for r in rows]
+    assert [r["obj"] for r in out] == want
+    assert [r["raw_obj"] for r in out] == [r["obj"] for r in rows]
+    assert sum(w != r["obj"] for w, r in zip(want, rows)) >= 30
+
+
 def test_link_via_join_matches_broadcast_exact(ray_session):
     """The sharded alias join resolves exact alias hits identically to
     the broadcast linker; unknown surfaces pass through."""

@@ -158,6 +158,109 @@ def test_postprocess_gate_paths_equal(ray_session, monkeypatch):
     assert fast == dist and len(fast) > 50
 
 
+@pytest.mark.parametrize("postprocess", [True, False])
+@pytest.mark.parametrize("seed", [42, 7])
+def test_finalize_tiers_equal_full_rows(ray_session, monkeypatch, seed,
+                                        postprocess):
+    """finalize_fills' driver tier (partials below SMALL_FILLS) and its
+    distributed tier (one shuffle, distributed unary chain) give the
+    same rows under the same schema: scores equal at round-9, every
+    other column — spans included — exactly equal."""
+    import stanford_relation_extractor_ray.pipelines.kg as kg
+    from stanford_relation_extractor_ray.runtime import collect_table
+    from stanford_relation_extractor_ray.schemas import FILLS_SCHEMA
+    from stanford_relation_extractor_ray.stages import link
+
+    aliases_ref = link.build_alias_ref(seed)
+    partials = kg.extract_fills(documents_dataset(150, seed), seed=seed,
+                                aliases_ref=aliases_ref).materialize()
+
+    def run():
+        out = kg.finalize_fills(partials, seed=seed,
+                                aliases_ref=aliases_ref,
+                                postprocess=postprocess).materialize()
+        t = collect_table(out, FILLS_SCHEMA)
+        rows = sorted(
+            tuple(round(v, 9) if isinstance(v, float) else
+                  tuple(v) if isinstance(v, list) else v
+                  for v in r.values()) for r in t.to_pylist())
+        return t.schema.remove_metadata(), rows
+
+    driver = run()
+    monkeypatch.setattr(kg, "SMALL_FILLS", 0)
+    distributed = run()
+    assert driver[0].equals(FILLS_SCHEMA)
+    assert driver == distributed and len(driver[1]) > 50
+
+
+def test_finalize_driver_tier_starts_no_execution(ray_session,
+                                                  monkeypatch):
+    """On a materialized input below the gate, finalize_fills starts no
+    Ray Data execution (with or without the unary chain); forcing the
+    distributed tier does start some, so the spy sees executions."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    import stanford_relation_extractor_ray.pipelines.kg as kg
+
+    partials = kg.extract_fills(documents_dataset(120)).materialize()
+    started = []
+    create = ExecutionPlan.create_executor
+
+    def spy(self, *args, **kwargs):
+        started.append(self)
+        return create(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", spy)
+    outs = [kg.finalize_fills(partials, postprocess=p)
+            for p in (True, False)]
+    assert started == []
+    assert all(o.count() > 50 for o in outs)
+    monkeypatch.setattr(kg, "SMALL_FILLS", 0)
+    kg.finalize_fills(partials, postprocess=False).materialize()
+    assert started
+
+
+def test_document_sentences_equals_loop():
+    """The Arrow list-kernel sentence splitter == the per-span loop on
+    generated documents with interleaved media spans (whole, sliced,
+    and chunked), plus hand-built edge cases: a document opening with
+    media, an empty one, media between text spans."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from stanford_relation_extractor_ray.corpus import (DOCUMENTS_SCHEMA,
+                                                        _docs_batch)
+    from stanford_relation_extractor_ray.pipelines.kg import \
+        document_sentences
+
+    from oracles import sentences_loop
+
+    docs = _docs_batch({"id": np.arange(400)}, 42)
+    kinds = [[s["kind"] for s in spans]
+             for spans in docs.column("spans").to_pylist()]
+    # media strictly between two text spans somewhere in the corpus
+    assert any("text" in k[:i] and "text" in k[i + 1:]
+               for k in kinds for i, kind in enumerate(k)
+               if kind != "text")
+
+    def span(kind, text=""):
+        return {"kind": kind, "text": text, "media_ref": "", "offset": 0}
+
+    hand = pa.Table.from_pylist([
+        {"doc_id": "x1", "spans": [span("image"), span("text", "a"),
+                                   span("audio"), span("text", "b")]},
+        {"doc_id": "x2", "spans": []},
+        {"doc_id": "x3", "spans": [span("text", "c"), span("table")]},
+    ], schema=DOCUMENTS_SCHEMA)
+    chunked = pa.concat_tables([docs.slice(0, 150), docs.slice(150)])
+    for t in (docs, docs.slice(37, 211), chunked, hand, hand.slice(1)):
+        want = sentences_loop(t)
+        assert document_sentences(t).equals(want)
+    assert pc.sum(pc.list_value_length(docs.column("spans"))).as_py() \
+        > document_sentences(docs).num_rows > 0
+
+
 def test_merge_fills_table_equals_pandas_kernel():
     """merge_fills_table (Arrow/numpy) is bit-identical to
     merge_fills_df (pandas) — including a hot triple whose group is
@@ -166,8 +269,10 @@ def test_merge_fills_table_equals_pandas_kernel():
     import numpy as np
     import pyarrow as pa
     from stanford_relation_extractor_ray.schemas import FILLS_SCHEMA
-    from stanford_relation_extractor_ray.stages.classify import (
-        merge_fills_df, merge_fills_table)
+    from stanford_relation_extractor_ray.stages.classify import \
+        merge_fills_table
+
+    from oracles import merge_fills_df
 
     rng = np.random.default_rng(7)
     n = 2000

@@ -3,6 +3,7 @@ tests, mirroring the reference's HeuristicSlotfillPostProcessorsTest
 shape over hand-built fills (PostProcessorsData analog)."""
 
 import pyarrow as pa
+import pytest
 
 from stanford_relation_extractor_ray.schemas import FILLS_SCHEMA
 from stanford_relation_extractor_ray.stages import postprocess as P
@@ -297,6 +298,36 @@ def test_finalize_fills_repair_external_doc_ids(ray_session):
     out = finalize_fills(fills, repair=True).take_all()
     assert len(out) == 1
     assert out[0]["doc_id"] == "ext-corpus-17"
+
+
+@pytest.mark.parametrize("tier", ["driver", "distributed"])
+def test_finalize_fills_near_miss_doc_ids(ray_session, monkeypatch, tier):
+    """Doc ids that only resemble the generator's ``d%09d`` format get
+    no gloss from the generator, and keep their provenance through
+    ``finalize_fills(repair=True)`` in both tiers."""
+    import ray.data as rd
+
+    import stanford_relation_extractor_ray.pipelines.kg as kg
+    from stanford_relation_extractor_ray.corpus import parse_doc_ids
+
+    near = ["d12345678", "d0000000012", "D000000001", "ext-17"]
+    assert parse_doc_ids(pa.array(near + ["d000000001"])).to_pylist() \
+        == [None] * 4 + [1]
+    assert kg._generator_sentences(pa.chunked_array([near]),
+                                   42).num_rows == 0
+    assert kg._generator_sentences(pa.chunked_array([["d000000001"]]),
+                                   42).num_rows > 0
+    assert kg.provenance_sentences(
+        rd.from_items([{"doc_id": d} for d in near])) is None
+    if tier == "distributed":
+        monkeypatch.setattr(kg, "SMALL_FILLS", 0)
+    subjects = ["Acme Corp", "Bolt Industries", "Crane Group",
+                "Delta Labs"]
+    fills = rd.from_items([_fill(subj=s, doc_id=d, sent_idx=i)
+                           for i, (s, d) in enumerate(zip(subjects, near))])
+    out = kg.finalize_fills(fills, repair=True).take_all()
+    assert sorted((r["subj"], r["doc_id"], r["sent_idx"]) for r in out) \
+        == [(s, d, i) for i, (s, d) in enumerate(zip(subjects, near))]
 
 
 def test_finalize_fills_external_corpus_with_sentences(ray_session):
