@@ -50,21 +50,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..runtime import cluster_cpus
+from ..runtime import by_key
 
 
 def _read(sf_dir: str, table: str, columns=None):
     from ..storage import read_parquet_clean
     return read_parquet_clean(f"{sf_dir}/{table}.parquet",
                               columns=columns)
-
-
-def _n_parts() -> int:
-    import os
-    env = os.environ.get("GRAFT_TEMPORAL_PARTS")
-    if env:
-        return int(env)
-    return max(16, cluster_cpus() * 4)
 
 
 # --- as-of join ----------------------------------------------------------
@@ -78,7 +70,7 @@ def events_asof_order(sf_dir: str, salt_chunk_minutes: int | None = None,
     engines agree exactly.
 
     Shape: tagged union of the two tables (schemas padded with nulls),
-    one ``groupby(pid)`` shuffle on ``hash(customer)``, then
+    one ``by_key`` shuffle on the customer, then
     ``pd.merge_asof(by=user)`` inside each partition — the standard
     distributed as-of: co-partition on the equality key, sort-merge on
     the temporal key locally.
@@ -93,16 +85,15 @@ def events_asof_order(sf_dir: str, salt_chunk_minutes: int | None = None,
     order-bearing chunk before c (no cross-chunk date ties are
     possible), found by one ``searchsorted`` — byte-identical output.
     """
-    if salt_chunk_minutes:
-        return _events_asof_order_salted(
-            sf_dir, chunk_sec=salt_chunk_minutes * 60)
-    n_parts = _n_parts()
     if datasets is not None:
         ev, od = datasets        # pre-built (events, orders) Datasets
     else:
         ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
         od = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderkey", "o_orderdate"])
+    if salt_chunk_minutes:
+        return _events_asof_order_salted(
+            ev, od, chunk_sec=salt_chunk_minutes * 60)
 
     def tag_ev(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -114,7 +105,6 @@ def events_asof_order(sf_dir: str, salt_chunk_minutes: int | None = None,
             "o_orderkey": pa.nulls(n, pa.int64()),
             "o_orderdate": pa.nulls(n, pa.timestamp("us")),
             "side": pa.array(np.zeros(n, np.int8)),   # 0 = event
-            "pid": pa.array((key.to_numpy() % n_parts).astype(np.int32)),
         })
 
     def tag_od(batch: pa.Table) -> pa.Table:
@@ -128,8 +118,6 @@ def events_asof_order(sf_dir: str, salt_chunk_minutes: int | None = None,
             "o_orderdate": pa.compute.cast(batch.column("o_orderdate"),
                                            pa.timestamp("us")),
             "side": pa.array(np.ones(n, np.int8)),    # 1 = order
-            "pid": pa.array((key.to_numpy().astype(np.int64)
-                             % n_parts).astype(np.int32)),
         })
 
     def asof(df: pd.DataFrame) -> pd.DataFrame:
@@ -171,26 +159,19 @@ def events_asof_order(sf_dir: str, salt_chunk_minutes: int | None = None,
                 j["o_orderdate"].to_numpy(), unit="D"),
         })
 
-    tagged = (ev.map_batches(tag_ev, batch_format="pyarrow")
-              .union(od.map_batches(tag_od, batch_format="pyarrow")))
-    return (tagged.groupby("pid")
-            .map_groups(asof, batch_format="pandas")
-            .sort("event_id"))
+    return by_key([ev.map_batches(tag_ev, batch_format="pyarrow"),
+                   od.map_batches(tag_od, batch_format="pyarrow")],
+                  "ukey", asof, batch_format="pandas").sort("event_id")
 
 
-def _events_asof_order_salted(sf_dir: str, *, chunk_sec: int):
+def _events_asof_order_salted(ev, od, *, chunk_sec: int):
     """Two-round skew-safe as-of join (see ``events_asof_order``)."""
-    n_parts = _n_parts()
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    od = _read(sf_dir, "orders",
-               ["o_custkey", "o_orderkey", "o_orderdate"])
 
     def tag_ev(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         user = batch.column("user_id").to_numpy()
         ts = batch.column("ts").to_numpy()
         ci = _chunk_of(ts, chunk_sec)
-        key = user * np.int64(1000003) + ci
         return pa.table({
             "side": pa.array(["E"] * n, pa.string()),
             "ukey": pa.array(user),
@@ -199,7 +180,6 @@ def _events_asof_order_salted(sf_dir: str, *, chunk_sec: int):
             "ts": batch.column("ts"),
             "o_orderkey": pa.array(np.full(n, -1, np.int64)),
             "o_orderdate": pa.nulls(n, pa.timestamp("us")),
-            "pid": pa.array((key % n_parts).astype(np.int32)),
         })
 
     def tag_od(batch: pa.Table) -> pa.Table:
@@ -208,7 +188,6 @@ def _events_asof_order_salted(sf_dir: str, *, chunk_sec: int):
         dates = pa.compute.cast(batch.column("o_orderdate"),
                                 pa.timestamp("us"))
         ci = _chunk_of(dates.to_numpy(), chunk_sec)
-        key = user * np.int64(1000003) + ci
         return pa.table({
             "side": pa.array(["O"] * n, pa.string()),
             "ukey": pa.array(user),
@@ -217,7 +196,6 @@ def _events_asof_order_salted(sf_dir: str, *, chunk_sec: int):
             "ts": pa.nulls(n, pa.timestamp("us")),
             "o_orderkey": batch.column("o_orderkey"),
             "o_orderdate": dates,
-            "pid": pa.array((key % n_parts).astype(np.int32)),
         })
 
     def asof_local(df: pd.DataFrame) -> pd.DataFrame:
@@ -278,12 +256,8 @@ def _events_asof_order_salted(sf_dir: str, *, chunk_sec: int):
                 "event_id": pd.Series(dtype="int64"),
                 "ts": pd.Series(dtype="datetime64[us]"),
                 "o_orderkey": pd.Series(dtype="int64"),
-                "o_orderdate": pd.Series(dtype="datetime64[us]"),
-                "pid2": pd.Series(dtype="int32")})
-        out = pd.concat(frames, ignore_index=True)
-        out["pid2"] = (out["ukey"].to_numpy() % n_parts) \
-            .astype(np.int32)
-        return out
+                "o_orderdate": pd.Series(dtype="datetime64[us]")})
+        return pd.concat(frames, ignore_index=True)
 
     def carry_join(df: pd.DataFrame) -> pd.DataFrame:
         """Per user: pending events join the summary of the latest
@@ -336,13 +310,11 @@ def _events_asof_order_salted(sf_dir: str, *, chunk_sec: int):
                     .dt.strftime("%Y-%m-%d").to_numpy()}))
         return pd.concat(outs, ignore_index=True)
 
-    tagged = (ev.map_batches(tag_ev, batch_format="pyarrow")
-              .union(od.map_batches(tag_od, batch_format="pyarrow")))
-    return (tagged.groupby("pid")
-            .map_groups(asof_local, batch_format="pandas")
-            .groupby("pid2")
-            .map_groups(carry_join, batch_format="pandas")
-            .sort("event_id"))
+    local = by_key([ev.map_batches(tag_ev, batch_format="pyarrow"),
+                    od.map_batches(tag_od, batch_format="pyarrow")],
+                   ["ukey", "ci"], asof_local, batch_format="pandas")
+    return by_key(local, "ukey", carry_join,
+                  batch_format="pandas").sort("event_id")
 
 
 # --- range (interval) join -----------------------------------------------
@@ -385,7 +357,6 @@ def purchase_attribution(sf_dir: str, window_minutes: int = 60,
     are also shipped to the next chunk as context rows, so every
     purchase still sees its exact window locally — byte-identical
     output with a hot user's history split across partitions."""
-    n_parts = _n_parts()
     ds = _read(sf_dir, "events",
                ["event_id", "user_id", "ts", "event_type", "value"])
     span = np.timedelta64(window_minutes * 60, "s")
@@ -394,17 +365,14 @@ def purchase_attribution(sf_dir: str, window_minutes: int = 60,
     if salt_chunk_minutes and salt_chunk_minutes < window_minutes:
         raise ValueError("salt_chunk_minutes must be >= window_minutes")
 
-    def add_pid(batch: pa.Table) -> pa.Table:
+    def with_chunks(batch: pa.Table) -> pa.Table:
         et = batch.column("event_type")
         keep = pa.compute.is_in(
             et, value_set=pa.array(["purchase", "click", "view"]))
         batch = batch.filter(keep)
-        user = batch.column("user_id").to_numpy()
         if not salt_chunk_minutes:
-            batch = batch.append_column(
-                "ci", pa.array(np.zeros(len(user), np.int64)))
-            pid = (user % n_parts).astype(np.int32)
-            return batch.append_column("pid", pa.array(pid))
+            return batch.append_column(
+                "ci", pa.array(np.zeros(batch.num_rows, np.int64)))
         ts = batch.column("ts").to_numpy()
         ci = _chunk_of(ts, chunk_sec)
         is_touch = pa.compute.not_equal(
@@ -414,11 +382,7 @@ def purchase_attribution(sf_dir: str, window_minutes: int = 60,
         prim = batch.append_column("ci", pa.array(ci))
         rep = batch.filter(pa.array(ctx)).append_column(
             "ci", pa.array(ci[ctx] + 1))
-        out = pa.concat_tables([prim, rep])
-        key = (out.column("user_id").to_numpy() * np.int64(1000003)
-               + out.column("ci").to_numpy())
-        pid = (key % n_parts).astype(np.int32)
-        return out.append_column("pid", pa.array(pid))
+        return pa.concat_tables([prim, rep])
 
     def window_agg(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -467,11 +431,10 @@ def purchase_attribution(sf_dir: str, window_minutes: int = 60,
                                / 100.0,
         }).sort_values("purchase_id", kind="mergesort")
 
-    return (ds.map_batches(add_pid, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("pid")
-            .map_groups(window_agg, batch_format="pandas")
-            .sort("purchase_id"))
+    return by_key(ds.map_batches(with_chunks, batch_format="pyarrow",
+                                 batch_size=65536),
+                  ["user_id", "ci"], window_agg,
+                  batch_format="pandas").sort("purchase_id")
 
 
 # --- sliding (RANGE) window aggregate ------------------------------------
@@ -495,7 +458,6 @@ def rolling_user_value(sf_dir: str, window_minutes: int = 60,
     ``(user, time-chunk)`` with boundary-strip context replication —
     byte-identical output, hot-user history split across partitions.
     """
-    n_parts = _n_parts()
     span = np.timedelta64(window_minutes * 60, "s")
     span_sec = window_minutes * 60
     chunk_sec = (salt_chunk_minutes * 60 if salt_chunk_minutes else 0)
@@ -503,16 +465,12 @@ def rolling_user_value(sf_dir: str, window_minutes: int = 60,
         raise ValueError("salt_chunk_minutes must be >= window_minutes")
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def add_pid(batch: pa.Table) -> pa.Table:
-        user = batch.column("user_id").to_numpy()
+    def with_chunks(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         if not salt_chunk_minutes:
-            batch = batch.append_column(
+            return (batch.append_column(
                 "ci", pa.array(np.zeros(n, np.int64)))
-            batch = batch.append_column(
-                "ctx", pa.array(np.zeros(n, bool)))
-            pid = (user % n_parts).astype(np.int32)
-            return batch.append_column("pid", pa.array(pid))
+                .append_column("ctx", pa.array(np.zeros(n, bool))))
         ts = batch.column("ts").to_numpy()
         ci = _chunk_of(ts, chunk_sec)
         rep_mask = _boundary_ctx(ts, ci, chunk_sec, span_sec)
@@ -522,11 +480,7 @@ def rolling_user_value(sf_dir: str, window_minutes: int = 60,
         rep = (rep.append_column("ci", pa.array(ci[rep_mask] + 1))
                .append_column(
                    "ctx", pa.array(np.ones(rep.num_rows, bool))))
-        out = pa.concat_tables([prim, rep])
-        key = (out.column("user_id").to_numpy() * np.int64(1000003)
-               + out.column("ci").to_numpy())
-        pid = (key % n_parts).astype(np.int32)
-        return out.append_column("pid", pa.array(pid))
+        return pa.concat_tables([prim, rep])
 
     def window(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ci", "ts", "event_id"],
@@ -556,11 +510,10 @@ def rolling_user_value(sf_dir: str, window_minutes: int = 60,
             "w_sum_cents": w_sum[prim],
         })
 
-    return (ds.map_batches(add_pid, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("pid")
-            .map_groups(window, batch_format="pandas")
-            .sort("event_id"))
+    return by_key(ds.map_batches(with_chunks, batch_format="pyarrow",
+                                 batch_size=65536),
+                  ["user_id", "ci"], window,
+                  batch_format="pandas").sort("event_id")
 
 
 # --- gap-based session windows -------------------------------------------
@@ -590,19 +543,12 @@ def event_sessions(sf_dir: str, gap_minutes: int = 30,
     the unsalted float sum after cents rounding (the normalization
     every consumer applies — ``__ray_entry__._cents``).
     """
-    n_parts = _n_parts()
     gap = np.timedelta64(gap_minutes * 60, "s")
     chunk_sec = (salt_chunk_minutes * 60 if salt_chunk_minutes else 0)
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
 
     if salt_chunk_minutes:
-        return _event_sessions_salted(ds, gap=gap, chunk_sec=chunk_sec,
-                                      n_parts=n_parts)
-
-    def add_pid(batch: pa.Table) -> pa.Table:
-        pid = (batch.column("user_id").to_numpy()
-               % n_parts).astype(np.int32)
-        return batch.append_column("pid", pa.array(pid))
+        return _event_sessions_salted(ds, gap=gap, chunk_sec=chunk_sec)
 
     def sessionize(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"],
@@ -627,25 +573,18 @@ def event_sessions(sf_dir: str, gap_minutes: int = 30,
         ).reset_index()
         return g
 
-    return (ds.map_batches(add_pid, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("pid")
-            .map_groups(sessionize, batch_format="pandas")
-            .sort(["user_id", "session_id"]))
+    return by_key(ds, "user_id", sessionize, batch_format="pandas") \
+        .sort(["user_id", "session_id"])
 
 
-def _event_sessions_salted(ds, *, gap, chunk_sec: int, n_parts: int):
+def _event_sessions_salted(ds, *, gap, chunk_sec: int):
     """Two-stage skew-safe sessionization (see ``event_sessions``):
     per-(user, chunk) local sessionize, then a per-user stitch over
     session summaries."""
 
-    def add_pid(batch: pa.Table) -> pa.Table:
-        user = batch.column("user_id").to_numpy()
+    def with_chunk(batch: pa.Table) -> pa.Table:
         ci = _chunk_of(batch.column("ts").to_numpy(), chunk_sec)
-        batch = batch.append_column("ci", pa.array(ci))
-        key = user * np.int64(1000003) + ci
-        pid = (key % n_parts).astype(np.int32)
-        return batch.append_column("pid", pa.array(pid))
+        return batch.append_column("ci", pa.array(ci))
 
     def chunk_sessions(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -654,8 +593,7 @@ def _event_sessions_salted(ds, *, gap, chunk_sec: int, n_parts: int):
                 "start": pd.Series(dtype="datetime64[us]"),
                 "end": pd.Series(dtype="datetime64[us]"),
                 "n_events": pd.Series(dtype="int64"),
-                "cents": pd.Series(dtype="int64"),
-                "pid2": pd.Series(dtype="int32")})
+                "cents": pd.Series(dtype="int64")})
         df = df.sort_values(["user_id", "ci", "ts", "event_id"],
                             kind="mergesort")
         user = df["user_id"].to_numpy()
@@ -669,14 +607,12 @@ def _event_sessions_salted(ds, *, gap, chunk_sec: int, n_parts: int):
                    | ((ts[1:] - ts[:-1]) > gap))
         idx = np.flatnonzero(brk)
         last = np.r_[idx[1:], n] - 1
-        su = user[idx]
         return pd.DataFrame({
-            "user_id": su,
+            "user_id": user[idx],
             "start": ts[idx],
             "end": ts[last],
             "n_events": np.diff(np.r_[idx, n]),
             "cents": np.add.reduceat(cents, idx),
-            "pid2": (su % n_parts).astype(np.int32),
         })
 
     def stitch(df: pd.DataFrame) -> pd.DataFrame:
@@ -720,10 +656,9 @@ def _event_sessions_salted(ds, *, gap, chunk_sec: int, n_parts: int):
                 df["cents"].to_numpy(), idx) / 100.0,
         })
 
-    return (ds.map_batches(add_pid, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("pid")
-            .map_groups(chunk_sessions, batch_format="pandas")
-            .groupby("pid2")
-            .map_groups(stitch, batch_format="pandas")
-            .sort(["user_id", "session_id"]))
+    chunks = by_key(ds.map_batches(with_chunk, batch_format="pyarrow",
+                                   batch_size=65536),
+                    ["user_id", "ci"], chunk_sessions,
+                    batch_format="pandas")
+    return by_key(chunks, "user_id", stitch, batch_format="pandas") \
+        .sort(["user_id", "session_id"])

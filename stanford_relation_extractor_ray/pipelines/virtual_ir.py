@@ -18,7 +18,6 @@ just another documents source.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from ..corpus import DOCUMENTS_SCHEMA
@@ -36,17 +35,7 @@ def virtual_ir_documents(cand_sentences, *, sent_limit: int = SENT_LIMIT):
     """
     import pandas as pd
 
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-
-    def tag_entity(batch: pa.Table) -> pa.Table:
-        # vectorized process-stable key hash (pandas siphash)
-        pid = (pd.util.hash_pandas_object(
-            batch.column("entity_id").to_pandas(), index=False)
-            .to_numpy() % n_parts).astype(np.int32)
-        return (batch.select(["entity_id", "doc_id", "sent_idx",
-                              "sentence"])
-                .append_column("pid", pa.array(pid)))
+    from ..runtime import by_key
 
     def cap_per_entity(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["entity_id", "doc_id", "sent_idx"],
@@ -56,12 +45,6 @@ def virtual_ir_documents(cand_sentences, *, sent_limit: int = SENT_LIMIT):
         df = df.drop_duplicates(["entity_id", "sentence"])
         df = df.groupby("entity_id", sort=False).head(sent_limit)
         return df[["doc_id", "sent_idx", "sentence"]]
-
-    def tag_doc(batch: pa.Table) -> pa.Table:
-        pid = (pd.util.hash_pandas_object(
-            batch.column("doc_id").to_pandas(), index=False)
-            .to_numpy() % n_parts).astype(np.int32)
-        return batch.append_column("dpid", pa.array(pid))
 
     def to_documents(df: pd.DataFrame) -> pd.DataFrame:
         # one row per source document; spans ordered by sentence index
@@ -76,15 +59,11 @@ def virtual_ir_documents(cand_sentences, *, sent_limit: int = SENT_LIMIT):
             rows.append({"doc_id": doc_id, "spans": spans})
         return pd.DataFrame(rows, columns=["doc_id", "spans"])
 
-    capped = (cand_sentences
-              .map_batches(tag_entity, batch_format="pyarrow")
-              .groupby("pid")
-              .map_groups(cap_per_entity, batch_format="pandas"))
-    return (capped
-            .map_batches(tag_doc, batch_format="pyarrow")
-            .groupby("dpid")
-            .map_groups(to_documents, batch_format="pandas")
-            .map_batches(_cast_documents, batch_format="pyarrow"))
+    capped = by_key(cand_sentences.select_columns(
+        ["entity_id", "doc_id", "sent_idx", "sentence"]),
+        "entity_id", cap_per_entity, batch_format="pandas")
+    return by_key(capped, "doc_id", to_documents, batch_format="pandas") \
+        .map_batches(_cast_documents, batch_format="pyarrow")
 
 
 def _cast_documents(batch: pa.Table) -> pa.Table:

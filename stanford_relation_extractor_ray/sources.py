@@ -171,18 +171,10 @@ def write_official_output(fills, path: str, run_id: str = "ray1",
         raise ValueError(f"unknown list strategy: {list_strategy}")
     import pyarrow as _pa
 
-    from .runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
+    from .runtime import by_key
     rels_all = sorted(set(all_relations or []))
     keep = None if list_strategy == "ALL" \
         else (1 if list_strategy == "BEST" else top_k)
-
-    def add_pid(batch: _pa.Table) -> _pa.Table:
-        import pandas as pd
-        pid = (pd.util.hash_pandas_object(
-            batch.column("subj").to_pandas(), index=False)
-            .to_numpy() % n_parts).astype("int32")
-        return batch.append_column("pid", _pa.array(pid))
 
     def format_partition(group: _pa.Table) -> _pa.Table:
         names = [n for n in group.column_names if n != "pid"]
@@ -219,10 +211,7 @@ def write_official_output(fills, path: str, run_id: str = "ray1",
         return _pa.table({"subj": _pa.array(out_s, _pa.string()),
                           "block": _pa.array(out_b, _pa.string())})
 
-    blocks = (fills.map_batches(add_pid, batch_format="pyarrow")
-              .groupby("pid")
-              .map_groups(format_partition, batch_format="pyarrow")
-              .sort("subj"))
+    blocks = by_key(fills, "subj", format_partition).sort("subj")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as f:
         for batch in blocks.iter_batches(batch_format="pyarrow"):

@@ -40,13 +40,9 @@ def alternate_name_fills(candidates_with_surface, *,
     One coarse-pid shuffle: per-batch distinct evidence rows, then a
     pandas nunique+min per (canonical, alias) inside each partition.
     """
-    import pandas as pd
-
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
+    from ..runtime import by_key
 
     def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
         subj = batch.column("subj").to_pylist()
         styp = batch.column("subj_type").to_pylist()
         raw = batch.column("raw_subj").to_pylist()
@@ -66,14 +62,7 @@ def alternate_name_fills(candidates_with_surface, *,
                 prev = seen.get(k)
                 if prev is None or (b, e) < prev:   # deterministic span
                     seen[k] = (b, e)
-        import zlib
         ks = sorted(seen)
-        # stable cross-process hash (Python str hash is salted per
-        # process — a salted hash would split one alias's evidence
-        # across partitions)
-        pid = np.array(
-            [zlib.crc32(f"{k[0]}|{k[2]}".encode()) % n_parts
-             for k in ks], dtype=np.int32)
         return pa.table({
             "subj": pa.array([k[0] for k in ks], pa.string()),
             "subj_type": pa.array([k[1] for k in ks], pa.string()),
@@ -81,8 +70,7 @@ def alternate_name_fills(candidates_with_surface, *,
             "doc_id": pa.array([k[3] for k in ks], pa.string()),
             "sent_idx": pa.array([k[4] for k in ks], pa.int32()),
             "begin": pa.array([seen[k][0] for k in ks], pa.int32()),
-            "end": pa.array([seen[k][1] for k in ks], pa.int32()),
-            "pid": pa.array(pid)})
+            "end": pa.array([seen[k][1] for k in ks], pa.int32())})
 
     def to_fills(group: pa.Table) -> pa.Table:
         df = group.to_pandas()
@@ -119,7 +107,5 @@ def alternate_name_fills(candidates_with_surface, *,
              pa.array(spans, pa.list_(pa.int32()))],
             schema=FILLS_SCHEMA)
 
-    return (candidates_with_surface
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("pid")
-            .map_groups(to_fills, batch_format="pyarrow"))
+    return by_key(candidates_with_surface.map_batches(
+        partial, batch_format="pyarrow"), ["subj", "alias"], to_fills)

@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import is_acronym_of, normalize_tokens, same_entity
-from ..runtime import collect_table, pid_of, shuffle_parts, with_pid
+from ..runtime import by_key, collect_table
 from ..schemas import EDGES_SCHEMA, FILLS_SCHEMA, NODES_SCHEMA
 from .classify import combine_fills, merge_fills_table
 
@@ -107,15 +107,9 @@ def _surface_table(fills):
     compare weights only through ``round(w, 9)``, so the
     partition-local float summation order is below the comparison
     resolution."""
-    n_parts = shuffle_parts()
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = surface_weights(batch)
-        return with_pid(t, t.column("name"), n_parts)
-
-    return (fills.map_batches(partial, batch_format="pyarrow")
-            .groupby("pid")
-            .map_groups(_sum_weights, batch_format="pyarrow"))
+    return by_key(fills.map_batches(surface_weights,
+                                    batch_format="pyarrow"),
+                  "name", _sum_weights)
 
 
 # --- 2. blocking + in-block linking ---------------------------------------
@@ -171,15 +165,9 @@ def _block_pairs_ds(surfaces):
     """surfaces Dataset → candidate same-entity pair Dataset: whole
     blocks co-partitioned by block-key hash, ``_pairs_in_partition``
     inside each partition."""
-    n_parts = shuffle_parts()
-
-    def explode(batch: pa.Table) -> pa.Table:
-        t = _explode_blocks(batch)
-        return with_pid(t, t.column("block"), n_parts)
-
-    return (surfaces.map_batches(explode, batch_format="pyarrow")
-            .groupby("pid").map_groups(_pairs_in_partition,
-                                       batch_format="pyarrow"))
+    return by_key(surfaces.map_batches(_explode_blocks,
+                                       batch_format="pyarrow"),
+                  "block", _pairs_in_partition)
 
 
 # --- 3. components (Dataset tier) -----------------------------------------
@@ -211,8 +199,6 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
     nothing lands on the driver; ``propagate_components`` below is
     the list-collecting form.
     """
-    n_parts = shuffle_parts()
-
     def to_edges(batch: pa.Table) -> pa.Table:
         ka, kb = _key(batch, "a"), _key(batch, "b")
         return pa.table({
@@ -229,13 +215,8 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
 
     # state: (node, label, nbrs) — one init shuffle groups the
     # bidirectional edge list into per-node adjacency
-    state = (pairs.map_batches(to_edges, batch_format="pyarrow")
-             .map_batches(lambda df: df.assign(pid=pid_of(df["ka"],
-                                                        n_parts)),
-                          batch_format="pandas")
-             .groupby("pid")
-             .map_groups(init_group, batch_format="pandas")
-             .materialize())
+    state = by_key(pairs.map_batches(to_edges, batch_format="pyarrow"),
+                   "ka", init_group, batch_format="pandas").materialize()
 
     def emit(df: pd.DataFrame) -> pd.DataFrame:
         """One state row → destination-addressed messages:
@@ -259,7 +240,6 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
             pd.DataFrame({"dest": ptr["label"], "cand": ptr["label"],
                           "own": "", "add": ptr["node"]}),
         ], ignore_index=True)
-        out["pid"] = pid_of(out["dest"], n_parts)
         return out
 
     def reduce_min(df: pd.DataFrame) -> pd.DataFrame:
@@ -295,10 +275,9 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
 
     converged = False
     for _ in range(max_iter):
-        state = (state.map_batches(emit, batch_format="pandas")
-                 .groupby("pid")
-                 .map_groups(reduce_min, batch_format="pandas")
-                 .materialize())
+        state = by_key(state.map_batches(emit, batch_format="pandas"),
+                       "dest", reduce_min,
+                       batch_format="pandas").materialize()
         if not state.sum("changed"):
             converged = True
             break
@@ -357,7 +336,6 @@ def canonical_map_ds(surfaces):
     components by label propagation, a co-partition root join, then
     ``pick_rep`` per root partition; no driver materialization of the
     surface universe."""
-    n_parts = shuffle_parts()
     surfaces = surfaces.materialize()      # blocking + root join
     labels = propagate_components_ds(_block_pairs_ds(surfaces))
 
@@ -367,14 +345,12 @@ def canonical_map_ds(surfaces):
         key = df["name"].str.cat(df["type"], sep="|")
         return pd.DataFrame({
             "key": key, "root": "", "name": df["name"],
-            "type": df["type"], "weight": df["weight"], "side": "W",
-            "pid": pid_of(key, n_parts)})
+            "type": df["type"], "weight": df["weight"], "side": "W"})
 
     def tag_label(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "key": df["node"], "root": df["label"], "name": "",
-            "type": "", "weight": 0.0, "side": "L",
-            "pid": pid_of(df["node"], n_parts)})
+            "type": "", "weight": 0.0, "side": "L"})
 
     def join_root(df: pd.DataFrame) -> pd.DataFrame:
         lmap = dict(zip(df.loc[df["side"] == "L", "key"],
@@ -383,17 +359,14 @@ def canonical_map_ds(surfaces):
         root = w["key"].map(lmap).fillna(w["key"])
         return pd.DataFrame({
             "name": w["name"], "type": w["type"],
-            "weight": w["weight"], "root": root,
-            "pid2": pid_of(root, n_parts)})
+            "weight": w["weight"], "root": root})
 
-    rooted = (surfaces.map_batches(tag_surface, batch_format="pandas")
-              .union(labels.map_batches(tag_label,
-                                        batch_format="pandas"))
-              .groupby("pid")
-              .map_groups(join_root, batch_format="pandas"))
+    rooted = by_key([surfaces.map_batches(tag_surface,
+                                          batch_format="pandas"),
+                     labels.map_batches(tag_label, batch_format="pandas")],
+                    "key", join_root, batch_format="pandas")
     # co-partitioned by root, so every cluster member is local
-    return rooted.groupby("pid2").map_groups(pick_rep,
-                                             batch_format="pandas")
+    return by_key(rooted, "root", pick_rep, batch_format="pandas")
 
 
 # --- 5. rewrite, nodes, edges ---------------------------------------------
@@ -507,16 +480,13 @@ def apply_canonical_join(fills, cmap_ds):
     on its own rows. Map rows carry their (name, type) in the joined
     column pair and a non-null ``rep``; fill rows a null one — both
     sides stay FILLS-typed, so the union is schema-aligned."""
-    n_parts = shuffle_parts()
-
     def one_join(ds, col: str):
         tcol = f"{col}_type"
 
         def tag_fill(batch: pa.Table) -> pa.Table:
-            t = batch.select(FILLS_SCHEMA.names).cast(FILLS_SCHEMA) \
+            return batch.select(FILLS_SCHEMA.names).cast(FILLS_SCHEMA) \
                 .append_column("rep", pa.nulls(batch.num_rows,
                                                pa.string()))
-            return with_pid(t, _key(t, col, tcol), n_parts)
 
         def tag_map(batch: pa.Table) -> pa.Table:
             cols = {nm: pa.nulls(batch.num_rows, ty)
@@ -524,9 +494,8 @@ def apply_canonical_join(fills, cmap_ds):
                                       FILLS_SCHEMA.types)}
             cols[col] = batch.column("name").cast(pa.string())
             cols[tcol] = batch.column("type").cast(pa.string())
-            t = pa.table(cols).append_column(
+            return pa.table(cols).append_column(
                 "rep", batch.column("rep").cast(pa.string()))
-            return with_pid(t, _key(t, col, tcol), n_parts)
 
         def rewrite(group: pa.Table) -> pa.Table:
             is_map = pc.is_valid(group.column("rep"))
@@ -537,11 +506,10 @@ def apply_canonical_join(fills, cmap_ds):
             return canonical_rewrite(group.filter(pc.invert(is_map)),
                                      cmap, cols=(col,))
 
-        return (ds.map_batches(tag_fill, batch_format="pyarrow")
-                .union(cmap_ds.map_batches(tag_map,
-                                           batch_format="pyarrow"))
-                .groupby("pid")
-                .map_groups(rewrite, batch_format="pyarrow"))
+        return by_key([ds.map_batches(tag_fill, batch_format="pyarrow"),
+                       cmap_ds.map_batches(tag_map,
+                                           batch_format="pyarrow")],
+                      [col, tcol], rewrite)
 
     return one_join(one_join(fills, "subj"), "obj")
 
@@ -549,15 +517,9 @@ def apply_canonical_join(fills, cmap_ds):
 def materialize_graph_ds(fills):
     """Dataset tier: fills Dataset → (nodes_ds, edges_ds), both
     Datasets — nothing entity-universe-bounded on the driver."""
-    n_parts = shuffle_parts()
     cmap_ds = canonical_map_ds(_surface_table(fills)).materialize()
     merged = combine_fills(apply_canonical_join(fills, cmap_ds))
 
-    def by_node(batch: pa.Table) -> pa.Table:
-        return with_pid(batch, _key(batch, "rep"), n_parts)
-
-    nodes = (cmap_ds.map_batches(by_node, batch_format="pyarrow")
-             .groupby("pid")
-             .map_groups(make_nodes, batch_format="pyarrow"))
+    nodes = by_key(cmap_ds, ["rep", "type"], make_nodes)
     edges = merged.map_batches(_to_edges, batch_format="pyarrow")
     return nodes, edges

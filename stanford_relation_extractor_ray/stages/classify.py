@@ -511,18 +511,18 @@ def combine_fills(fills):
        windows of partial fills. Hot triples recur in nearly every
        extract task's output, so this collapses the shuffle input by
        the window/task ratio (measured 2.5M → ~0.3M rows at 2M docs).
-       It also assigns the coarse ``pid`` of the triple key
-       (``runtime.pid_of``, a vectorized hash).
-    2. shuffle on the COARSE pid (O(CPUs) groups, not O(triples)) and
-       a final per-partition merge.
+    2. ``runtime.by_key`` on the triple key (O(CPUs) coarse
+       partitions, not O(triples) groups) and a final per-partition
+       merge.
     """
+    from ..runtime import by_key
+
     def merge_partition(group: pa.Table) -> pa.Table:
         return merge_fills_table(group).select(FILLS_SCHEMA.names)
 
-    return (fills.map_batches(local_combine_factory(),
-                              batch_format="pyarrow", batch_size=65536)
-            .groupby("pid")
-            .map_groups(merge_partition, batch_format="pyarrow"))
+    return by_key(fills.map_batches(local_combine, batch_format="pyarrow",
+                                    batch_size=65536),
+                  TRIPLE_KEY, merge_partition)
 
 
 def _rank_codes(col) -> np.ndarray:
@@ -576,27 +576,14 @@ def merge_fills_table(t: pa.Table) -> pa.Table:
 
 
 # partial fills as they leave ``local_combine``
-PARTIAL_SCHEMA = FILLS_SCHEMA.append(pa.field("prov_score", pa.float64())) \
-    .append(pa.field("pid", pa.int32()))
+PARTIAL_SCHEMA = FILLS_SCHEMA.append(pa.field("prov_score", pa.float64()))
 
 
-def local_combine_factory(pid_cols: list | None = None):
-    """Map-side pre-combine fn over pyarrow batches: merge within the
-    batch window (``merge_fills_table``), then route to the coarse
-    ``pid`` of ``pid_cols`` (default: the full triple key; pass
-    ``["subj"]`` to co-locate whole subjects so a downstream
-    per-entity pass can share the same shuffle)."""
-    from ..runtime import shuffle_parts, with_pid
-    n_parts = shuffle_parts()
-    keys = pid_cols or TRIPLE_KEY
-
-    def local_combine(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return PARTIAL_SCHEMA.empty_table()
-        out = merge_fills_table(batch)
-        key = out.column(keys[0]) if len(keys) == 1 else \
-            pc.binary_join_element_wise(
-                *[out.column(c) for c in keys], "|")
-        return with_pid(out, key, n_parts)
-
-    return local_combine
+def local_combine(batch: pa.Table) -> pa.Table:
+    """Map-side pre-combine over pyarrow batches: merge within the
+    batch window (``merge_fills_table``); the caller's ``by_key``
+    routes the partials (triple key, or ``subj`` to co-locate whole
+    subjects for a downstream per-entity pass)."""
+    if batch.num_rows == 0:
+        return PARTIAL_SCHEMA.empty_table()
+    return merge_fills_table(batch)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..functions.text import same_entity
+from ..runtime import by_key
 from ..schemas import FILLS_SCHEMA
 from ..vocab import INCOMPATIBLE_RELATIONS, RELATIONS, SINGLE_RELATIONS
 
@@ -190,25 +191,18 @@ def enforce(fills, *, objective: str = "TOP", mixing_time: int = 10,
 
     The greedy pass is per-entity, but one Ray group per entity pays
     per-group overhead on thousands of tiny groups. Rows are routed to
-    coarse ``hash(subj)`` partitions (``runtime.pid_of``: every fill of
+    coarse ``hash(subj)`` partitions (``runtime.by_key``: every fill of
     an entity lands in one partition, which is the only property the
     greedy pass needs); each partition runs ``consistent_fills``.
     ``objective`` selects the per-entity engine (TOP = greedy, SUM =
     seeded Gibbs restarts — test.consistency.gibbsobjective).
     """
-    from ..runtime import shuffle_parts, with_pid
-    n_parts = shuffle_parts()
     engine = make_engine(objective, mixing_time, seed)
-
-    def add_pid(batch: pa.Table) -> pa.Table:
-        return with_pid(batch, batch.column("subj"), n_parts)
 
     def run_partition(group: pa.Table) -> pa.Table:
         return consistent_fills(group, engine)
 
-    return (fills.map_batches(add_pid, batch_format="pyarrow")
-            .groupby("pid")
-            .map_groups(run_partition, batch_format="pyarrow"))
+    return by_key(fills, "subj", run_partition)
 
 
 def finalize_partition(tbl: pa.Table, *, linker, engine) -> pa.Table:
@@ -237,13 +231,12 @@ def combine_enforce(partial_fills, *, aliases_ref=None, seed: int = 42,
     Partials are routed by ``hash(subj)`` (not the triple key —
     subjects are already canonical after extraction), so a partition
     holds every partial of every one of its subjects' triples; the map
-    side pre-merges each ~64k-row window
-    (``classify.local_combine_factory``). Each partition links with
-    this worker's cached linker. Equality with the unfused chain and
-    with the driver tier is pinned by
+    side pre-merges each ~64k-row window (``classify.local_combine``).
+    Each partition links with this worker's cached linker. Equality
+    with the unfused chain and with the driver tier is pinned by
     tests/test_classify_consistency.py.
     """
-    from .classify import local_combine_factory
+    from .classify import local_combine
     from .link import _cached_linker
 
     engine = make_engine(objective, mixing_time, seed)
@@ -253,8 +246,7 @@ def combine_enforce(partial_fills, *, aliases_ref=None, seed: int = 42,
             group, linker=_cached_linker(aliases_ref, seed),
             engine=engine)
 
-    return (partial_fills
-            .map_batches(local_combine_factory(["subj"]),
-                         batch_format="pyarrow", batch_size=65536)
-            .groupby("pid")
-            .map_groups(run_partition, batch_format="pyarrow"))
+    return by_key(partial_fills.map_batches(local_combine,
+                                            batch_format="pyarrow",
+                                            batch_size=65536),
+                  "subj", run_partition)

@@ -34,6 +34,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..runtime import by_key
+
 _MERSENNE = (1 << 61) - 1
 
 
@@ -110,26 +112,17 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     first; reference analog ``keysToNotDuplicate`` global dedup,
     ``KBPTrainer.java:155,246``). Output: (id_col, text_col).
 
-    The shuffle is a coarse crc32(text) pid — O(CPUs) Ray groups with
-    an Arrow C++ hash-aggregate per partition, never one Ray group per
-    distinct text (whose ~200 µs/group driver overhead is pathological
-    at corpus-scale cardinality; see ``substring_spans``)."""
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-
+    The shuffle is ``runtime.by_key`` on the text — O(CPUs) Ray groups
+    with an Arrow C++ hash-aggregate per partition, never one Ray group
+    per distinct text (whose ~200 µs/group driver overhead is
+    pathological at corpus-scale cardinality; see ``substring_spans``).
+    A null text is its own group and keeps its min id."""
     def partial(batch: pa.Table) -> pa.Table:
         # in-batch pre-aggregation (Arrow hash-agg) → the global
         # groupby shuffles at most one row per distinct text per batch
-        agg = (batch.select([id_col, text_col])
-               .group_by(text_col).aggregate([(id_col, "min")])
-               .rename_columns([text_col, id_col]))
-        # null-safe: a null text hashes as '' for ROUTING only (Arrow
-        # group_by already keeps null as its own group, so the null
-        # row survives with its min id; crc32 just picks its pid)
-        pid = np.array([zlib.crc32((t or "").encode()) % n_parts
-                        for t in agg.column(text_col).to_pylist()],
-                       np.int32)
-        return agg.append_column("pid", pa.array(pid))
+        return (batch.select([id_col, text_col])
+                .group_by(text_col).aggregate([(id_col, "min")])
+                .rename_columns([text_col, id_col]))
 
     def reduce_part(part: pa.Table) -> pa.Table:
         return (part.group_by(text_col)
@@ -137,10 +130,9 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
                 .rename_columns([text_col, id_col])
                 .select([id_col, text_col]))
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("pid")
-            .map_groups(reduce_part, batch_format="pyarrow"))
+    return by_key(ds.map_batches(partial, batch_format="pyarrow",
+                                 batch_size=65536),
+                  text_col, reduce_part)
 
 
 def minhash_lsh_pairs(ds, *, text_col: str = "text",
@@ -167,18 +159,16 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
     """
     r = num_perm // bands
     a, b = _perm_params(num_perm, seed)
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
 
     def to_bands(batch: pa.Table) -> pa.Table:
-        """(id, pid, bucket) rows — one per band; vectorized across
+        """(id, bucket) rows — one per band; vectorized across
         the WHOLE batch (``_doc_shingle_rows`` + crc32 once per
         distinct gram + per-perm ``minimum.reduceat`` over
         doc-contiguous segments — byte-identical signatures to the
         per-doc ``minhash_signature`` loop, pinned in
         tests/test_properties.py). Band hashes fold into a single
-        uint64 bucket key; rows route to a COARSE partition id so the
-        downstream groupby has O(n_parts) groups, not O(rows)."""
+        uint64 bucket key; ``by_key`` routes buckets to coarse
+        partitions, O(CPUs) groups, not O(rows)."""
         ids = np.asarray(batch.column(id_col).to_numpy(), np.int64)
         n_docs = batch.num_rows
         d, grams, seg = _doc_shingle_rows(
@@ -199,10 +189,8 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
             acc = (acc ^ folded[:, :, col]) * np.uint64(1099511628211)
         acc = (acc ^ np.arange(bands, dtype=np.uint64)[None, :]) \
             * np.uint64(1099511628211)
-        out_id = np.repeat(ids, bands)
-        out_bucket = acc.reshape(-1)
-        pid = (out_bucket % np.uint64(n_parts)).astype(np.int32)
-        return pa.table({"id": out_id, "bucket": out_bucket, "pid": pid})
+        return pa.table({"id": np.repeat(ids, bands),
+                         "bucket": acc.reshape(-1)})
 
     banded = ds.map_batches(to_bands, batch_format="pyarrow",
                             batch_size=4096)
@@ -230,11 +218,10 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
              "id_b": np.fromiter((p[1] for p in seen), np.int64,
                                  len(seen))})
 
-    cand = banded.groupby("pid").map_groups(partition_pairs,
-                                            batch_format="pyarrow")
+    cand = by_key(banded, "bucket", partition_pairs)
     # a pair can surface from several band partitions → coarse-pid
     # distinct (never one group per pair, never the driver)
-    cand = _dedupe_pairs(cand, n_parts)
+    cand = _dedupe_pairs(cand)
 
     # ---- distributed exact-Jaccard verification ----------------------
     # Two-pass digest join (the tagged-union shape of
@@ -243,7 +230,7 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
     # doc id — first on id_a, then on id_b — and the Jaccard is
     # computed where the second digest lands. No driver materialization
     # of pairs or texts; the digest stream is shuffled twice, both
-    # passes streaming with O(n_parts) groups.
+    # passes streaming with O(CPUs) groups.
     empty_sh = pa.array([], pa.list_(pa.uint64()))
 
     def digests(batch: pa.Table) -> pa.Table:
@@ -279,12 +266,6 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
             "sh_a": pa.nulls(n_docs, pa.list_(pa.uint64())),
             "side": pa.array(["D"] * n_docs, pa.string()),
         })
-
-    def _with_join_pid(t: pa.Table) -> pa.Table:
-        jid = t.column("jid").to_numpy()
-        pid = (jid.astype(np.uint64) * np.uint64(2654435761)
-               % np.uint64(n_parts)).astype(np.int32)
-        return t.append_column("jpid", pa.array(pid))
 
     def tag_pairs_on_a(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -358,30 +339,17 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
 
     dig = ds.map_batches(digests, batch_format="pyarrow",
                          batch_size=4096)
-    pass1 = (cand.map_batches(tag_pairs_on_a, batch_format="pyarrow")
-             .union(dig)
-             .map_batches(_with_join_pid, batch_format="pyarrow")
-             .groupby("jpid")
-             .map_groups(attach_a, batch_format="pyarrow"))
-    return (pass1.union(dig)
-            .map_batches(_with_join_pid, batch_format="pyarrow")
-            .groupby("jpid")
-            .map_groups(verify, batch_format="pyarrow")
+    pass1 = by_key([cand.map_batches(tag_pairs_on_a,
+                                     batch_format="pyarrow"), dig],
+                   "jid", attach_a)
+    return (by_key([pass1, dig], "jid", verify)
             .select_columns(["id_a", "id_b", "jaccard"]))
 
 
-def _dedupe_pairs(pairs, n_parts: int, extra_col: str | None = None):
+def _dedupe_pairs(pairs, extra_col: str | None = None):
     """Distinct (id_a, id_b) via coarse-pid routing + in-partition
     vectorized dedupe — the cross-partition distinct used by every
     pair-emitting operator here."""
-    def add_pid(batch: pa.Table) -> pa.Table:
-        ia = batch.column("id_a").to_numpy()
-        ib = batch.column("id_b").to_numpy()
-        pid2 = ((ia.astype(np.uint64) * np.uint64(2654435761)
-                 ^ ib.astype(np.uint64)) % np.uint64(n_parts)) \
-            .astype(np.int32)
-        return batch.append_column("pid2", pa.array(pid2))
-
     cols = ["id_a", "id_b"] + ([extra_col] if extra_col else [])
 
     def dedupe(group: pa.Table) -> pa.Table:
@@ -396,9 +364,7 @@ def _dedupe_pairs(pairs, n_parts: int, extra_col: str | None = None):
         return pa.Table.from_pandas(df, preserve_index=False) \
             .replace_schema_metadata(None)
 
-    return (pairs.map_batches(add_pid, batch_format="pyarrow")
-            .groupby("pid2").map_groups(dedupe, batch_format="pyarrow")
-            .select_columns(cols))
+    return by_key(pairs, ["id_a", "id_b"], dedupe).select_columns(cols)
 
 
 def simhash64(text: str, k: int = 1) -> int:
@@ -461,8 +427,6 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
     """
     n_blocks = radius + 1
     width = 64 // n_blocks
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
 
     def to_blocks(batch: pa.Table) -> pa.Table:
         """Vectorized across the batch: one ``_doc_shingle_rows``
@@ -481,10 +445,8 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
         bval = (hrep >> (bi * np.uint64(width))) \
             & np.uint64((1 << width) - 1)
         out_bucket = (bval * np.uint64(1099511628211)) ^ bi
-        pid = (out_bucket % np.uint64(n_parts)).astype(np.int32)
         return pa.table({"id": np.repeat(ids, n_blocks),
-                         "bucket": out_bucket, "sh": hrep,
-                         "pid": pid})
+                         "bucket": out_bucket, "sh": hrep})
 
     def partition_pairs(group: pa.Table) -> pa.Table:
         """One coarse partition: dict-group by bucket key, verify
@@ -518,19 +480,10 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     blocks = ds.map_batches(to_blocks, batch_format="pyarrow",
                             batch_size=4096)
-    pairs = blocks.groupby("pid").map_groups(partition_pairs,
-                                             batch_format="pyarrow")
+    pairs = by_key(blocks, "bucket", partition_pairs)
 
     # distinct pairs across partitions: coarse-pid dedupe again (a pair
     # can surface from several blocks) — never one group per pair
-    def add_pid(batch: pa.Table) -> pa.Table:
-        ia = batch.column("id_a").to_numpy()
-        ib = batch.column("id_b").to_numpy()
-        pid2 = ((ia.astype(np.uint64) * np.uint64(2654435761)
-                 ^ ib.astype(np.uint64)) % np.uint64(n_parts)) \
-            .astype(np.int32)
-        return batch.append_column("pid2", pa.array(pid2))
-
     def dedupe(group: pa.Table) -> pa.Table:
         ia = group.column("id_a").to_numpy()
         ib = group.column("id_b").to_numpy()
@@ -543,9 +496,8 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                          "id_b": pa.array(ib[keep]),
                          "hamming": pa.array(hm[keep])})
 
-    return (pairs.map_batches(add_pid, batch_format="pyarrow")
-            .groupby("pid2").map_groups(dedupe, batch_format="pyarrow")
-            .select_columns(["id_a", "id_b", "hamming"]))
+    return by_key(pairs, ["id_a", "id_b"], dedupe) \
+        .select_columns(["id_a", "id_b", "hamming"])
 
 
 def jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
@@ -715,31 +667,22 @@ def substring_spans(ds, *, text_col: str = "text",
     groups). Downstream span *removal* is a broadcast of the flagged
     gram set back over the corpus (same shape as the PII scrub).
     """
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-
     def partial(batch: pa.Table) -> pa.Table:
         # fully vectorized gram construction (``_token_windows``):
         # split once, ragged window index arithmetic in numpy, then n
         # Arrow takes joined element-wise in C++ — no per-row Python
         # (50 s → 9 s at sf0.1 vs the join-in-a-loop version)
         win = _token_windows(batch.column(text_col), n)
-        empty = pa.table({"gram": pa.array([], pa.string()),
-                          "n_docs": pa.array([], pa.int64()),
-                          "n_occ": pa.array([], pa.int64()),
-                          "pid": pa.array([], pa.int32())})
         if win is None:
-            return empty
+            return pa.table({"gram": pa.array([], pa.string()),
+                             "n_docs": pa.array([], pa.int64()),
+                             "n_occ": pa.array([], pa.int64())})
         docs = batch.column(id_col).take(pa.array(win["doc_idx"]))
         tbl = pa.table({"gram": win["grams"], "doc": docs})
-        agg = (tbl.group_by("gram")
-               .aggregate([("doc", "count_distinct"),
-                           ("doc", "count")])
-               .rename_columns(["gram", "n_docs", "n_occ"]))
-        pid = np.array([zlib.crc32(g.encode()) % n_parts
-                        for g in agg.column("gram").to_pylist()],
-                       np.int32)
-        return agg.append_column("pid", pa.array(pid))
+        return (tbl.group_by("gram")
+                .aggregate([("doc", "count_distinct"),
+                            ("doc", "count")])
+                .rename_columns(["gram", "n_docs", "n_occ"]))
 
     def reduce_part(part: pa.Table) -> pa.Table:
         out = (part.group_by("gram")
@@ -748,11 +691,9 @@ def substring_spans(ds, *, text_col: str = "text",
         return out.filter(
             pc.greater_equal(out.column("n_docs"), min_docs))
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=4096)
-            .groupby("pid")
-            .map_groups(reduce_part, batch_format="pyarrow")
-            .sort("gram"))
+    return by_key(ds.map_batches(partial, batch_format="pyarrow",
+                                 batch_size=4096),
+                  "gram", reduce_part).sort("gram")
 
 
 class SpanScrubber:
@@ -1033,8 +974,6 @@ def embedding_dup_pairs(ds, *, vec_col: str = "embedding",
     partition key at scale. Output: (id_a, id_b, cosine), id_a < id_b.
     """
     from .similarity import _normalize, vec_matrix
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
 
     n = ds.count()
     if n_centroids is None:
@@ -1074,7 +1013,6 @@ def embedding_dup_pairs(ds, *, vec_col: str = "embedding",
         return pa.table({
             "id": pa.array(out_id, pa.int64()),
             "bucket": pa.array(out_bucket, pa.int32()),
-            "pid": pa.array((out_bucket % n_parts).astype(np.int32)),
             "vec": vec_arr,
         })
 
@@ -1108,8 +1046,7 @@ def embedding_dup_pairs(ds, *, vec_col: str = "embedding",
                          "id_b": pa.array(out_b, pa.int64()),
                          "cosine": pa.array(out_s, pa.float64())})
 
-    pairs = (ds.map_batches(to_buckets, batch_format="pyarrow",
-                            batch_size=4096)
-             .groupby("pid")
-             .map_groups(bucket_pairs, batch_format="pyarrow"))
-    return _dedupe_pairs(pairs, n_parts, extra_col="cosine")
+    pairs = by_key(ds.map_batches(to_buckets, batch_format="pyarrow",
+                                  batch_size=4096),
+                   "bucket", bucket_pairs)
+    return _dedupe_pairs(pairs, extra_col="cosine")

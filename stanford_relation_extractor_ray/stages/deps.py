@@ -389,14 +389,14 @@ def dep_template_features(tokens: list[str], pos: list[str],
     def _clean(s: str) -> str:
         return s.replace(" ", "_")
 
-    gen_parts = []
+    gen_steps = []
     for p in parts:
         if p.endswith("->"):
-            gen_parts.append(generalize(p[:-2]) + "->")
+            gen_steps.append(generalize(p[:-2]) + "->")
         else:
-            gen_parts.append("<-" + generalize(p[2:]))
+            gen_steps.append("<-" + generalize(p[2:]))
     if "dependency_path" in want:
-        feats.append("dep_path:" + path_string(gen_parts))
+        feats.append("dep_path:" + path_string(gen_steps))
     if "dependency_path_lowlevel" in want:
         feats.append("dep_path_lowlevel:" + path_string(parts))
     if "dependency_path_length" in want:
@@ -499,21 +499,21 @@ def dep_template_features(tokens: list[str], pos: list[str],
             feats.append(_clean(f"{vlem} {gen_right}"))
             feats.append(_clean(f"{gen_left} {vlem} {gen_right}"))
         if "dependency_path_stubs_to_verb" in want and parts:
-            stub0 = gen_parts[0]
-            stub1 = gen_parts[-1]
+            stub0 = gen_steps[0]
+            stub1 = gen_steps[-1]
             feats.append(_clean(f"stub: {stub0} {vlem}"))
             feats.append(_clean(f"stub: {vlem} {stub1}"))
             feats.append(_clean(f"stub: {stub0} {vlem} {stub1}"))
         if "verb_in_dependency_path" in want:
             if left:
                 feats.append(_clean(
-                    f"verb: {gen_parts[len(left) - 1]} {vlem}"))
+                    f"verb: {gen_steps[len(left) - 1]} {vlem}"))
             if right:
-                feats.append(_clean(f"verb: {vlem} {gen_parts[k]}"))
+                feats.append(_clean(f"verb: {vlem} {gen_steps[k]}"))
             if left and right:
                 feats.append(_clean(
-                    f"verb: {gen_parts[len(left) - 1]} {vlem} "
-                    f"{gen_parts[k]}"))
+                    f"verb: {gen_steps[len(left) - 1]} {vlem} "
+                    f"{gen_steps[k]}"))
 
     if "full_tree_path" in want:
         tree = [pos[nodes[0]]]

@@ -14,7 +14,8 @@ SimpleGraphInferenceEngine.java`` restricted to length-2 paths:
 - ``transitive_infer`` — bounded-depth (length-2) rule application
   ``A -p→ B, B -q→ C ⇒ A -head→ C`` as a hash-partitioned self-join:
   left rows keyed by obj, right rows keyed by subj, one
-  ``groupby(join_pid)`` co-locates both sides, the joined edges get
+  ``runtime.by_key`` shuffle on the bridge entity co-locates both
+  sides, the joined edges get
   score = s₁·s₂·damping. The join key is the bridge entity, so hot
   bridges are bounded by the per-partition group; at corpus scale the
   edges table is already aggregated (one row per triple), orders of
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ..runtime import by_key
 from ..schemas import FILLS_SCHEMA
 
 SYMMETRIC = frozenset({"per:spouse", "per:siblings"})
@@ -78,23 +80,11 @@ def _mirror_rows(batch: pa.Table) -> pa.Table:
 def _max_combine(fills):
     """Exact per-triple combine keeping the highest-score row (the
     original edge wins over a damped rewrite of itself). Coarse hash
-    partitions, same pattern as classify.combine_fills."""
-    import numpy as np
+    partitions of the triple key, same pattern as
+    classify.combine_fills."""
     import pandas as pd
 
-    from ..runtime import cluster_cpus
     from .classify import TRIPLE_KEY
-    n_parts = max(16, cluster_cpus() * 4)
-
-    def add_pid(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            df["pid"] = np.array([], dtype=np.int32)
-            return df
-        key = df["subj"].str.cat([df[c] for c in TRIPLE_KEY[1:]],
-                                 sep="|")
-        df["pid"] = (pd.util.hash_pandas_object(key, index=False)
-                     .to_numpy() % n_parts).astype(np.int32)
-        return df
 
     def best(df: pd.DataFrame) -> pd.DataFrame:
         # rounded score key: max-per-triple selection must not flip on
@@ -107,10 +97,8 @@ def _max_combine(fills):
         return df.drop_duplicates(TRIPLE_KEY, keep="first")[
             list(FILLS_SCHEMA.names)]
 
-    return (fills.map_batches(add_pid, batch_format="pandas")
-            .groupby("pid")
-            .map_groups(best, batch_format="pandas")
-            .select_columns(FILLS_SCHEMA.names))
+    return by_key(fills, TRIPLE_KEY, best, batch_format="pandas") \
+        .select_columns(FILLS_SCHEMA.names)
 
 
 def symmetric_inverse_rewrite(fills):
@@ -126,29 +114,12 @@ def intersect_fills(fills_a, fills_b):
     key). Shape: tag each side, union, coarse-pid groupby, keep
     triples seen on both sides; score = min of the two (the
     conservative combination), provenance from side A."""
-    import numpy as np
     import pandas as pd
 
-    from ..runtime import cluster_cpus
     from .classify import TRIPLE_KEY
-    n_parts = max(16, cluster_cpus() * 4)
 
     def tag(side: str):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["side"] = side
-            if len(df):
-                key = df["subj"].str.cat(
-                    [df[c] for c in TRIPLE_KEY[1:]], sep="|")
-                df["pid"] = (pd.util.hash_pandas_object(key, index=False)
-                             .to_numpy() % n_parts).astype(np.int32)
-            else:
-                df["pid"] = np.array([], dtype=np.int32)
-            return df
-        return fn
-
-    both = fills_a.map_batches(tag("A"), batch_format="pandas").union(
-        fills_b.map_batches(tag("B"), batch_format="pandas"))
+        return lambda df: df.assign(side=side)
 
     def keep_both(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -163,9 +134,10 @@ def intersect_fills(fills_a, fills_b):
         a["score"] = min_s.reindex(a.index)
         return a.reset_index()[list(FILLS_SCHEMA.names)]
 
-    return (both.groupby("pid")
-            .map_groups(keep_both, batch_format="pandas")
-            .select_columns(FILLS_SCHEMA.names))
+    return by_key([fills_a.map_batches(tag("A"), batch_format="pandas"),
+                   fills_b.map_batches(tag("B"), batch_format="pandas")],
+                  TRIPLE_KEY, keep_both, batch_format="pandas") \
+        .select_columns(FILLS_SCHEMA.names)
 
 
 def prune_by_distance(fills, query_entities, max_dist: int = 4):
@@ -225,9 +197,6 @@ def mine_rules(fills, *, min_support: int = 2,
     (p, q, head, support, total, confidence), confidence-desc."""
     import pandas as pd
 
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-
     def tag(batch: pa.Table) -> pa.Table:
         """One row per edge per side (L bridges on obj, R on subj)."""
         subj = batch.column("subj").to_pylist()
@@ -242,12 +211,8 @@ def mine_rules(fills, *, min_support: int = 2,
                 rows["obj"].append(o)
                 rows["side"].append(side)
                 rows["bridge"].append(key)
-        t = pa.table({k: pa.array(v) for k, v in rows.items()})
-        pid = pd.util.hash_pandas_object(
-            pd.Series(rows["bridge"], dtype="object"),
-            index=False).to_numpy() % n_parts
-        return t.append_column(
-            "pid", pa.array(pid.astype("int32"), pa.int32()))
+        return pa.table({k: pa.array(v, pa.string())
+                         for k, v in rows.items()})
 
     def paths(df: pd.DataFrame) -> pd.DataFrame:
         left = df[df["side"] == "L"]
@@ -259,26 +224,16 @@ def mine_rules(fills, *, min_support: int = 2,
         out.columns = ["subj", "p", "q", "obj"]
         return out.drop_duplicates()
 
-    path_ds = (fills.map_batches(tag, batch_format="pyarrow")
-               .groupby("pid")
-               .map_groups(paths, batch_format="pandas"))
+    path_ds = by_key(fills.map_batches(tag, batch_format="pyarrow"),
+                     "bridge", paths, batch_format="pandas")
 
     # co-locate paths with direct edges on (subj, obj)
-    def tag_pair(df: pd.DataFrame, kind: str) -> pd.DataFrame:
-        df = df.copy()
-        df["kind"] = kind
-        key = df["subj"].str.cat(df["obj"], sep="|")
-        df["ppid"] = (pd.util.hash_pandas_object(key, index=False)
-                      .to_numpy() % n_parts).astype("int32")
-        return df
-
     edges_flat = fills.map_batches(
-        lambda b: tag_pair(
-            b.select(["subj", "pred", "obj"]).to_pandas()
-            .rename(columns={"pred": "p"}).assign(q=""),
-            "E"), batch_format="pyarrow")
+        lambda b: b.select(["subj", "pred", "obj"]).to_pandas()
+        .rename(columns={"pred": "p"}).assign(q="", kind="E"),
+        batch_format="pyarrow")
     paths_flat = path_ds.map_batches(
-        lambda df: tag_pair(df, "P"), batch_format="pandas")
+        lambda df: df.assign(kind="P"), batch_format="pandas")
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
         heads: dict[tuple, list] = {}
@@ -288,9 +243,10 @@ def mine_rules(fills, *, min_support: int = 2,
         rows = []
         # paths() dedups only within its bridge-hashed partition: the
         # same (subj,p,q,obj) path via bridges in different partitions
-        # survives. All copies converge HERE (ppid keys on subj|obj),
+        # survives. All copies converge HERE (keyed on (subj, obj)),
         # so the global distinct lives in this partition — without it,
-        # support/total depend on n_parts, i.e. on cluster size.
+        # support/total depend on the partition count, i.e. on cluster
+        # size.
         pdf = df[df["kind"] == "P"].drop_duplicates(
             ["subj", "p", "q", "obj"])
         for s, o, p, q in zip(pdf["subj"], pdf["obj"], pdf["p"],
@@ -304,9 +260,8 @@ def mine_rules(fills, *, min_support: int = 2,
         # (p, q, head) per partition, not per path
         return out.groupby(["p", "q", "head"], as_index=False).sum()
 
-    scored = (paths_flat.union(edges_flat)
-              .groupby("ppid")
-              .map_groups(score, batch_format="pandas"))
+    scored = by_key([paths_flat, edges_flat], ["subj", "obj"], score,
+                    batch_format="pandas")
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         totals = df.groupby(["p", "q"])["total"].sum()
@@ -334,11 +289,6 @@ def transitive_infer(fills, rules=DEFAULT_RULES,
     inferred via bridges in ONE partition, so the result is routed
     through the per-triple max combine to collapse the same triple
     inferred via bridge entities hashed to different partitions."""
-    import numpy as np
-    import pandas as pd
-
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
     left_preds = {p for p, _q, _h in rules}
     right_preds = {q for _p, q, _h in rules}
 
@@ -364,12 +314,7 @@ def transitive_infer(fills, rules=DEFAULT_RULES,
              zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
             schema=FILLS_SCHEMA)
         t = t.append_column("side", pa.array(sides, pa.string()))
-        t = t.append_column("bridge", pa.array(keys, pa.string()))
-        pid = pd.util.hash_pandas_object(
-            pd.Series(keys, dtype="object"), index=False).to_numpy() \
-            % n_parts if keys else np.array([], dtype=np.uint64)
-        return t.append_column("pid",
-                               pa.array(pid.astype("int32"), pa.int32()))
+        return t.append_column("bridge", pa.array(keys, pa.string()))
 
     def join(group: pa.Table) -> pa.Table:
         names = FILLS_SCHEMA.names
@@ -413,7 +358,5 @@ def transitive_infer(fills, rules=DEFAULT_RULES,
              zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
             schema=FILLS_SCHEMA)
 
-    return _max_combine(
-        fills.map_batches(tag, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(join, batch_format="pyarrow"))
+    return _max_combine(by_key(
+        fills.map_batches(tag, batch_format="pyarrow"), "bridge", join))

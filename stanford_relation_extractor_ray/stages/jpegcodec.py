@@ -773,13 +773,13 @@ def encode_jpeg(px: np.ndarray, *, quality: int = 85,
 
     bw = _BitWriter()
     preds = [0] * ch
-    scan_parts: list[bytes] = []
+    scan_chunks: list[bytes] = []
     rst = 0
     for m in range(mcux * mcuy):
         if restart_interval and m and m % restart_interval == 0:
             bw.flush()
-            scan_parts.append(bytes(bw.buf))
-            scan_parts.append(bytes([0xFF, 0xD0 + (rst % 8)]))
+            scan_chunks.append(bytes(bw.buf))
+            scan_chunks.append(bytes([0xFF, 0xD0 + (rst % 8)]))
             rst += 1
             bw = _BitWriter()
             preds = [0] * ch
@@ -793,8 +793,8 @@ def encode_jpeg(px: np.ndarray, *, quality: int = 85,
                     preds[ci] = _encode_block(
                         bw, zz, preds[ci], dc_codes, ac_codes)
     bw.flush()
-    scan_parts.append(bytes(bw.buf))
-    scan_data = b"".join(scan_parts)
+    scan_chunks.append(bytes(bw.buf))
+    scan_data = b"".join(scan_chunks)
 
     out = prep.headers(0xC0)
     if restart_interval:                                    # DRI

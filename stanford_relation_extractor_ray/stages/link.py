@@ -172,38 +172,22 @@ def link_via_join(candidates, aliases, *, surface_col: str = "subj",
     (fuzzy resolution stays in the per-worker linker, which handles
     the small residue). Wikidict-faithful: the reference's wikidict is
     likewise an exact surface → article index."""
-    import zlib
-
-    import numpy as np
-
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-
-    def _pid(surfaces):
-        return np.fromiter(
-            (zlib.crc32(s.encode()) % n_parts for s in surfaces),
-            dtype=np.int32, count=len(surfaces))
+    from ..runtime import by_key
 
     def tag_alias(batch: pa.Table) -> pa.Table:
-        surf = batch.column("surface").to_pylist()
-        cols = {"__join_surface": batch.column("surface"),
-                "__join_type": batch.column("type"),
-                "__canonical": batch.column("canonical"),
-                "__side": pa.array(["A"] * len(surf), pa.string()),
-                "__jpid": pa.array(_pid(surf))}
-        # pad with nulls for every candidate column
-        return pa.table(cols)
-
-    cand_schema = None
+        return pa.table({
+            "__join_surface": batch.column("surface"),
+            "__join_type": batch.column("type"),
+            "__canonical": batch.column("canonical"),
+            "__side": pa.array(["A"] * batch.num_rows, pa.string())})
 
     def tag_cand(batch: pa.Table) -> pa.Table:
-        surf = batch.column(surface_col).to_pylist()
-        cols = {n: batch.column(n) for n in batch.column_names}
+        n = batch.num_rows
+        cols = {c: batch.column(c) for c in batch.column_names}
         cols["__join_surface"] = batch.column(surface_col)
         cols["__join_type"] = batch.column(type_col)
-        cols["__canonical"] = pa.nulls(len(surf), pa.string())
-        cols["__side"] = pa.array(["C"] * len(surf), pa.string())
-        cols["__jpid"] = pa.array(_pid(surf))
+        cols["__canonical"] = pa.nulls(n, pa.string())
+        cols["__side"] = pa.array(["C"] * n, pa.string())
         return pa.table(cols)
 
     def join(group: pa.Table) -> pa.Table:
@@ -224,7 +208,7 @@ def link_via_join(candidates, aliases, *, surface_col: str = "subj",
         if sub.num_rows == 0:
             return sub.drop_columns(
                 ["__join_surface", "__join_type", "__canonical",
-                 "__side", "__jpid"])
+                 "__side", "pid"])
         new_subj = [amap.get((s, t)) or s
                     for s, t, sd in zip(surfs, typs, sides)
                     if sd == "C"]
@@ -233,7 +217,7 @@ def link_via_join(candidates, aliases, *, surface_col: str = "subj",
                              pa.array(new_subj, pa.string()))
         return sub.drop_columns(
             ["__join_surface", "__join_type", "__canonical",
-             "__side", "__jpid"])
+             "__side", "pid"])
 
     # union needs equal schemas: build the alias side with the
     # candidate columns nulled (schema discovered from the cand side)
@@ -251,12 +235,11 @@ def link_via_join(candidates, aliases, *, surface_col: str = "subj",
         return fn
 
     cand_schema = candidates.schema().base_schema
-    tagged_c = candidates.map_batches(tag_cand, batch_format="pyarrow")
-    tagged_a = aliases.map_batches(tag_alias_like(cand_schema),
-                                   batch_format="pyarrow")
-    return (tagged_c.union(tagged_a)
-            .groupby("__jpid")
-            .map_groups(join, batch_format="pyarrow"))
+    return by_key([candidates.map_batches(tag_cand,
+                                          batch_format="pyarrow"),
+                   aliases.map_batches(tag_alias_like(cand_schema),
+                                       batch_format="pyarrow")],
+                  "__join_surface", join)
 
 
 def linking_features(surface: str, candidate: str,

@@ -448,9 +448,8 @@ def probabilistic_infer(fills, query_entities, rules: list[Rule], *,
     fine."""
     import ray
 
-    from ..runtime import cluster_cpus
+    from ..runtime import by_key
     from .graph_infer import _max_combine
-    n_parts = max(16, cluster_cpus() * 4)
     if acyclic:
         rules = make_acyclic(rules)
 
@@ -500,19 +499,11 @@ def probabilistic_infer(fills, query_entities, rules: list[Rule], *,
         for row in rows:
             for q in sorted(members.get(row["subj"], set())
                             | members.get(row["obj"], set())):
-                out.append({**row, "q": q,
-                            "qpid": zlib.crc32(q.encode()) % n_parts})
-        if not out:
-            return pa.table({
-                **{n: pa.array([], t) for n, t in
-                   zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)},
-                "q": pa.array([], pa.string()),
-                "qpid": pa.array([], pa.int32())})
+                out.append({**row, "q": q})
         cols = {n: pa.array([r[n] for r in out], t)
                 for n, t in zip(FILLS_SCHEMA.names,
                                 FILLS_SCHEMA.types)}
         cols["q"] = pa.array([r["q"] for r in out], pa.string())
-        cols["qpid"] = pa.array([r["qpid"] for r in out], pa.int32())
         return pa.table(cols)
 
     def infer_group(group: pa.Table) -> pa.Table:
@@ -530,7 +521,6 @@ def probabilistic_infer(fills, query_entities, rules: list[Rule], *,
              zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
             schema=FILLS_SCHEMA)
 
-    inferred = (fills.map_batches(tag, batch_format="pyarrow")
-                .groupby("qpid")
-                .map_groups(infer_group, batch_format="pyarrow"))
-    return _max_combine(inferred)
+    return _max_combine(by_key(fills.map_batches(tag,
+                                                 batch_format="pyarrow"),
+                               "q", infer_group))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..schemas import FILLS_SCHEMA
 from ..vocab import RELATIONS
@@ -435,32 +434,22 @@ def attach_gloss(fills, sentences):
     union → coarse-pid groupby → in-partition dict join; the
     provenance-recovery shape of ``SimpleSlotFiller.java:484-676``
     restructured per SURVEY.md §7.4."""
-    from ..runtime import pid_of, shuffle_parts
-    n_parts = shuffle_parts()
+    from ..runtime import by_key
     fill_names = list(FILLS_SCHEMA.names)
-
-    def _key_pid(batch: pa.Table):
-        return pid_of(pc.binary_join_element_wise(
-            batch.column("doc_id"),
-            batch.column("sent_idx").cast(pa.string()), "|"), n_parts)
-
     fill_types = dict(zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types))
 
     def tag_fill(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        pid = _key_pid(batch)
         # cast to canonical FILLS types: pandas-built upstream stages
         # widen int32 → int64, which breaks the union
         cols = {nm: batch.column(nm).cast(fill_types[nm])
                 for nm in fill_names}
         cols["side"] = pa.array(["F"] * n, pa.string())
         cols["gloss"] = pa.nulls(n, pa.string())
-        cols["jpid"] = pa.array(pid)
         return pa.table(cols)
 
     def tag_sent(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        pid = _key_pid(batch)
         cols = {}
         for nm, ty in zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types):
             if nm == "doc_id":
@@ -471,7 +460,6 @@ def attach_gloss(fills, sentences):
                 cols[nm] = pa.nulls(n, ty)
         cols["side"] = pa.array(["S"] * n, pa.string())
         cols["gloss"] = batch.column("text")
-        cols["jpid"] = pa.array(pid)
         return pa.table(cols)
 
     def join(group: pa.Table) -> pa.Table:
@@ -485,14 +473,12 @@ def attach_gloss(fills, sentences):
         sub = group.filter(pa.array(mask))
         g = [by_key.get((d, s), "")
              for d, s, sd in zip(docs, sents, sides) if sd == "F"]
-        sub = sub.drop_columns(["side", "gloss", "jpid"])
+        sub = sub.drop_columns(["side", "gloss", "pid"])
         return sub.append_column("gloss", pa.array(g, pa.string()))
 
-    tagged = (fills.map_batches(tag_fill, batch_format="pyarrow")
-              .union(sentences.map_batches(tag_sent,
-                                           batch_format="pyarrow")))
-    return (tagged.groupby("jpid")
-            .map_groups(join, batch_format="pyarrow"))
+    return by_key([fills.map_batches(tag_fill, batch_format="pyarrow"),
+                   sentences.map_batches(tag_sent, batch_format="pyarrow")],
+                  ["doc_id", "sent_idx"], join)
 
 
 def repair_provenance(fills, sentences, *, aliases=None):

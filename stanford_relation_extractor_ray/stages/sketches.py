@@ -35,7 +35,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..runtime import cluster_cpus
+from ..runtime import by_key
 
 
 def _hash64(values) -> np.ndarray:
@@ -137,23 +137,20 @@ def heavy_hitters(ds, text_col: str, min_count: int):
 
     The classic two-level count: ``value_counts`` inside each batch
     (so the shuffle carries one row per distinct token per batch,
-    not one per occurrence), tokens hashed to O(CPUs) coarse pids,
-    per-pid final sum + threshold. Disjointness of tokens across
-    pids makes the per-pid filter globally correct.
+    not one per occurrence), tokens routed to O(CPUs) coarse
+    partitions by ``by_key``, per-partition final sum + threshold.
+    Disjointness of tokens across partitions makes the per-partition
+    filter globally correct.
     """
-    n_parts = max(16, cluster_cpus() * 4)
-
     def precount(batch: pa.Table) -> pa.Table:
         toks = pa.compute.list_flatten(
             pa.compute.split_pattern(batch.column(text_col), " "))
         vc = pd.Series(toks.to_pandas()).value_counts()
         vc = vc[vc.index != ""]
-        tokens = vc.index.to_numpy(dtype=object)
-        pid = (_hash64(tokens) % np.uint64(n_parts)).astype(np.int32)
         return pa.table({
-            "token": pa.array(tokens, pa.string()),
+            "token": pa.array(vc.index.to_numpy(dtype=object),
+                              pa.string()),
             "cnt": pa.array(vc.to_numpy(), pa.int64()),
-            "pid": pa.array(pid),
         })
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -161,11 +158,10 @@ def heavy_hitters(ds, text_col: str, min_count: int):
         g = g[g["cnt"] >= min_count]
         return g[["token", "cnt"]]
 
-    return (ds.map_batches(precount, batch_format="pyarrow",
-                           batch_size=65536)
-            .groupby("pid")
-            .map_groups(finalize, batch_format="pandas")
-            .sort(["cnt", "token"], descending=[True, False]))
+    return by_key(ds.map_batches(precount, batch_format="pyarrow",
+                                 batch_size=65536),
+                  "token", finalize, batch_format="pandas") \
+        .sort(["cnt", "token"], descending=[True, False])
 
 
 def phi_heavy_hitters(ds, text_col: str, phi: float = 1 / 32):

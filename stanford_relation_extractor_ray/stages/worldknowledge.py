@@ -112,16 +112,7 @@ def geo_consistency(fills):
     same event but the city's known country differs, drop the
     lower-scored side. Coarse hash(subj) partitions (the consistency
     pattern)."""
-    import pandas as pd
-
-    from ..runtime import cluster_cpus
-    n_parts = max(16, cluster_cpus() * 4)
-
-    def add_pid(batch: pa.Table) -> pa.Table:
-        s = batch.column("subj").to_pandas()
-        pid = (pd.util.hash_pandas_object(s, index=False)
-               .to_numpy() % n_parts).astype("int32")
-        return batch.append_column("pid", pa.array(pid))
+    from ..runtime import by_key
 
     def run_partition(group: pa.Table) -> pa.Table:
         names = [n for n in group.column_names if n != "pid"]
@@ -152,9 +143,7 @@ def geo_consistency(fills):
              zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
             schema=FILLS_SCHEMA)
 
-    return (fills.map_batches(add_pid, batch_format="pyarrow")
-            .groupby("pid")
-            .map_groups(run_partition, batch_format="pyarrow"))
+    return by_key(fills, "subj", run_partition)
 
 
 class Geography:

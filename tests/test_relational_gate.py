@@ -15,21 +15,24 @@ def _sorted(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
-def test_membership_join_gate_equality(ray_session):
+def test_membership_join_gate_equality(ray_session, monkeypatch):
     import ray.data as rd
 
+    from stanford_relation_extractor_ray.pipelines import relational
     from stanford_relation_extractor_ray.pipelines.relational import \
         _membership_join
 
     rows = rd.from_items(
         [{"k": i, "v": f"r{i}"} for i in range(50)])
     keys = rd.from_items([{"k": i} for i in range(0, 50, 3)])
-    kw = dict(key_col="k", payload={"v": pa.string()}, n_parts=8)
+    kw = dict(key_col="k", payload={"v": pa.string()})
     for anti in (False, True):
+        monkeypatch.setattr(relational, "SMALL_KEYS", 10_000)
         small = _membership_join(rows, keys, anti=anti,
-                                 small_keys=10_000, **kw).to_pandas()
+                                 **kw).to_pandas()
+        monkeypatch.setattr(relational, "SMALL_KEYS", 0)
         large = _membership_join(rows, keys, anti=anti,
-                                 small_keys=0, **kw).to_pandas()
+                                 **kw).to_pandas()
         pd.testing.assert_frame_equal(_sorted(small), _sorted(large))
         want = {i for i in range(50)
                 if (i % 3 == 0) != anti}
