@@ -176,9 +176,9 @@ def top_orders(sf_dir: str, k: int = 10):
 
 # --- broadcast join (small dimension side; reference: known-KB lookup) ---
 
-def revenue_by_nation(sf_dir: str, small_dim: int | None = None):
+def revenue_by_nation(sf_dir: str):
     """orders ⨝ customer ⨝ nation, gated on the customer count
-    (``small_dim``, default ``SMALL_KEYS``):
+    (``SMALL_KEYS``):
 
     - **small customer side** (≤ gate; every measured sf): the
       custkey → nationkey map is provably tiny — ``ray.put`` it once
@@ -210,9 +210,8 @@ def revenue_by_nation(sf_dir: str, small_dim: int | None = None):
                                pa.string()),
             "revenue": batch.column("revenue")})
 
-    gate = SMALL_KEYS if small_dim is None else small_dim
     cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    if cust_ds.count() <= gate:         # parquet-metadata count
+    if cust_ds.count() <= SMALL_KEYS:    # parquet-metadata count
         import ray
         cdf = cust_ds.to_pandas()
         if cdf.empty:       # empty read loses columns entirely

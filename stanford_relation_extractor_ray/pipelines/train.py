@@ -15,7 +15,11 @@ Ray-Data re-expression of the reference's train lifecycle (SURVEY.md
   ``StanfordMIMLRE.properties:71``);
 - feature count threshold 5 (``featureCountThreshold``,
   ``StanfordMIMLRE.properties:10``) applied via a distributed
-  feature-frequency pre-aggregation;
+  feature-frequency pre-aggregation: each batch counts its distinct
+  strings, hashes each once with the scorer's kernel
+  (``classify.feature_codes``) and sums the counts per hash bucket;
+- the per-row bucket lists come from the same codes plus one
+  ``np.isin`` against the keep-set, so train and score hash alike;
 - the (small) labeled design matrix is collected and a multinomial LR
   over hashed features is trained driver-side with seeded SGD for 8
   epochs (reference ``train.jointbayes.epochs = 8``). Sentence-level
@@ -36,8 +40,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..stages import featurize, link, mentions, nlp
-from ..stages.classify import HASH_DIM, LRModel, NO_RELATION, \
-    hash_features
+from ..stages.classify import HASH_DIM, NO_RELATION, feature_codes
 from ..vocab import RELATION_NAMES, RELATIONS
 from ..world import get_world
 
@@ -103,20 +106,49 @@ def feature_keep_set(examples) -> set[int]:
     Pre-aggregates counts per batch (partial combine) before the
     groupby — the at-scale pattern for the reference's global
     feature-count threshold (``EnsembleRelationExtractor.java:110-114``).
+    Each batch counts its distinct strings once
+    (``classify.feature_codes``, the hashing step scoring uses) and
+    sums those counts per hash bucket, so strings that collide in one
+    bucket add up, as the per-string counts would.
     """
     def partial(batch: pa.Table) -> pa.Table:
-        counts: dict[int, int] = {}
-        for f in batch.column("features").to_pylist():
-            for h in hash_features(f):
-                counts[int(h)] = counts.get(int(h), 0) + 1
-        return pa.table({"h": pa.array(list(counts), pa.int64()),
-                         "c": pa.array(list(counts.values()), pa.int64())})
+        _lengths, codes, buckets = feature_codes(batch.column("features"))
+        h, inv = np.unique(buckets, return_inverse=True)
+        c = np.zeros(len(h), np.int64)
+        np.add.at(c, inv, np.bincount(codes, minlength=len(buckets)))
+        return pa.table({"h": pa.array(h, pa.int64()),
+                         "c": pa.array(c, pa.int64())})
 
     from ray.data.aggregate import Sum
     agg = (examples.map_batches(partial, batch_format="pyarrow")
            .groupby("h").aggregate(Sum("c", alias_name="c")))
     return {r["h"] for r in agg.take_all()
             if r["c"] >= FEATURE_COUNT_THRESHOLD}
+
+
+def _design(examples) -> tuple[list[list[int]], np.ndarray, list[str]]:
+    """Materialized labeled examples → (per-row kept hash buckets, label
+    indices, labels), in row order. The buckets come from the same
+    distinct-string step as scoring (``feature_codes``) and ``np.isin``
+    against the keep-set."""
+    keep = feature_keep_set(examples)
+    t = pa.concat_tables(examples.iter_batches(batch_format="pyarrow",
+                                               batch_size=None)) \
+        if examples.count() else pa.table({
+            "features": pa.array([], pa.list_(pa.string())),
+            "label": pa.array([], pa.string())})
+    lengths, codes, buckets = feature_codes(t.column("features"))
+    h = buckets[codes]
+    kept = np.isin(h, np.fromiter(keep, np.int64, len(keep)))
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    counts = np.bincount(rows[kept], minlength=len(lengths))
+    h = h[kept]
+    feats = [h[e - c:e].tolist() for c, e in zip(counts, np.cumsum(counts))]
+    labels = [NO_RELATION] + RELATION_NAMES
+    lab_idx = {l: i for i, l in enumerate(labels)}
+    ys = np.array([lab_idx[y] for y in t.column("label").to_pylist()],
+                  dtype=np.int64)
+    return feats, ys, labels
 
 
 def train_lr(n_docs: int = 1500, seed: int = 42,
@@ -130,37 +162,9 @@ def train_lr(n_docs: int = 1500, seed: int = 42,
         return {"weights": d["weights"], "bias": d["bias"],
                 "labels": d["labels"]}
 
-    examples = training_examples(n_docs, seed).materialize()
-    keep = feature_keep_set(examples)
-    rows = examples.take_all()
-
-    labels = [NO_RELATION] + RELATION_NAMES
-    lab_idx = {l: i for i, l in enumerate(labels)}
-    n_lab = len(labels)
-    feats = [[int(h) for h in hash_features(r["features"]) if int(h) in keep]
-             for r in rows]
-    ys = np.array([lab_idx[r["label"]] for r in rows], dtype=np.int64)
-
-    rng = np.random.default_rng(seed)
-    W = np.zeros((HASH_DIM, n_lab), dtype=np.float32)
-    b = np.zeros(n_lab, dtype=np.float32)
-    lr = 0.5
-    n = len(rows)
-    for _epoch in range(EPOCHS):
-        order = rng.permutation(n)
-        for i in order:
-            idx = feats[i]
-            logits = b + (W[idx].sum(axis=0) if idx else 0.0)
-            logits -= logits.max()
-            p = np.exp(logits)
-            p /= p.sum()
-            p[ys[i]] -= 1.0
-            g = lr * p
-            b -= g
-            if idx:
-                W[idx] -= g
-        lr *= 0.8
-
+    feats, ys, labels = _design(
+        training_examples(n_docs, seed).materialize())
+    W, b = _sgd_lr(feats, ys, len(labels), seed)
     out = {"weights": W, "bias": b,
            "labels": np.array(labels, dtype="U64")}
     np.savez_compressed(path + ".tmp.npz", **out)
@@ -261,16 +265,9 @@ def train_bagged(n_docs: int = 1500, seed: int = 42, k: int = 3,
     per component; we pin the shuffle the Java leaves unseeded,
     SURVEY.md §7.4). → list of LRModel dicts for
     ``classify.EnsembleScorer``-style voting."""
-    examples = training_examples(n_docs, seed).materialize()
-    keep = feature_keep_set(examples)
-    rows = examples.take_all()
-
-    labels = [NO_RELATION] + RELATION_NAMES
-    lab_idx = {l: i for i, l in enumerate(labels)}
-    feats = [[int(h) for h in hash_features(r["features"])
-              if int(h) in keep] for r in rows]
-    ys = np.array([lab_idx[r["label"]] for r in rows], dtype=np.int64)
-    n = len(rows)
+    feats, ys, labels = _design(
+        training_examples(n_docs, seed).materialize())
+    n = len(feats)
     lab_arr = np.array(labels, dtype="U64")
 
     models = []

@@ -24,6 +24,18 @@ Components:
   ``1 − ∏(1−wᵢ)``; provenance from the highest-scoring agreeing
   sentence.
 
+Every scorer and the trainer share one hashing step:
+``feature_codes`` flattens a ``list<string>`` column, dictionary-
+encodes it and hashes each DISTINCT string once (``hash_features``,
+crc32 mod ``HASH_DIM`` — a pure function of the string, so this is
+exact); ``LRModel.logits`` gathers one weight row per distinct string
+and accumulates the rows' features position by position into zeros,
+then adds the bias — the float32 order of the per-row
+``b + W[idx].sum(axis=0)`` it replaced (kept as the oracle
+``lr_logits_loop`` in tests/oracles.py), so logits are bit-identical.
+``CandidateScorer`` selects LR hits with a label × object-type
+admissibility table, with no per-row Python.
+
 Salted partial bags are merged *after* classification by a cheap
 per-triple noisy-or (``combine_fills``) — an intentional departure from
 re-assembling giant bags, correct because both the pattern scorer and
@@ -101,6 +113,33 @@ def hash_features(features: list[str], dim: int = HASH_DIM) -> np.ndarray:
         dtype=np.int64, count=len(features))
 
 
+def feature_codes(feat_lists) -> tuple[np.ndarray, np.ndarray,
+                                       np.ndarray]:
+    """The hashing step scoring and training share: a ``list<string>``
+    column (Array or ChunkedArray, sliced or not; a Python list of
+    lists is converted once) → ``(lengths, codes, buckets)``: each
+    row's feature count, each flattened feature's code among the
+    column's distinct strings, and each distinct string's
+    ``hash_features`` bucket. The hash is a pure function of the
+    string, so hashing once per distinct string is exact."""
+    if not isinstance(feat_lists, (pa.Array, pa.ChunkedArray)):
+        feat_lists = pa.array(feat_lists, pa.list_(pa.string()))
+    lengths = pc.list_value_length(feat_lists)
+    flat = pc.list_flatten(feat_lists)
+    if isinstance(flat, pa.ChunkedArray):
+        flat = flat.combine_chunks()
+    if lengths.null_count or flat.null_count:
+        # a null would reach crc32 as None, or be dropped silently by
+        # the dictionary encoding
+        raise ValueError(
+            f"feature lists: {lengths.null_count} null rows and "
+            f"{flat.null_count} null feature strings")
+    enc = flat.dictionary_encode()
+    return (lengths.to_numpy().astype(np.int64),
+            enc.indices.to_numpy().astype(np.int64),
+            hash_features(enc.dictionary.to_pylist()))
+
+
 class LRModel:
     """Multinomial LR over hashed features (numpy; trained in
     pipelines/train.py). ``labels[0]`` must be NO_RELATION."""
@@ -111,12 +150,34 @@ class LRModel:
         self.b = bias.astype(np.float32)
         self.labels = labels
 
-    def predict_proba(self, feat_lists: list[list[str]]) -> np.ndarray:
-        """[n_sentences, n_labels] softmax probabilities."""
-        logits = np.tile(self.b, (len(feat_lists), 1))
-        for i, feats in enumerate(feat_lists):
-            idx = hash_features(feats)
-            logits[i] += self.W[idx].sum(axis=0)
+    def logits(self, feat_lists) -> np.ndarray:
+        """[n_rows, n_labels] float32: the bias plus each row's summed
+        weight rows, bit-identical to ``b + W[hash(row)].sum(axis=0)``.
+
+        Each distinct string is hashed once (``feature_codes``) and
+        its weight row gathered once; the rows are then accumulated
+        position by position into zeros — row i gets its feature 0,
+        then 1, … — which is the sequential float32 order of numpy's
+        axis-0 sum, and the bias is added last. (``np.add.reduceat``
+        is not a sequential sum and does not match.) Rows are ordered
+        by length so the rows still open at position p are a prefix."""
+        lengths, codes, buckets = feature_codes(feat_lists)
+        w = self.W[buckets]
+        order = np.argsort(-lengths, kind="stable")     # longest first
+        starts = (np.cumsum(lengths) - lengths)[order]
+        # per position p, the number of rows longer than p
+        n_open = np.searchsorted(-lengths[order],
+                                 -np.arange(lengths.max(initial=0)))
+        acc = np.zeros((len(lengths), self.W.shape[1]), np.float32)
+        for p, k in enumerate(n_open):
+            acc[:k] += w[codes[starts[:k] + p]]
+        sums = np.empty_like(acc)
+        sums[order] = acc
+        return sums + self.b
+
+    def predict_proba(self, feat_lists) -> np.ndarray:
+        """[n_rows, n_labels] softmax probabilities."""
+        logits = self.logits(feat_lists)
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
@@ -263,7 +324,8 @@ class EnsembleScorer:
                             PATTERN_SENT_SCORE)
         lr_hits: dict[int, dict] = {}
         if self.lr is not None and flat_feats:
-            probs = self.lr.predict_proba(flat_feats)
+            probs = self.lr.predict_proba(
+                pc.list_flatten(batch.column("sent_features")))
             z = probs.argmax(axis=1)
             pmax = probs[np.arange(len(z)), z]
             for j in np.flatnonzero(pmax >= LR_MIN_PROB):
@@ -410,37 +472,24 @@ class CandidateScorer:
         pat_idx = np.flatnonzero(so & has_rel[kidx]) \
             if len(kidx) else np.empty(0, np.int64)
 
-        idx: list[int] = pat_idx.tolist()
-        rels: list[str] = uniq_rel_arr[kidx[pat_idx]].tolist()
-        scores: list[float] = [PATTERN_SENT_SCORE] * len(idx)
-
+        idx = pat_idx
+        rels = uniq_rel_arr[kidx[pat_idx]]
+        scores = np.full(len(idx), PATTERN_SENT_SCORE)
         if self.lr is not None:
-            obj_t = batch.column("obj_type").to_pylist()
-            feats = batch.column("features").to_pylist()
-            probs = self.lr.predict_proba(feats)
-            z = probs.argmax(axis=1)
-            pmax = probs[np.arange(len(z)), z]
-            labels = self.lr.labels
-            for i in np.flatnonzero(pmax >= LR_MIN_PROB):
-                rel = labels[z[i]]
-                if rel == NO_RELATION:
-                    continue
-                spec = RELATIONS.get(rel)
-                if spec is not None and obj_t[i] in spec.slot_types:
-                    idx.append(int(i))
-                    rels.append(rel)
-                    scores.append(float(pmax[i]) * LR_WEIGHT)
+            lr_idx, lr_rels, lr_scores = self._lr_hits(batch)
+            idx = np.concatenate([idx, lr_idx])
+            rels = np.concatenate([rels, lr_rels])
+            scores = np.concatenate([scores, lr_scores])
 
         take = pa.array(idx, pa.int64())
         # span pairs as one interleaved values buffer + stride-2
         # offsets — no per-row Python list construction
-        idx_np = np.asarray(idx, dtype=np.int64)
-        se = batch.column("subj_end").to_numpy()[idx_np] \
-            if len(idx_np) else np.empty(0, np.int64)
-        oe = batch.column("obj_end").to_numpy()[idx_np] \
-            if len(idx_np) else np.empty(0, np.int64)
-        spans_s = _span_pairs(sb[idx_np], se)
-        spans_o = _span_pairs(ob[idx_np], oe)
+        se = batch.column("subj_end").to_numpy()[idx] \
+            if len(idx) else np.empty(0, np.int64)
+        oe = batch.column("obj_end").to_numpy()[idx] \
+            if len(idx) else np.empty(0, np.int64)
+        spans_s = _span_pairs(sb[idx], se)
+        spans_o = _span_pairs(ob[idx], oe)
         score_arr = pa.array(scores, pa.float64())
         t = pa.Table.from_arrays(
             [batch.column("subj").take(take),
@@ -458,6 +507,30 @@ class CandidateScorer:
         if t.num_rows <= 1:
             return t
         return merge_fills_table(t)
+
+    def _lr_hits(self, batch: pa.Table):
+        """Rows whose LR argmax label clears ``LR_MIN_PROB`` and may
+        fill the row's object type → (rows, labels, scores). The
+        label × object-type admissibility is one boolean table over
+        the batch's distinct types, gathered per row."""
+        probs = self.lr.predict_proba(batch.column("features"))
+        z = probs.argmax(axis=1)
+        pmax = probs[np.arange(len(z)), z]
+        obj_t = batch.column("obj_type").combine_chunks() \
+            .dictionary_encode()
+        types = obj_t.dictionary.to_pylist()
+        labels = self.lr.labels
+        # last column: a null object type, which no relation admits
+        ok = np.zeros((len(labels), len(types) + 1), bool)
+        for li, rel in enumerate(labels):
+            spec = RELATIONS.get(rel)
+            if rel != NO_RELATION and spec is not None:
+                ok[li, :-1] = [t in spec.slot_types for t in types]
+        ti = pc.fill_null(obj_t.indices, len(types)).to_numpy() \
+            .astype(np.int64)
+        hit = np.flatnonzero((pmax >= LR_MIN_PROB) & ok[z, ti])
+        return (hit, np.array(labels, dtype=object)[z[hit]],
+                pmax[hit].astype(np.float64) * LR_WEIGHT)
 
 
 def score_candidates(featurized, *, model_ref=None,

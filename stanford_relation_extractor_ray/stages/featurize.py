@@ -26,6 +26,16 @@ Two halves, split by what context they need:
   provider, SURVEY.md §2.12). ``featurize_batch`` applies
   ``ACTIVE_FEATURES`` in order and appends ``ctx_features``.
 
+``featurize_batch`` is columnar around the per-row provider API. A
+provider sees only the ``Featurizable`` view, a pure function of the
+row's (subj, subj_type, obj, obj_type, between, subj_end, obj_end), so
+the providers run once per DISTINCT key in the batch, with the
+word-cluster map resolved once per call. The per-key lists go back to
+the rows with one ``take``, and each row's ``ctx_features`` is
+appended at the offsets level; ``ctx_features`` never becomes Python
+lists. The per-row loop it replaced is the test oracle
+``featurize_loop`` in tests/oracles.py.
+
 Feature strings keep the reference's whitespace→``_`` post-processing
 (``FeatureFactory.java:133-137``) so a real template library drops into
 the same column contract (``features: list<string>``).
@@ -35,7 +45,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..schemas import FEATURIZED_SCHEMA
 from .deps import dep_features
@@ -53,6 +65,7 @@ class Featurizable(NamedTuple):
     subj_head: int        # last span token (head-final chunks)
     obj_head: int
     distance: int         # |subj_head - obj_head|
+    clusters: dict        # word → cluster id, resolved once per batch
 
 
 # --- providers (each: Featurizable → list[str]) ------------------------
@@ -129,7 +142,7 @@ def _clusters() -> dict[str, str]:
 def _p_arg_cluster(f: Featurizable) -> list[str]:
     """FeatureFactory.java:349-356: clusters of the two arg head
     words, separately and concatenated."""
-    cl = _clusters()
+    cl = f.clusters
     c0 = cl.get(f.subj.rsplit(" ", 1)[-1])
     c1 = cl.get(f.obj.rsplit(" ", 1)[-1])
     feats = []
@@ -144,7 +157,7 @@ def _p_arg_cluster(f: Featurizable) -> list[str]:
 
 def _p_span_clusters_unigrams(f: Featurizable) -> list[str]:
     """FeatureFactory.java:495-502: span words mapped to clusters."""
-    cl = _clusters()
+    cl = f.clusters
     return [f"span_cluster:{cl[t]}" for t in f.between_tokens
             if t in cl]
 
@@ -153,7 +166,7 @@ def _p_surface_path_clusters(f: Featurizable) -> list[str]:
     """FeatureFactory.java:450-476: concatenation of the between
     tokens mapped to word clusters (tokens without a cluster are
     skipped, exactly as the reference's containsKey guard does)."""
-    cl = _clusters()
+    cl = f.clusters
     path = "_".join(cl[t] for t in f.between_tokens if t in cl)
     return [f"surface_path_clusters:_{path}_"] if path else []
 
@@ -240,43 +253,88 @@ def context_features(tokens: list[str], pos, edges,
     return feats
 
 
+def _distinct_rows(batch: pa.Table, cols) -> tuple[np.ndarray, list]:
+    """→ (inverse, values): each row's code among the batch's distinct
+    value tuples over ``cols`` (nulls are values too), and per column
+    the Python value of every code. Per-column dictionary codes are
+    folded into one mixed-radix key and re-densified after every
+    column, so the key never overflows and no joined-string separator
+    is assumed; values come from the small dictionaries, not from a
+    per-row conversion."""
+    key = np.zeros(batch.num_rows, np.int64)
+    encs = []
+    for name in cols:
+        enc = pc.dictionary_encode(batch.column(name).combine_chunks(),
+                                   null_encoding="encode")
+        codes = enc.indices.to_numpy().astype(np.int64)
+        encs.append((enc.dictionary, codes))
+        key = key * len(enc.dictionary) + codes
+        _, key = np.unique(key, return_inverse=True)
+    _, first, inverse = np.unique(key, return_index=True,
+                                  return_inverse=True)
+    return inverse, [np.array(d.to_pylist(), dtype=object)[c[first]]
+                     .tolist() for d, c in encs]
+
+
+def _append_lists(a: pa.ListArray, b) -> pa.ListArray:
+    """Row-wise ``a[i] + b[i]`` of two ``list<string>`` columns at the
+    offsets level: the output offsets add the two length vectors, and
+    one stable sort of the values' row ids places each row's ``a``
+    values, then its ``b`` values — no per-row Python lists."""
+    if b.null_count:
+        raise ValueError(f"featurize: {b.null_count} candidate rows have "
+                         "a null 'ctx_features' list")
+    la = pc.list_value_length(a).to_numpy()
+    lb = pc.list_value_length(b).to_numpy()
+    rows = np.arange(len(la))
+    order = np.argsort(np.concatenate([np.repeat(rows, la),
+                                       np.repeat(rows, lb)]),
+                       kind="stable")
+    vb = pc.list_flatten(b)
+    if isinstance(vb, pa.ChunkedArray):
+        vb = vb.combine_chunks()
+    values = pa.concat_arrays([pc.list_flatten(a), vb.cast(pa.string())])
+    offsets = np.zeros(len(la) + 1, np.int32)
+    np.cumsum(la + lb, out=offsets[1:])
+    return pa.ListArray.from_arrays(pa.array(offsets),
+                                    values.take(order))
+
+
 def featurize_batch(batch: pa.Table,
                     features: tuple[str, ...] = ACTIVE_FEATURES
                     ) -> pa.Table:
+    """candidates → candidates + ``features``: the providers' strings
+    in ``features`` order, then ``ctx_features``. A provider sees only
+    the ``Featurizable`` row view, a pure function of the columns it
+    is built from, so the providers run once per distinct key (a
+    4096-doc batch of the generated corpus has about 12.7k distinct
+    keys among 23k rows) and the per-key lists are gathered back per
+    row, then ``ctx_features`` appended (``_append_lists``)."""
     providers = [FEATURE_PROVIDERS[name] for name in features]
-    subj = batch.column("subj").to_pylist()
-    subj_t = batch.column("subj_type").to_pylist()
-    obj = batch.column("obj").to_pylist()
-    obj_t = batch.column("obj_type").to_pylist()
-    between = batch.column("between").to_pylist()
-    sb = batch.column("subj_begin").to_pylist()
-    se = batch.column("subj_end").to_pylist()
-    ob = batch.column("obj_begin").to_pylist()
-    oe = batch.column("obj_end").to_pylist()
-    ctx = batch.column("ctx_features").to_pylist() \
-        if "ctx_features" in batch.column_names else [[]] * len(obj)
-
-    feats: list[list[str]] = []
-    for s, st, o, ot, bw, s0, s1, o0, o1, cx in zip(
-            subj, subj_t, obj, obj_t, between, sb, se, ob, oe, ctx):
+    inverse, values = _distinct_rows(batch, (
+        "subj", "subj_type", "obj", "obj_type", "between", "subj_end",
+        "obj_end"))
+    clusters = _clusters()
+    keyed: list[list[str]] = []
+    for s, st, o, ot, bw, s1, o1 in zip(*values):
         row = Featurizable(
             subj=s, subj_type=st, obj=o, obj_type=ot, between=bw,
             between_tokens=bw.split(" ") if bw else [],
             subj_head=s1 - 1, obj_head=o1 - 1,
-            distance=abs((s1 - 1) - (o1 - 1)))
+            distance=abs((s1 - 1) - (o1 - 1)), clusters=clusters)
         f: list[str] = []
         for p in providers:
             f.extend(p(row))
-        f.extend(cx)
-        feats.append(f)
+        keyed.append(f)
+    feats = pa.array(keyed, pa.list_(pa.string())).take(inverse)
+    if "ctx_features" in batch.column_names:
+        feats = _append_lists(feats, batch.column("ctx_features"))
 
-    cols = [batch.column(n) for n in FEATURIZED_SCHEMA.names
-            if n in batch.column_names and n != "features"]
     names = [n for n in FEATURIZED_SCHEMA.names
              if n in batch.column_names and n != "features"]
-    t = pa.Table.from_arrays(cols, names=names)
-    return t.append_column("features",
-                           pa.array(feats, pa.list_(pa.string())))
+    t = pa.Table.from_arrays([batch.column(n) for n in names],
+                             names=names)
+    return t.append_column("features", feats)
 
 
 def featurize(candidates, *, batch_size: int = 4096,

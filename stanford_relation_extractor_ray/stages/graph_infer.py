@@ -285,10 +285,10 @@ def transitive_infer(fills, rules=DEFAULT_RULES,
                      damping: float = RULE_DAMPING):
     """fills → inferred length-2-path edges (NOT unioned with input;
     callers union + combine as desired). The output itself is
-    duplicate-free: the in-partition ``seen`` set only dedups triples
-    inferred via bridges in ONE partition, so the result is routed
-    through the per-triple max combine to collapse the same triple
-    inferred via bridge entities hashed to different partitions."""
+    duplicate-free: every inference of a triple, through any bridge in
+    any partition, reaches the per-triple max combine, which keeps the
+    best score — so the result does not depend on how bridges hash to
+    partitions."""
     left_preds = {p for p, _q, _h in rules}
     right_preds = {q for _p, q, _h in rules}
 
@@ -326,7 +326,6 @@ def transitive_infer(fills, rules=DEFAULT_RULES,
         for i, (s, b) in enumerate(zip(sides, bridges)):
             (lefts if s == "L" else rights).setdefault(b, []).append(i)
         out = {n: [] for n in names}
-        seen = set()
         for b in sorted(set(lefts) & set(rights)):
             for li in lefts[b]:
                 for ri in rights[b]:
@@ -337,10 +336,6 @@ def transitive_infer(fills, rules=DEFAULT_RULES,
                         subj, obj = cols["subj"][li], cols["obj"][ri]
                         if subj == obj:
                             continue
-                        key = (subj, head, obj)
-                        if key in seen:
-                            continue
-                        seen.add(key)
                         out["subj"].append(subj)
                         out["subj_type"].append(cols["subj_type"][li])
                         out["pred"].append(head)

@@ -80,3 +80,51 @@ def sentences_loop(batch: pa.Table) -> pa.Table:
     return pa.table({"doc_id": pa.array(out_d, pa.string()),
                      "sent_idx": pa.array(out_s, pa.int32()),
                      "text": pa.array(out_t, pa.string())})
+
+
+def lr_logits_loop(model, feat_lists: list[list[str]]):
+    """``LRModel.logits`` row by row: hash each row's strings, then
+    ``b + W[idx].sum(axis=0)``."""
+    import numpy as np
+
+    from stanford_relation_extractor_ray.stages.classify import \
+        hash_features
+    logits = np.tile(model.b, (len(feat_lists), 1))
+    for i, feats in enumerate(feat_lists):
+        logits[i] += model.W[hash_features(feats)].sum(axis=0)
+    return logits
+
+
+def featurize_loop(batch: pa.Table, features=None) -> pa.Table:
+    """``featurize_batch`` row by row: build each row's
+    ``Featurizable``, run every provider, append its ``ctx_features``."""
+    from stanford_relation_extractor_ray.schemas import FEATURIZED_SCHEMA
+    from stanford_relation_extractor_ray.stages import featurize as fz
+    providers = [fz.FEATURE_PROVIDERS[name]
+                 for name in (features or fz.ACTIVE_FEATURES)]
+    n = batch.num_rows
+    col = {c: batch.column(c).to_pylist() for c in (
+        "subj", "subj_type", "obj", "obj_type", "between", "subj_end",
+        "obj_end")}
+    ctx = batch.column("ctx_features").to_pylist() \
+        if "ctx_features" in batch.column_names else [[]] * n
+    feats = []
+    for i in range(n):
+        s1, o1, bw = col["subj_end"][i], col["obj_end"][i], \
+            col["between"][i]
+        row = fz.Featurizable(
+            subj=col["subj"][i], subj_type=col["subj_type"][i],
+            obj=col["obj"][i], obj_type=col["obj_type"][i], between=bw,
+            between_tokens=bw.split(" ") if bw else [],
+            subj_head=s1 - 1, obj_head=o1 - 1,
+            distance=abs((s1 - 1) - (o1 - 1)), clusters=fz._clusters())
+        f = []
+        for p in providers:
+            f.extend(p(row))
+        f.extend(ctx[i])
+        feats.append(f)
+    names = [c for c in FEATURIZED_SCHEMA.names
+             if c in batch.column_names and c != "features"]
+    t = pa.Table.from_arrays([batch.column(c) for c in names], names=names)
+    return t.append_column("features",
+                           pa.array(feats, pa.list_(pa.string())))

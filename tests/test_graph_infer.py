@@ -93,6 +93,23 @@ def test_transitive_no_self_loop(ray_session):
     assert inf == []
 
 
+def test_transitive_best_bridge_wins_at_any_partition_count(
+        ray_session, monkeypatch):
+    """Two bridges infer the same triple; the best-scoring inference
+    must win whether or not the bridges share a partition."""
+    from stanford_relation_extractor_ray import runtime
+    rows = [("A Co", "ORGANIZATION", "org:parents", f"B{i} Co",
+             "ORGANIZATION", s) for i, s in ((0, 0.5), (1, 0.9))]
+    rows += [(f"B{i} Co", "ORGANIZATION", "org:parents", "C Co",
+              "ORGANIZATION", s) for i, s in ((0, 0.5), (1, 0.9))]
+    for n in (1, 16):
+        monkeypatch.setattr(runtime, "shuffle_parts", lambda n=n: n)
+        inf = graph_infer.transitive_infer(_fills_ds(rows)).take_all()
+        got = {(r["subj"], r["pred"], r["obj"]): r["score"] for r in inf}
+        assert got == {("A Co", "org:parents", "C Co"):
+                       pytest.approx(0.9 * 0.9 * graph_infer.RULE_DAMPING)}
+
+
 def test_intersect_fills(ray_session):
     a = _fills_ds([
         ("Alice Smith", "PERSON", "per:title", "curator", "TITLE", 0.9),

@@ -39,19 +39,23 @@ def test_membership_join_gate_equality(ray_session, monkeypatch):
         assert set(small["k"]) == want
 
 
-def test_revenue_by_nation_gate_equality(ray_session):
+def test_revenue_by_nation_gate_equality(ray_session, monkeypatch):
+    from stanford_relation_extractor_ray.pipelines import relational
     from stanford_relation_extractor_ray.pipelines.relational import \
         revenue_by_nation
 
-    small = revenue_by_nation(SF, small_dim=10**9).to_pandas()
-    large = revenue_by_nation(SF, small_dim=0).to_pandas()
+    monkeypatch.setattr(relational, "SMALL_KEYS", 10**9)
+    small = revenue_by_nation(SF).to_pandas()
+    monkeypatch.setattr(relational, "SMALL_KEYS", 0)
+    large = revenue_by_nation(SF).to_pandas()
     small["revenue"] = small["revenue"].round(2)
     large["revenue"] = large["revenue"].round(2)
     pd.testing.assert_frame_equal(_sorted(small), _sorted(large))
     assert len(small) > 0
 
 
-def test_revenue_broadcast_tier_empty_customer(ray_session, tmp_path):
+def test_revenue_broadcast_tier_empty_customer(ray_session, tmp_path,
+                                               monkeypatch):
     """Empty customer table through the broadcast tier: inner-join
     semantics (zero rows), not an IndexError on the empty lookup."""
     import shutil
@@ -59,6 +63,7 @@ def test_revenue_broadcast_tier_empty_customer(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from stanford_relation_extractor_ray.pipelines import relational
     from stanford_relation_extractor_ray.pipelines.relational import \
         revenue_by_nation
 
@@ -70,4 +75,5 @@ def test_revenue_broadcast_tier_empty_customer(ray_session, tmp_path):
         "c_custkey": pa.array([], pa.int64()),
         "c_nationkey": pa.array([], pa.int64())}),
         d / "customer.parquet")
-    assert revenue_by_nation(str(d), small_dim=10**9).count() == 0
+    monkeypatch.setattr(relational, "SMALL_KEYS", 10**9)
+    assert revenue_by_nation(str(d)).count() == 0
