@@ -39,6 +39,20 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+def within_one_edit(a: str, b: str) -> bool:
+    """``levenshtein(a, b) <= 1`` in one O(n) scan: past the common
+    prefix, the rest must differ by one substitution, insertion or
+    deletion."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) - len(b) > 1:
+        return False
+    i = 0
+    while i < len(b) and a[i] == b[i]:
+        i += 1
+    return a[i + 1:] == b[i + (len(a) == len(b)):]
+
+
 def normalize_tokens(name: str) -> list[str]:
     """Lowercase tokens with determiners / corporate suffixes stripped."""
     toks = [t for t in name.lower().split() if t]
@@ -76,8 +90,7 @@ def approx_match_score(a: str, b: str,
     def tok_eq(x: str, y: str) -> bool:
         if x == y or nick.get(x) == y or nick.get(y) == x:
             return True
-        return (len(x) >= 5 and len(y) >= 5 and abs(len(x) - len(y)) <= 1
-                and levenshtein(x, y) <= 1)
+        return len(x) >= 5 and len(y) >= 5 and within_one_edit(x, y)
 
     used = [False] * len(tb)
     matched = 0

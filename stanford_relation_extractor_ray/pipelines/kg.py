@@ -18,7 +18,11 @@ Two entry styles:
 - ``run_kg(...)`` — the resumable job: shards the doc-id range, runs and
   checkpoints each shard's fills to Parquet with a per-partition lineage
   manifest (state/manifest.py), then runs the global stages over the
-  union of shard outputs. Rerunning after a kill skips completed shards.
+  union of shard outputs (read on the driver when small) and
+  checkpoints their answer — consistent fills, nodes, edges — as one
+  more manifest stage, the graph boundary. Rerunning after a kill skips
+  completed shards; a rerun that recomputes no shard reads the
+  boundary back instead of re-running finalize and the graph build.
 
 The per-row span-sequence invariant: the pipeline never mutates the
 ``documents`` dataset — media spans and span order flow to any document
@@ -33,15 +37,18 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..corpus import documents_dataset
-from ..schemas import FILLS_SCHEMA
+from ..schemas import EDGES_SCHEMA, FILLS_SCHEMA, NODES_SCHEMA
 from ..state.manifest import Manifest, digest
 from ..stages import consistency, link, mentions, nlp
+from ..stages.classify import PARTIAL_SCHEMA
 
-# folded into every shard checkpoint digest (with the fills schema):
-# bump on any change to what extraction writes for the same inputs, so
-# checkpoints written by older code recompute instead of being reused
+# folded into every shard and graph-boundary checkpoint digest (with
+# the fills schema): bump on any change to what extraction, finalize or
+# the graph build write for the same inputs, so checkpoints written by
+# older code recompute instead of being reused
 PIPELINE_VERSION = 1
 
 
@@ -295,23 +302,93 @@ def _model_fingerprint(model_ref) -> str:
     return h.hexdigest()[:16]
 
 
+def _graph_on_driver(n_consistent: int) -> bool:
+    """``build_graph``'s tier for ``n_consistent`` consistent fills, and
+    so the type of the nodes a resume reads back: every fill
+    contributes ≤2 surfaces, so ``2·count ≤ SMALL_SURFACES`` bounds the
+    surface universe below the gate without computing it."""
+    from ..stages.canonicalize import SMALL_SURFACES
+    return 2 * n_consistent <= SMALL_SURFACES
+
+
 def build_graph(consistent_fills):
     """→ (nodes, edges). Two size tiers that run the same
     canonicalization kernels (stages/canonicalize.py): a ZERO-execution
-    driver tier when the consistent fills themselves are tiny (every
-    fill contributes ≤2 surfaces, so ``2·count ≤ SMALL_SURFACES``
-    bounds the surface universe below the gate without computing it),
-    where nodes is an Arrow table; and the Dataset tier above it —
-    blocking, components, root join, representative pick,
-    co-partition canonical rewrite — where nodes is a Dataset too
-    (nothing entity-universe-bounded on the driver).
+    driver tier when the consistent fills themselves are tiny
+    (``_graph_on_driver``), where nodes is an Arrow table; and the
+    Dataset tier above it — blocking, components, root join,
+    representative pick, co-partition canonical rewrite — where nodes
+    is a Dataset too (nothing entity-universe-bounded on the driver).
     """
-    from ..stages.canonicalize import (SMALL_SURFACES, driver_graph,
-                                       materialize_graph_ds)
+    from ..stages.canonicalize import driver_graph, materialize_graph_ds
     consistent_fills = consistent_fills.materialize()
-    if 2 * consistent_fills.count() <= SMALL_SURFACES:
+    if _graph_on_driver(consistent_fills.count()):
         return driver_graph(consistent_fills)
     return materialize_graph_ds(consistent_fills)
+
+
+def _driver_table(files: dict[str, int], schema: pa.Schema) -> pa.Table:
+    """Committed part files read with pyarrow on the driver, in order;
+    ``schema``'s empty table when there are none."""
+    tables = [pq.ParquetFile(f).read().replace_schema_metadata(None)
+              for f in files]
+    return pa.concat_tables(tables) if tables else schema.empty_table()
+
+
+def _read_parts(files: dict[str, int], schema: pa.Schema):
+    """Committed part files → Dataset with every column they hold: while
+    their committed rows fit ``SMALL_FILLS``, read on the driver and
+    wrapped by ``rd.from_arrow`` (materialized, so neither this nor a
+    consumer's read of its blocks starts a Ray Data execution); above
+    it a ``read_parquet`` one."""
+    import ray.data as rd
+
+    from ..storage import read_parquet_clean
+    if sum(files.values()) > SMALL_FILLS:
+        return read_parquet_clean(list(files))
+    return rd.from_arrow(_driver_table(files, schema)).materialize()
+
+
+def _commit_graph(graph: Manifest, graph_digest: str, consistent, nodes,
+                  edges):
+    """Write the graph boundary — ``fills/``, ``nodes/`` and ``edges/``
+    under one partition — and commit it → (nodes, edges). The driver
+    tier writes its tables with pyarrow; the Dataset tier materializes
+    nodes and edges once, so writing them does not make the caller's
+    read of them run the graph build again."""
+    from ..runtime import collect_table
+    if isinstance(nodes, pa.Table):
+        tables = {"fills": collect_table(consistent, FILLS_SCHEMA),
+                  "nodes": nodes,
+                  "edges": collect_table(edges, EDGES_SCHEMA)}
+    else:
+        nodes, edges = nodes.materialize(), edges.materialize()
+        tables = {"fills": consistent, "nodes": nodes, "edges": edges}
+    tmp = graph.begin("0000")
+    for name, t in tables.items():
+        path = os.path.join(tmp, name)
+        if isinstance(t, pa.Table):
+            os.makedirs(path)
+            pq.write_table(t, os.path.join(path, "0.parquet"))
+        else:
+            t.write_parquet(path)
+    graph.commit("0000", graph_digest)
+    return nodes, edges
+
+
+def _read_graph(files: dict[str, int]):
+    """The committed graph boundary → (consistent fills, nodes, edges)
+    with ``build_graph``'s types: nodes an Arrow table in its driver
+    tier, a Dataset above it."""
+    by = {"fills": {}, "nodes": {}, "edges": {}}
+    for path, rows in files.items():
+        by[os.path.basename(os.path.dirname(path))][path] = rows
+    if _graph_on_driver(sum(by["fills"].values())):
+        nodes = _driver_table(by["nodes"], NODES_SCHEMA)
+    else:
+        nodes = _read_parts(by["nodes"], NODES_SCHEMA)
+    return (_read_parts(by["fills"], FILLS_SCHEMA), nodes,
+            _read_parts(by["edges"], EDGES_SCHEMA))
 
 
 def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
@@ -319,23 +396,43 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
            out_dir: str | None = None):
     """The full resumable job. Returns dict with fills/nodes/edges.
 
-    With ``checkpoint_dir``, each doc-id shard's fills are materialized
-    to ``<dir>/fills/part=<k>/`` guarded by a lineage manifest; a rerun
-    recomputes only missing or stale shards.
+    With ``checkpoint_dir``, each doc-id shard's partial fills are
+    materialized to ``<dir>/fills/part=<k>/`` guarded by a lineage
+    manifest; a rerun recomputes only missing, stale or truncated
+    shards, and reads the shard files on the driver while their
+    committed rows fit ``SMALL_FILLS``. The answer — consistent fills,
+    nodes, edges — is then committed as the graph boundary
+    ``<dir>/graph/part=0000/``, keyed by the ordered shard digests,
+    ``seed``, ``PIPELINE_VERSION``, the fills schema and
+    ``finalize_fills``' settings. A call that recomputed no shard and
+    finds the boundary intact reads it back instead of re-running
+    finalize and the graph build (no Ray Data execution below the
+    gates).
     """
-    import ray
     import ray.data as rd
 
     aliases_ref = link.build_alias_ref(seed)
 
+    def global_stages(fills):
+        consistent = finalize_fills(fills, seed=seed,
+                                    aliases_ref=aliases_ref)
+        # consistency/canonicalization consume the fills twice →
+        # materialize the (small) consistent-fills table once, not the
+        # whole corpus.
+        consistent = consistent.materialize()
+        return (consistent, *build_graph(consistent))
+
     if checkpoint_dir is None:
         docs = documents_dataset(n_docs, seed)
-        fills = extract_fills(docs, seed=seed, aliases_ref=aliases_ref,
-                              model_ref=model_ref)
+        consistent, nodes, edges = global_stages(extract_fills(
+            docs, seed=seed, aliases_ref=aliases_ref,
+            model_ref=model_ref))
     else:
+        from ..corpus import _docs_batch
         man = Manifest(checkpoint_dir, "fills")
         per = (n_docs + n_shards - 1) // n_shards
         model_fp = _model_fingerprint(model_ref)
+        shards, recomputed = [], False
         for k in range(n_shards):
             lo, hi = k * per, min((k + 1) * per, n_docs)
             if lo >= hi:
@@ -343,34 +440,37 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
             d = digest("fills", seed, lo, hi, PIPELINE_VERSION,
                        str(FILLS_SCHEMA), model_fp)
             part = f"{k:04d}"
+            shards.append((part, d))
             if man.is_done(part, d):
                 continue
+            recomputed = True
             tmp = man.begin(part)
             docs = rd.range(hi - lo).map_batches(
                 lambda b, lo=lo: {"id": b["id"] + lo},
                 batch_format="numpy")
-            from ..corpus import _docs_batch
             docs = docs.map_batches(
                 lambda b: _docs_batch(b, seed), batch_format="numpy",
                 batch_size=2048)
-            shard_fills = extract_fills(
-                docs, seed=seed, aliases_ref=aliases_ref,
-                model_ref=model_ref)
-            shard_fills.write_parquet(tmp)
-            import pyarrow.dataset as pads
-            rows = pads.dataset(tmp).count_rows()
-            man.commit(part, d, rows)
-        from ..storage import read_parquet_clean
-        fills = read_parquet_clean(man.completed_files())
-
-    consistent = finalize_fills(fills, seed=seed, aliases_ref=aliases_ref)
-    # consistency/canonicalization consume the fills twice → materialize
-    # the (small) consistent-fills table once, not the whole corpus.
-    consistent = consistent.materialize()
-    nodes, edges = build_graph(consistent)
+            extract_fills(docs, seed=seed, aliases_ref=aliases_ref,
+                          model_ref=model_ref).write_parquet(tmp)
+            man.commit(part, d)
+        graph = Manifest(checkpoint_dir, "graph")
+        # run_kg finalizes with finalize_fills' keyword defaults
+        graph_digest = digest("graph", shards, seed, PIPELINE_VERSION,
+                              str(FILLS_SCHEMA),
+                              sorted(finalize_fills.__kwdefaults__
+                                     .items()))
+        if not recomputed and graph.is_done("0000", graph_digest):
+            consistent, nodes, edges = _read_graph(graph.committed("0000"))
+        else:
+            files = {}
+            for part, _ in shards:
+                files.update(man.committed(part))
+            consistent, nodes, edges = global_stages(
+                _read_parts(files, PARTIAL_SCHEMA))
+            nodes, edges = _commit_graph(graph, graph_digest, consistent,
+                                         nodes, edges)
     if out_dir is not None:
-        import ray.data as rd
-
         from ..storage import write_table
         os.makedirs(out_dir, exist_ok=True)
         write_table(edges, os.path.join(out_dir, "edges"))

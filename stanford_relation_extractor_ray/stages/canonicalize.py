@@ -460,7 +460,8 @@ def _to_edges(batch: pa.Table) -> pa.Table:
 def driver_graph(fills):
     """Driver tier with ZERO Ray executions: the (materialized,
     entity-universe-bounded) fills are collected into one Arrow table
-    and every kernel runs once → (nodes pa.Table, edges Dataset). One
+    and every kernel runs once → (nodes pa.Table, edges materialized
+    Dataset, whose blocks read back with no execution either). One
     global ``merge_fills_table`` equals ``combine_fills``'s two-level
     merge (noisy-or is associative). A shuffle per step here was pure
     task overhead on a ~5k-row table and measured ANTI-scaling
@@ -470,7 +471,8 @@ def driver_graph(fills):
     cmap = canonical_map(surface_weights(tbl))
     merged = merge_fills_table(canonical_rewrite(tbl, cmap)) \
         .select(FILLS_SCHEMA.names).combine_chunks()
-    return make_nodes(cmap), rd.from_arrow(_to_edges(merged))
+    return make_nodes(cmap), \
+        rd.from_arrow(_to_edges(merged)).materialize()
 
 
 def apply_canonical_join(fills, cmap_ds):

@@ -4,10 +4,15 @@ Replaces the reference's Postgres key→blob caches
 (``kbp/common/PostgresUtils.java``, redo flags ``cache.*.redo``) with the
 batch-native pattern: each materialized stage writes one directory per
 input partition, atomically (write to ``<dir>.tmp`` then rename), plus a
-manifest row recording (stage, partition, input digest, row count). A
-rerun skips partitions whose manifest row matches the current input
-digest — kill the job at any point and restart it with the same
-arguments to resume.
+manifest row recording (stage, partition, input digest, and the
+Parquet row count of every part file under the directory; a
+partition's row count is their sum). A rerun skips partitions whose
+manifest row matches the current input digest and whose part files
+still carry their committed row counts (one footer read per file, so
+a truncated or unreadable file reruns its partition) — kill the job
+at any point and restart it with the same arguments to resume. ``pipelines/kg.run_kg`` keeps two stages: the
+per-shard partial fills (``fills``) and the graph boundary (``graph``:
+consistent fills, nodes and edges of one call).
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ import json
 import os
 import shutil
 
+import pyarrow as pa
+import pyarrow.parquet as pq
+
 
 def digest(*parts) -> str:
     h = hashlib.sha256()
@@ -24,6 +32,10 @@ def digest(*parts) -> str:
         h.update(repr(p).encode())
         h.update(b"\x00")
     return h.hexdigest()[:16]
+
+
+def _footer_rows(path: str) -> int:
+    return pq.read_metadata(path).num_rows
 
 
 class Manifest:
@@ -40,9 +52,27 @@ class Manifest:
         return os.path.join(self.dir, f"part={partition}")
 
     def is_done(self, partition: str, input_digest: str) -> bool:
+        """Committed under ``input_digest``, and every committed part
+        file's Parquet footer still gives its committed row count. A
+        row without per-file counts (written by older code) is not
+        done."""
         row = self._rows.get(partition)
-        return (row is not None and row.get("digest") == input_digest
-                and os.path.isdir(self.partition_dir(partition)))
+        if (row is None or row.get("digest") != input_digest
+                or "files" not in row
+                or not os.path.isdir(self.partition_dir(partition))):
+            return False
+        try:
+            return all(_footer_rows(path) == rows for path, rows
+                       in self.committed(partition).items())
+        except (OSError, pa.ArrowException):
+            return False
+
+    def committed(self, partition: str) -> dict[str, int]:
+        """{part file path: committed row count} of ``partition``, in
+        path order; empty when nothing is committed."""
+        base = self.partition_dir(partition)
+        files = self._rows.get(partition, {}).get("files", {})
+        return {os.path.join(base, f): files[f] for f in sorted(files)}
 
     def begin(self, partition: str) -> str:
         """→ temp dir to write into; commit() renames it into place."""
@@ -52,15 +82,21 @@ class Manifest:
         os.makedirs(tmp)
         return tmp
 
-    def commit(self, partition: str, input_digest: str,
-               row_count: int) -> None:
+    def commit(self, partition: str, input_digest: str) -> None:
+        """Rename the temp dir into place, recording the row count of
+        every ``.parquet`` file under it (footer reads)."""
         tmp = self.partition_dir(partition) + ".tmp"
         final = self.partition_dir(partition)
+        files = {}
+        for d, _, names in os.walk(tmp):
+            for f in names:
+                if f.endswith(".parquet"):
+                    path = os.path.join(d, f)
+                    files[os.path.relpath(path, tmp)] = _footer_rows(path)
         if os.path.isdir(final):
             shutil.rmtree(final)
         os.rename(tmp, final)
-        self._rows[partition] = {"digest": input_digest,
-                                 "rows": row_count}
+        self._rows[partition] = {"digest": input_digest, "files": files}
         with open(self.path + ".tmp", "w") as f:
             json.dump(self._rows, f, indent=1, sort_keys=True)
         os.replace(self.path + ".tmp", self.path)

@@ -36,7 +36,10 @@ def read_parquet_clean(path, *, columns=None):
     unify path. One metadata read per file + an explicit clean
     ``schema=`` keeps blocks hashable end-to-end. The schema is unified
     over EVERY listed file (a column only a later file has is kept,
-    null-filled elsewhere); conflicting column types raise."""
+    null-filled elsewhere); conflicting column types raise. Listed
+    files come back with their own columns only: Ray would add a hive
+    partition column for every ``key=value`` directory on their path
+    (a checkpoint's ``part=0000/``) even with ``schema=``."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -46,8 +49,12 @@ def read_parquet_clean(path, *, columns=None):
     except Exception:            # directory input etc.: let Ray infer
         return rd.read_parquet(path, columns=columns)
     schema = pa.unify_schemas(schemas)
-    if columns is not None:
-        schema = pa.schema([schema.field(c) for c in columns])
+    if columns is None:
+        # not columns=: Ray's projection then fails on a file that
+        # lacks one of the unified columns
+        return rd.read_parquet(path, schema=schema) \
+            .select_columns(schema.names)
+    schema = pa.schema([schema.field(c) for c in columns])
     return rd.read_parquet(path, columns=columns, schema=schema)
 
 

@@ -72,54 +72,209 @@ def test_graph_build(ray_session, consistent_fills):
     assert any(alias_lists)
 
 
-def test_checkpoint_resume(ray_session, tmp_path):
+def _commit_spy(monkeypatch) -> list:
+    """Record ``(stage, partition)`` of every ``Manifest.commit``."""
+    import os
+
+    from stanford_relation_extractor_ray.state.manifest import Manifest
+
+    committed = []
+    commit = Manifest.commit
+
+    def spy(self, partition, input_digest):
+        committed.append((os.path.basename(self.dir), partition))
+        commit(self, partition, input_digest)
+
+    monkeypatch.setattr(Manifest, "commit", spy)
+    return committed
+
+
+_TRIPLE_COLS = ["subj", "subj_type", "pred", "obj", "obj_type", "doc_id",
+                "sent_idx"]
+
+
+def _kg_triples(ckpt: str) -> str:
+    from stanford_relation_extractor_ray.pipelines import kg
+    out = kg.run_kg(80, checkpoint_dir=ckpt, n_shards=2)
+    return out["fills"].to_pandas()[_TRIPLE_COLS] \
+        .sort_values(_TRIPLE_COLS).to_csv(index=False)
+
+
+def test_checkpoint_resume(ray_session, tmp_path, monkeypatch):
     from stanford_relation_extractor_ray.pipelines.kg import run_kg
     ckpt = str(tmp_path / "ckpt")
     out1 = run_kg(80, checkpoint_dir=ckpt, n_shards=2)
     t1 = {(r["subj"], r["pred"], r["obj"])
           for r in out1["fills"].take_all()}
-    # kill one partition → rerun recomputes only it, same result
+    # kill one partition → rerun recomputes only it and rewrites the
+    # graph boundary, same result
     shutil.rmtree(tmp_path / "ckpt" / "fills" / "part=0001")
+    committed = _commit_spy(monkeypatch)
     out2 = run_kg(80, checkpoint_dir=ckpt, n_shards=2)
     t2 = {(r["subj"], r["pred"], r["obj"])
           for r in out2["fills"].take_all()}
     assert t1 == t2
+    assert committed == [("fills", "0001"), ("graph", "0000")]
+
+
+def test_resume_reads_the_graph_boundary(ray_session, tmp_path,
+                                         monkeypatch):
+    """A resume of a complete driver-tier checkpoint reads the graph
+    boundary back: zero Ray Data executions, no commit, and fills,
+    nodes and edges equal to the first call's."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from stanford_relation_extractor_ray.pipelines.kg import run_kg
+    from stanford_relation_extractor_ray.runtime import collect_table
+    from stanford_relation_extractor_ray.schemas import (EDGES_SCHEMA,
+                                                         FILLS_SCHEMA)
+
+    def tables(out):
+        return (collect_table(out["fills"], FILLS_SCHEMA), out["nodes"],
+                collect_table(out["edges"], EDGES_SCHEMA))
+
+    ckpt = str(tmp_path / "ckpt")
+    first = tables(run_kg(80, checkpoint_dir=ckpt, n_shards=2))
+    committed = _commit_spy(monkeypatch)
+    started = []
+    create = ExecutionPlan.create_executor
+
+    def spy(self, *args, **kwargs):
+        started.append(self)
+        return create(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", spy)
+    resumed = tables(run_kg(80, checkpoint_dir=ckpt, n_shards=2))
+    assert started == [] and committed == []
+    assert all(a.equals(b) for a, b in zip(first, resumed))
+    assert first[0].num_rows > 10 and first[1].num_rows > 5
+
+
+def test_graph_boundary_dataset_tier_round_trips(ray_session, tmp_path,
+                                                 monkeypatch):
+    """Above the gates the boundary is written and read by Ray Data: the
+    resume returns Datasets (nodes too) with the first call's rows."""
+    import pyarrow as pa
+
+    import stanford_relation_extractor_ray.pipelines.kg as kg
+    from stanford_relation_extractor_ray.stages import canonicalize
+
+    monkeypatch.setattr(kg, "SMALL_FILLS", 0)
+    monkeypatch.setattr(canonicalize, "SMALL_SURFACES", 0)
+    ckpt = str(tmp_path / "ckpt")
+
+    def rows(out):
+        return {k: sorted(map(repr, out[k].take_all()))
+                for k in ("fills", "nodes", "edges")}
+
+    first = rows(kg.run_kg(80, checkpoint_dir=ckpt, n_shards=2))
+    committed = _commit_spy(monkeypatch)
+    resumed = kg.run_kg(80, checkpoint_dir=ckpt, n_shards=2)
+    assert committed == [] and not isinstance(resumed["nodes"], pa.Table)
+    assert rows(resumed) == first and len(first["edges"]) > 10
+
+
+def test_dataset_tier_checkpoint_keeps_provenance(ray_session, tmp_path,
+                                                  monkeypatch):
+    """Above the gates the shard files go through a Ray Data read that
+    keeps every column they hold (``prov_score`` picks each merged
+    fill's provenance): a checkpointed call and its resume give the
+    fills of a call without a checkpoint, scores and provenance
+    included."""
+    import stanford_relation_extractor_ray.pipelines.kg as kg
+    from stanford_relation_extractor_ray.runtime import collect_table
+    from stanford_relation_extractor_ray.schemas import FILLS_SCHEMA
+    from stanford_relation_extractor_ray.stages import canonicalize
+
+    monkeypatch.setattr(kg, "SMALL_FILLS", 0)
+    monkeypatch.setattr(canonicalize, "SMALL_SURFACES", 0)
+
+    def fills(**kw):
+        ds = kg.run_kg(80, n_shards=2, **kw)["fills"].materialize()
+        return collect_table(ds, FILLS_SCHEMA).sort_by(
+            [(c, "ascending") for c in _TRIPLE_COLS])
+
+    plain = fills()
+    ckpt = str(tmp_path / "ckpt")
+    assert plain.num_rows > 10
+    assert fills(checkpoint_dir=ckpt).equals(plain)
+    assert fills(checkpoint_dir=ckpt).equals(plain)
+
+
+def test_resharded_checkpoint_reads_only_its_shards(ray_session,
+                                                    tmp_path):
+    """Shards committed under another ``n_shards`` stay in the manifest
+    but are not read: after a 4-shard run, a 2-shard rerun over the
+    same checkpoint gives the fresh 2-shard run's fills, scores
+    included."""
+    from stanford_relation_extractor_ray.pipelines.kg import run_kg
+
+    def fills(ckpt, n_shards):
+        df = run_kg(80, checkpoint_dir=str(ckpt), n_shards=n_shards)[
+            "fills"].to_pandas()[_TRIPLE_COLS + ["score"]]
+        return df.sort_values(_TRIPLE_COLS).to_csv(index=False)
+
+    run_kg(80, checkpoint_dir=str(tmp_path / "ckpt"), n_shards=4)
+    assert fills(tmp_path / "ckpt", 2) == fills(tmp_path / "fresh", 2)
+
+
+def test_truncated_part_files_recompute(ray_session, tmp_path,
+                                        monkeypatch):
+    """A truncated part file fails its Parquet footer check: the rerun
+    recomputes exactly the partition it belongs to — one shard and
+    then the graph boundary, or the boundary alone — and the
+    kg_triples stay byte-identical."""
+    import glob
+    import os
+
+    ckpt = str(tmp_path / "ckpt")
+    first = _kg_triples(ckpt)
+    committed = _commit_spy(monkeypatch)
+
+    def truncate(stage: str, partition: str) -> None:
+        path = sorted(glob.glob(os.path.join(
+            ckpt, stage, f"part={partition}", "**", "*.parquet"),
+            recursive=True))[0]
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) // 2)
+
+    truncate("fills", "0001")
+    assert _kg_triples(ckpt) == first
+    assert committed == [("fills", "0001"), ("graph", "0000")]
+    committed.clear()
+    truncate("graph", "0000")
+    assert _kg_triples(ckpt) == first
+    assert committed == [("graph", "0000")]
 
 
 def test_pipeline_version_bump_recomputes_every_shard(ray_session,
                                                      tmp_path,
                                                      monkeypatch):
     """A checkpoint written by older code is never reused silently:
-    bumping ``PIPELINE_VERSION`` recomputes every shard (an unchanged
-    rerun recomputes none), and the rerun's kg_triples are
-    byte-identical."""
+    bumping ``PIPELINE_VERSION`` recomputes every shard and the graph
+    boundary once (an unchanged rerun recomputes none), and the rerun's
+    kg_triples are byte-identical."""
     import stanford_relation_extractor_ray.pipelines.kg as kg
-    from stanford_relation_extractor_ray.state.manifest import Manifest
 
-    committed = []
-    commit = Manifest.commit
-
-    def spy(self, partition, input_digest, row_count):
-        committed.append(partition)
-        commit(self, partition, input_digest, row_count)
-
-    monkeypatch.setattr(Manifest, "commit", spy)
-    cols = ["subj", "subj_type", "pred", "obj", "obj_type", "doc_id",
-            "sent_idx"]
+    log = _commit_spy(monkeypatch)
+    ckpt = str(tmp_path / "ckpt")
 
     def kg_triples() -> str:
-        committed.clear()
-        out = kg.run_kg(80, checkpoint_dir=str(tmp_path / "ckpt"),
-                        n_shards=2)
-        return out["fills"].to_pandas()[cols].sort_values(cols) \
-            .to_csv(index=False)
+        log.clear()
+        return _kg_triples(ckpt)
+
+    def committed(stage: str) -> list:
+        return [p for s, p in log if s == stage]
 
     first = kg_triples()
-    assert committed == ["0000", "0001"] and first.count("\n") > 10
-    assert kg_triples() == first and committed == []
+    assert committed("fills") == ["0000", "0001"] \
+        and first.count("\n") > 10
+    assert kg_triples() == first and committed("fills") == []
+    assert committed("graph") == []
     monkeypatch.setattr(kg, "PIPELINE_VERSION", kg.PIPELINE_VERSION + 1)
     assert kg_triples() == first
-    assert committed == ["0000", "0001"]
+    assert committed("fills") == ["0000", "0001"]
+    assert committed("graph") == ["0000"]
 
 
 def test_fast_path_equals_bag_path(ray_session):

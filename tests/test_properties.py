@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stanford_relation_extractor_ray.functions.text import (
-    levenshtein, timex_normalize)
+    levenshtein, timex_normalize, within_one_edit)
 from stanford_relation_extractor_ray.stages.dedup import (
     _perm_params, minhash_signature, shingles, simhash64)
 from stanford_relation_extractor_ray.stages.sketches import (
@@ -112,6 +112,21 @@ def test_levenshtein_is_a_metric(a, b, c):
     assert levenshtein(a, b) == levenshtein(b, a)
     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
     assert levenshtein(a, b) >= abs(len(a) - len(b))
+
+
+_SHORT_UNI = st.text(alphabet="abé字", min_size=0, max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SHORT_UNI, _SHORT_UNI)
+def test_within_one_edit_equals_bounded_levenshtein(a, b):
+    """The O(n) scan answers exactly ``levenshtein(a, b) <= 1``, on
+    random pairs and on one-edit neighbours of ``a``."""
+    assert within_one_edit(a, b) == (levenshtein(a, b) <= 1)
+    i = len(b) % (len(a) + 1)
+    for near in (a[:i] + a[i + 1:], a[:i] + "字" + a[i:],
+                 a[:i] + "é" + a[i + 1:]):
+        assert within_one_edit(a, near) == (levenshtein(a, near) <= 1)
 
 
 # ---- timex -----------------------------------------------------------

@@ -138,3 +138,16 @@ def test_read_parquet_clean_unifies_every_file_schema(ray_session,
         sorted([(1, None), (2, None), (3, "x")])
     with pytest.raises(pa.ArrowTypeError):
         read_parquet_clean([f1, f3])
+
+
+def test_read_parquet_clean_adds_no_hive_column(ray_session, tmp_path):
+    """A file under a ``key=value`` directory comes back with its own
+    columns, not with a ``key`` column derived from the path."""
+    import pyarrow.parquet as pq
+
+    from stanford_relation_extractor_ray.storage import read_parquet_clean
+    (tmp_path / "part=0000").mkdir()
+    f = str(tmp_path / "part=0000" / "0.parquet")
+    pq.write_table(pa.table({"a": [1], "prov_score": [0.5]}), f)
+    assert read_parquet_clean([f]).take_all() == \
+        [{"a": 1, "prov_score": 0.5}]
