@@ -360,35 +360,6 @@ def documents_dataset(n_docs: int, seed: int = 42, *,
                           batch_format="numpy", batch_size=512)
 
 
-def _gold_batch(batch: dict, seed: int) -> pa.Table:
-    world = get_world(seed)
-    rows: list[dict] = []
-    ids = batch["id"]
-    for did in ids.tolist() if isinstance(ids, np.ndarray) else list(ids):
-        _, gold = doc_plan(int(did), world)
-        rows.extend(gold)
-    if not rows:
-        rows = []
-    return pa.Table.from_pylist(rows, schema=GOLD_SCHEMA)
-
-
-GOLD_SCHEMA = pa.schema([
-    ("subj", pa.string()), ("subj_type", pa.string()),
-    ("pred", pa.string()), ("obj", pa.string()),
-    ("obj_type", pa.string()), ("doc_id", pa.string()),
-    ("sent_idx", pa.int32()),
-    ("subj_span", pa.list_(pa.int32())),
-    ("obj_span", pa.list_(pa.int32())),
-])
-
-
-def gold_dataset(n_docs: int, seed: int = 42):
-    import ray.data as rd
-    ds = rd.range(n_docs)
-    return ds.map_batches(lambda b: _gold_batch(b, seed),
-                          batch_format="numpy", batch_size=2048)
-
-
 def gold_triple_set(n_docs: int, seed: int = 42, *,
                     timex_dates: bool = False) -> set:
     """Distinct gold (subj, pred, obj) triples, driver-side (small).

@@ -386,11 +386,8 @@ def build_training_bags(n_docs: int = 1500, seed: int = 42) -> list[dict]:
     training-bag table is small by design — caps mirror the
     reference's per-entity sentence limits)."""
     from ..world import get_world
-    from .train import TRAIN_DOC_OFFSET
-    import ray.data as rd
-    from ..corpus import _docs_batch
+    from .train import training_candidates
     from ..stages import bags as bags_mod
-    from ..stages import featurize, link, mentions, nlp
 
     world = get_world(seed)
     kb: dict[tuple, list] = {}
@@ -400,15 +397,7 @@ def build_training_bags(n_docs: int = 1500, seed: int = 42) -> list[dict]:
         if RELATIONS[rel].cardinality == "SINGLE":
             by_entity_single.setdefault(name, {})[rel] = value
 
-    docs = (rd.range(n_docs)
-            .map_batches(lambda b: {"id": b["id"] + TRAIN_DOC_OFFSET},
-                         batch_format="numpy")
-            .map_batches(lambda b: _docs_batch(b, seed),
-                         batch_format="numpy", batch_size=2048))
-    sents = nlp.annotate(docs, seed=seed)
-    cands = link.link(mentions.pair(sents), seed=seed)
-    feats = featurize.featurize(cands)
-    bagged = bags_mod.assemble(feats)
+    bagged = bags_mod.assemble(training_candidates(n_docs, seed))
 
     out = []
     for row in bagged.take_all():

@@ -78,15 +78,12 @@ def _label_batch(batch: pa.Table, kb: dict) -> pa.Table:
         "label": pa.array(out_y, pa.string())})
 
 
-def training_examples(n_docs: int, seed: int = 42):
-    """Streaming labeled examples from the training doc range."""
+def training_candidates(n_docs: int, seed: int = 42):
+    """Featurized candidates of the training doc range, streaming:
+    documents → nlp → pair → link → featurize, the stage chain the
+    evaluator uses."""
     import ray.data as rd
     from ..corpus import _docs_batch
-
-    world = get_world(seed)
-    kb: dict[tuple, list] = {}
-    for name, _etype, rel, value, _vt in world.kb_triples():
-        kb.setdefault((name, value), []).append(rel)
 
     docs = (rd.range(n_docs)
             .map_batches(lambda b: {"id": b["id"] + TRAIN_DOC_OFFSET},
@@ -94,10 +91,18 @@ def training_examples(n_docs: int, seed: int = 42):
             .map_batches(lambda b: _docs_batch(b, seed),
                          batch_format="numpy", batch_size=2048))
     sents = nlp.annotate(docs, seed=seed)
-    cands = link.link(mentions.pair(sents), seed=seed)
-    feats = featurize.featurize(cands)
-    return feats.map_batches(lambda b: _label_batch(b, kb),
-                             batch_format="pyarrow")
+    return featurize.featurize(link.link(mentions.pair(sents), seed=seed))
+
+
+def training_examples(n_docs: int, seed: int = 42):
+    """Streaming labeled examples from the training doc range."""
+    world = get_world(seed)
+    kb: dict[tuple, list] = {}
+    for name, _etype, rel, value, _vt in world.kb_triples():
+        kb.setdefault((name, value), []).append(rel)
+
+    return training_candidates(n_docs, seed).map_batches(
+        lambda b: _label_batch(b, kb), batch_format="pyarrow")
 
 
 def feature_keep_set(examples) -> set[int]:
@@ -172,12 +177,6 @@ def train_lr(n_docs: int = 1500, seed: int = 42,
     return out
 
 
-def train_model_ref(n_docs: int = 1500, seed: int = 42):
-    """Train (or load cached) and broadcast the model."""
-    import ray
-    return ray.put(train_lr(n_docs, seed))
-
-
 def annotated_examples(n_docs: int, seed: int = 42):
     """Annotated-DATUM stream — the ``ModelType.SUPERVISED`` input
     path (``SupervisedExtractor`` consumes sentence-level annotated
@@ -188,9 +187,7 @@ def annotated_examples(n_docs: int, seed: int = 42):
     become subsampled negatives. At real scale the annotations arrive
     as a table and this broadcast index becomes a coarse-pid join
     (the ``attach_gloss`` shape)."""
-    import ray.data as rd
-
-    from ..corpus import _docs_batch, doc_plan
+    from ..corpus import doc_plan
 
     world = get_world(seed)
     gold: dict[tuple, str] = {}
@@ -221,15 +218,8 @@ def annotated_examples(n_docs: int, seed: int = 42):
             "features": pa.array(out_f, pa.list_(pa.string())),
             "label": pa.array(out_y, pa.string())})
 
-    docs = (rd.range(n_docs)
-            .map_batches(lambda b: {"id": b["id"] + TRAIN_DOC_OFFSET},
-                         batch_format="numpy")
-            .map_batches(lambda b: _docs_batch(b, seed),
-                         batch_format="numpy", batch_size=2048))
-    sents = nlp.annotate(docs, seed=seed)
-    cands = link.link(mentions.pair(sents), seed=seed)
-    feats = featurize.featurize(cands)
-    return feats.map_batches(label, batch_format="pyarrow")
+    return training_candidates(n_docs, seed).map_batches(
+        label, batch_format="pyarrow")
 
 
 def _sgd_lr(feats: list[list[int]], ys: np.ndarray, n_lab: int,

@@ -17,16 +17,17 @@ offers, and a worker that cannot import the package fails its task at
 once.
 
 The cache keys are what keep reuse exact:
-- annotator: ``(seed, with_ctx)`` — the pair memo stores candidate rows
-  per text, and ``with_ctx`` rows carry ``ctx_features`` where
-  pattern-only rows carry ``[]``;
+- annotator: ``seed`` — one warm annotator serves the pattern-only and
+  the trained path, because its pair memo keys ``with_ctx`` itself
+  (``mentions.pair_candidates_fused``);
 - linker: ``(aliases ref, seed)``, shared with the other linking stages;
 - scorer: the model ref.
 
-``FusedExtractor`` composes the SAME component classes the modular
-stages use (NLPAnnotator, EntityLinker, CandidateScorer,
-featurize_batch, pair_mentions) — behavior is identical by
-construction, and the equivalence is pinned by
+``FusedExtractor`` composes the SAME components the modular stages use
+(NLPAnnotator, EntityLinker, CandidateScorer, featurize_batch) and
+pairs through ``pair_candidates_fused``, which shares its kernel and
+emission with ``pair_mentions``; the candidates are pinned equal by
+tests/test_pairing_kernel.py and the scores by
 tests/test_pipeline_e2e.py.
 """
 
@@ -58,8 +59,7 @@ class FusedExtractor:
         """This worker process's chain, from the worker cache."""
         scorer = worker_cached("scorer", ref_key(model_ref),
                                lambda: CandidateScorer(model_ref))
-        nlp = worker_cached("annotator", (seed, scorer.lr is not None),
-                            lambda: NLPAnnotator(seed))
+        nlp = worker_cached("annotator", seed, lambda: NLPAnnotator(seed))
         return cls(nlp, _cached_linker(aliases_ref, seed), scorer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -5,7 +5,10 @@ RelationMention annotators (``kbp/slotfilling/process/
 EntityMentionAnnotator.java:49-132``, ``SlotMentionAnnotator.java:83-272``,
 ``RelationMentionAnnotator.java:95-296`` ALL_PAIRS mode): a stateless
 ``map_batches`` that emits one output row per (entity mention, slot
-mention) pair — a vectorized flat_map.
+mention) pair — a vectorized flat_map. ``pair_sentence`` is the one
+per-sentence kernel and ``_pair_batch`` its one Arrow emission; the
+sentences-table path (``pair_mentions``) and the fused documents path
+(``pair_candidates_fused``) differ only in where sentences come from.
 
 Semantics preserved:
 - entity mentions are PERSON/ORGANIZATION (pronouns resolved to their
@@ -21,9 +24,13 @@ Semantics preserved:
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..schemas import CANDIDATES_SCHEMA
+from .deps import pos_tag
+from .featurize import context_features
 
 MAX_DISTANCE = 12
 
@@ -123,166 +130,71 @@ def slots_for_subject(tokens: list[str], pos: list[str],
                 tokens, pos, ner, ante, mask, entity_ner)]
 
 
-def pair_mentions(batch: pa.Table) -> pa.Table:
-    from .featurize import context_features
-
-    doc_ids = batch.column("doc_id").to_pylist()
-    sent_idxs = batch.column("sent_idx").to_pylist()
-    texts = batch.column("text").to_pylist()
-    mentions_col = batch.column("mentions").to_pylist()
-    has_ctx = "pos" in batch.column_names \
-        and "dep_edges" in batch.column_names
-    pos_col = batch.column("pos").to_pylist() if has_ctx else None
-    deps_col = batch.column("dep_edges").to_pylist() if has_ctx else None
-
-    cols: dict[str, list] = {n: [] for n in CANDIDATES_SCHEMA.names}
-    for row_i, (doc_id, sent_idx, text, mentions) in enumerate(zip(
-            doc_ids, sent_idxs, texts, mentions_col)):
-        if not mentions or len(mentions) < 2:
+def pair_sentence(tokens: list[str], mentions: list[tuple], pos,
+                  edges, with_ctx: bool) -> list[tuple]:
+    """One sentence's candidate rows: every (entity mention, slot
+    mention) pair within ``MAX_DISTANCE`` tokens, the nearest one per
+    (subj, obj). ``mentions`` are (surface, ner, begin, end,
+    antecedent) tuples, ``pos`` the sentence's tags and ``edges`` its
+    (head, dep, label) parse, read only ``with_ctx``. Rows are
+    (subj, subj_type, obj, obj_type, subj_begin, subj_end, obj_begin,
+    obj_end, between, ctx_features); ``ctx_features`` is ``[]``
+    unless ``with_ctx``."""
+    layers = _token_layers(len(tokens), mentions)
+    best: dict[tuple, tuple] = {}
+    for em in mentions:
+        e_surf, e_ner, e_b, e_e, e_ante = em
+        if e_ner != "PERSON" and e_ner != "ORGANIZATION":
             continue
-        tokens = text.split(" ")
-        if has_ctx:
-            pos = pos_col[row_i]
-            edges = [(d["head"], d["dep"], d["label"])
-                     for d in deps_col[row_i]]
-            ment_spans = [(m["begin"], m["end"], m["ner"])
-                          for m in mentions]
-        else:
-            from .deps import pos_tag
-            pos = pos_tag(tokens)
-        ment_tuples = [(m["surface"], m["ner"], m["begin"], m["end"],
-                        m["antecedent"]) for m in mentions]
-        layers = _token_layers(len(tokens), ment_tuples)
-        best: dict[tuple, tuple] = {}
-        for em in mentions:
-            if em["ner"] not in ("PERSON", "ORGANIZATION"):
+        subj_surface = e_ante or e_surf
+        # slot side: same-NER-run scan, this subject masked
+        for sm in slots_for_subject(tokens, pos, mentions,
+                                    subj_surface, layers=layers):
+            if sm[4]:
+                continue                  # slot can't be a pronoun
+            s_b, s_e = sm[2], sm[3]
+            if e_e <= s_b:
+                gap = s_b - e_e
+            elif s_e <= e_b:
+                gap = e_b - s_e
+            else:
+                continue                  # overlapping spans
+            if gap > MAX_DISTANCE:
                 continue
-            subj_surface = em["antecedent"] or em["surface"]
-            # slot side: the same-NER-run scan with this subject's
-            # mentions masked (SlotMentionAnnotator semantics)
-            for s_surf, s_ner, s_b, s_e, s_a in slots_for_subject(
-                    tokens, pos, ment_tuples, subj_surface,
-                    layers=layers):
-                if s_a:
-                    continue                  # slot can't be a pronoun
-                if em["end"] <= s_b:
-                    gap = s_b - em["end"]
-                elif s_e <= em["begin"]:
-                    gap = em["begin"] - s_e
-                else:
-                    continue                  # overlapping spans
-                if gap > MAX_DISTANCE:
-                    continue
-                key = (subj_surface, s_surf)
-                prev = best.get(key)
-                if prev is not None and prev[0] <= gap:
-                    continue
-                lo, hi = ((em["end"], s_b) if em["end"] <= s_b
-                          else (s_e, em["begin"]))
-                between = " ".join(tokens[lo:hi])
-                best[key] = (gap, em, (s_surf, s_ner, s_b, s_e),
-                             subj_surface, between)
-        for gap, em, sm, subj_surface, between in best.values():
-            cols["subj"].append(subj_surface)
-            cols["subj_type"].append(em["ner"])
-            cols["obj"].append(sm[0])
-            cols["obj_type"].append(sm[1])
-            cols["doc_id"].append(doc_id)
-            cols["sent_idx"].append(sent_idx)
-            cols["subj_begin"].append(em["begin"])
-            cols["subj_end"].append(em["end"])
-            cols["obj_begin"].append(sm[2])
-            cols["obj_end"].append(sm[3])
-            cols["between"].append(between)
-            cols["ctx_features"].append(
-                context_features(tokens, pos, edges, ment_spans,
-                                 (em["begin"], em["end"]),
-                                 (sm[2], sm[3]))
-                if has_ctx else [])
-    return pa.Table.from_arrays(
-        [pa.array(cols[n], t) for n, t in
-         zip(CANDIDATES_SCHEMA.names, CANDIDATES_SCHEMA.types)],
-        schema=CANDIDATES_SCHEMA)
-
-
-def pair_candidates_fused(annotator, batch: pa.Table,
-                          with_ctx: bool = False) -> pa.Table:
-    """Fused path: documents batch → candidates table directly, no
-    intermediate Arrow sentences table and no per-mention dicts
-    (mention tuples come from ``NLPAnnotator.iter_sentences``). Same
-    pairing semantics as ``pair_mentions`` — equality is pinned by
-    tests/test_pipeline_e2e.py::test_fast_path_equals_bag_path.
-    ``with_ctx`` runs the tagger/parser and attaches sentence-context
-    features (needed only when an LR model consumes them — the
-    pattern-only fast path skips the parse entirely).
-
-    Sentences with no RESOLVED pronoun mention pair identically every
-    time their text recurs, so their candidate rows (and ctx features)
-    are memoized per text on the annotator — on template-generated /
-    dedup-bearing corpora this skips the O(m²) pairing loop for the
-    vast majority of sentences (97% duplicate rate measured on the
-    bench corpus)."""
-    from .featurize import context_features
-
-    memo = getattr(annotator, "_pair_memo", None)
-    if memo is None:
-        memo = annotator._pair_memo = {}
-
-    def compute_rows(tokens, mentions):
-        from .deps import pos_tag
-        if with_ctx:
-            pos, edges = annotator.analyze(tokens)
-            ment_spans = [(m[2], m[3], m[1]) for m in mentions]
-        else:
-            pos = pos_tag(tokens)
-        layers = _token_layers(len(tokens), mentions)
-        best: dict[tuple, tuple] = {}
-        for em in mentions:
-            e_surf, e_ner, e_b, e_e, e_ante = em
-            if e_ner != "PERSON" and e_ner != "ORGANIZATION":
+            key = (subj_surface, sm[0])
+            prev = best.get(key)
+            if prev is not None and prev[0] <= gap:
                 continue
-            subj_surface = e_ante or e_surf
-            # slot side: same-NER-run scan, this subject masked
-            for sm in slots_for_subject(tokens, pos, mentions,
-                                        subj_surface, layers=layers):
-                if sm[4]:
-                    continue                  # slot can't be a pronoun
-                s_b, s_e = sm[2], sm[3]
-                if e_e <= s_b:
-                    gap = s_b - e_e
-                elif s_e <= e_b:
-                    gap = e_b - s_e
-                else:
-                    continue                  # overlapping spans
-                if gap > MAX_DISTANCE:
-                    continue
-                key = (subj_surface, sm[0])
-                prev = best.get(key)
-                if prev is not None and prev[0] <= gap:
-                    continue
-                lo, hi = (e_e, s_b) if e_e <= s_b else (s_e, e_b)
-                between = " ".join(tokens[lo:hi])
-                best[key] = (gap, em, sm, subj_surface, between)
-        return [
-            (subj_surface, em[1], sm[0], sm[1], em[2], em[3],
-             sm[2], sm[3], between,
-             context_features(tokens, pos, edges, ment_spans,
-                              (em[2], em[3]), (sm[2], sm[3]))
-             if with_ctx else [])
-            for gap, em, sm, subj_surface, between in best.values()]
+            lo, hi = (e_e, s_b) if e_e <= s_b else (s_e, e_b)
+            between = " ".join(tokens[lo:hi])
+            best[key] = (gap, em, sm, subj_surface, between)
+    ment_spans = [(m[2], m[3], m[1]) for m in mentions] if with_ctx \
+        else None
+    return [
+        (subj_surface, em[1], sm[0], sm[1], em[2], em[3],
+         sm[2], sm[3], between,
+         context_features(tokens, pos, edges, ment_spans,
+                          (em[2], em[3]), (sm[2], sm[3]))
+         if with_ctx else [])
+        for gap, em, sm, subj_surface, between in best.values()]
 
-    # Row POOL + occurrence expansion: candidate rows are appended to
-    # flat pool columns once per DISTINCT sentence text (~3% of
-    # occurrences on the bench corpus; dynamic pronoun sentences get
-    # one-off pool entries), and each occurrence records only its pool
-    # slot + (doc_id, sent_idx). The output columns are then one Arrow
-    # C++ gather per field over numpy-built indices — the previous
-    # 12-appends-per-candidate Python loop ran per OCCURRENCE row.
-    # Occurrence order and within-sentence row order are preserved, so
-    # the table is identical row-for-row.
-    import numpy as np
 
-    pool: list = [[] for _ in range(10)]     # flat rows, pool-major
+def _pair_batch(sentences, analyze, memo: dict,
+                with_ctx: bool) -> pa.Table:
+    """Candidates table for ``sentences`` — (doc_id, sent_idx, tokens,
+    mention tuples, text) in order — through ``pair_sentence``;
+    ``analyze(i, tokens)`` gives the i-th sentence's (pos, edges).
+
+    A sentence with no resolved antecedent pairs identically every time
+    its text recurs: its mentions are its text's static scan, and pos
+    and edges are functions of its tokens. Its rows are computed once
+    per text (``memo``, which may outlive the batch) and go into a row
+    POOL once per distinct text in the batch; sentences with an
+    antecedent get one-off pool entries. Each occurrence records only
+    its pool slot + (doc_id, sent_idx), and every output column is one
+    Arrow gather over numpy-built indices. Occurrence order and
+    within-sentence row order are preserved."""
+    pool: list[tuple] = []                   # candidate rows, pool-major
     pool_starts: list[int] = [0]             # per-entry start offsets
     key_slot: dict[str, int] = {}            # text → pool entry
     occ_slot: list[int] = []
@@ -290,18 +202,17 @@ def pair_candidates_fused(annotator, batch: pa.Table,
     occ_sent: list[int] = []
 
     def add_pool(rows) -> int:
-        for r in rows:
-            for j in range(10):
-                pool[j].append(r[j])
-        pool_starts.append(pool_starts[-1] + len(rows))
+        pool.extend(rows)
+        pool_starts.append(len(pool))
         return len(pool_starts) - 2
 
-    for doc_id, sent_idx, tokens, mentions, text in \
-            annotator.iter_sentences(batch):
+    for i, (doc_id, sent_idx, tokens, mentions, text) in \
+            enumerate(sentences):
         if len(mentions) < 2:
             continue
-        if any(m[4] for m in mentions):       # resolved pronoun: dynamic
-            rows = compute_rows(tokens, mentions)
+        if any(m[4] for m in mentions):       # resolved antecedent
+            rows = pair_sentence(tokens, mentions, *analyze(i, tokens),
+                                 with_ctx)
             if not rows:
                 continue
             slot = add_pool(rows)
@@ -312,37 +223,96 @@ def pair_candidates_fused(annotator, batch: pa.Table,
                 if rows is None:
                     if len(memo) >= 500_000:
                         memo.clear()
-                    rows = memo[text] = compute_rows(tokens, mentions)
+                    rows = memo[text] = pair_sentence(
+                        tokens, mentions, *analyze(i, tokens), with_ctx)
                 slot = key_slot[text] = add_pool(rows)
         occ_slot.append(slot)
         occ_doc.append(doc_id)
         occ_sent.append(sent_idx)
 
     starts_np = np.asarray(pool_starts, np.int64)
-    slots = np.asarray(occ_slot, np.int64) if occ_slot \
-        else np.empty(0, np.int64)
+    slots = np.asarray(occ_slot, np.int64)
     counts = starts_np[slots + 1] - starts_np[slots]
-    total = int(counts.sum())
-    occ_of_row = np.repeat(np.arange(len(slots)), counts)
-    win_starts = np.concatenate(([0], np.cumsum(counts)[:-1])) \
-        if len(counts) else np.empty(0, np.int64)
-    within = np.arange(total) - np.repeat(win_starts, counts)
+    win_starts = np.cumsum(counts) - counts
+    within = np.arange(int(counts.sum())) - np.repeat(win_starts, counts)
     idx = pa.array(np.repeat(starts_np[slots], counts) + within,
                    pa.int64())
-    occ_idx = pa.array(occ_of_row, pa.int64())
-
+    occ_idx = pa.array(np.repeat(np.arange(len(slots)), counts),
+                       pa.int64())
     pool_fields = ["subj", "subj_type", "obj", "obj_type",
                    "subj_begin", "subj_end", "obj_begin", "obj_end",
                    "between", "ctx_features"]   # row-tuple field order
+    cols = zip(*pool) if pool else [()] * len(pool_fields)
     gathered = {
-        nm: pa.array(pool[j],
-                     CANDIDATES_SCHEMA.field(nm).type).take(idx)
-        for j, nm in enumerate(pool_fields)}
+        nm: pa.array(col, CANDIDATES_SCHEMA.field(nm).type).take(idx)
+        for nm, col in zip(pool_fields, cols)}
     gathered["doc_id"] = pa.array(occ_doc, pa.string()).take(occ_idx)
     gathered["sent_idx"] = pa.array(occ_sent, pa.int32()).take(occ_idx)
     return pa.Table.from_arrays(
         [gathered[n] for n in CANDIDATES_SCHEMA.names],
         schema=CANDIDATES_SCHEMA)
+
+
+def _row_lists(col, fields: tuple = ()) -> list[list]:
+    """Per-row Python lists of a list column (tuples over the struct
+    ``fields``, if given): one conversion per child array and no dict
+    per struct. ``list_value_length`` and ``flatten`` respect slices."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    flat = col.flatten()
+    items = list(zip(*[flat.field(f).to_pylist() for f in fields])) \
+        if fields else flat.to_pylist()
+    ends = np.cumsum(pc.list_value_length(col).fill_null(0)
+                     .to_numpy(zero_copy_only=False))
+    return [items[e - n:e] for n, e in
+            zip(np.diff(ends, prepend=0).tolist(), ends.tolist())]
+
+
+def pair_mentions(batch: pa.Table) -> pa.Table:
+    """Sentences table (``SENTENCES_SCHEMA``) → candidates table, with
+    context features from its ``pos`` and ``dep_edges`` columns. The
+    kernel and emission of ``pair_candidates_fused``, over a memo that
+    lives for this batch."""
+    texts = batch.column("text").to_pylist()
+    pos = _row_lists(batch.column("pos"))
+    edges = _row_lists(batch.column("dep_edges"), ("head", "dep", "label"))
+    sentences = zip(
+        batch.column("doc_id").to_pylist(),
+        batch.column("sent_idx").to_pylist(),
+        (t.split(" ") for t in texts),
+        _row_lists(batch.column("mentions"),
+                   ("surface", "ner", "begin", "end", "antecedent")),
+        texts)
+    return _pair_batch(sentences, lambda i, _tokens: (pos[i], edges[i]),
+                       {}, True)
+
+
+def pair_candidates_fused(annotator, batch: pa.Table,
+                          with_ctx: bool = False) -> pa.Table:
+    """Fused path: documents batch → candidates table directly, no
+    intermediate Arrow sentences table and no per-mention dicts
+    (mention tuples come from ``NLPAnnotator.iter_sentences``). The
+    kernel and emission of ``pair_mentions``; with ``with_ctx`` the
+    output equals ``pair_mentions(annotator(batch))``, pinned by
+    tests/test_pairing_kernel.py. ``with_ctx`` runs the tagger/parser
+    and attaches sentence-context features (needed only when an LR
+    model consumes them — the pattern-only path skips the parse).
+
+    The candidate-row memo stays on the annotator across batches, one
+    per ``with_ctx`` (pattern-only rows carry no ``ctx_features``), so
+    one warm annotator serves both paths. On template-generated /
+    dedup-bearing corpora it skips the O(m²) pairing loop for the vast
+    majority of sentences (97% duplicate rate measured on the bench
+    corpus)."""
+    memos = annotator.__dict__.setdefault("_pair_memo", {})
+    if with_ctx:
+        def analyze(_i, tokens):
+            return annotator.analyze(tokens)
+    else:
+        def analyze(_i, tokens):
+            return pos_tag(tokens), None
+    return _pair_batch(annotator.iter_sentences(batch), analyze,
+                       memos.setdefault(with_ctx, {}), with_ctx)
 
 
 def vote_span_ner(mentions, span: tuple[int, int]) -> str | None:

@@ -128,3 +128,81 @@ def featurize_loop(batch: pa.Table, features=None) -> pa.Table:
     t = pa.Table.from_arrays([batch.column(c) for c in names], names=names)
     return t.append_column("features",
                            pa.array(feats, pa.list_(pa.string())))
+
+
+def pair_mentions_loop(batch: pa.Table) -> pa.Table:
+    """``mentions.pair_mentions`` row by row: mention dicts per sentence,
+    the ALL_PAIRS loop per sentence with no text dedup, and twelve
+    column appends per candidate."""
+    from stanford_relation_extractor_ray.schemas import CANDIDATES_SCHEMA
+    from stanford_relation_extractor_ray.stages.featurize import \
+        context_features
+    from stanford_relation_extractor_ray.stages.mentions import (
+        MAX_DISTANCE, _token_layers, slots_for_subject)
+
+    doc_ids = batch.column("doc_id").to_pylist()
+    sent_idxs = batch.column("sent_idx").to_pylist()
+    texts = batch.column("text").to_pylist()
+    mentions_col = batch.column("mentions").to_pylist()
+    pos_col = batch.column("pos").to_pylist()
+    deps_col = batch.column("dep_edges").to_pylist()
+
+    cols: dict[str, list] = {n: [] for n in CANDIDATES_SCHEMA.names}
+    for row_i, (doc_id, sent_idx, text, mentions) in enumerate(zip(
+            doc_ids, sent_idxs, texts, mentions_col)):
+        if not mentions or len(mentions) < 2:
+            continue
+        tokens = text.split(" ")
+        pos = pos_col[row_i]
+        edges = [(d["head"], d["dep"], d["label"]) for d in deps_col[row_i]]
+        ment_spans = [(m["begin"], m["end"], m["ner"]) for m in mentions]
+        ment_tuples = [(m["surface"], m["ner"], m["begin"], m["end"],
+                        m["antecedent"]) for m in mentions]
+        layers = _token_layers(len(tokens), ment_tuples)
+        best: dict[tuple, tuple] = {}
+        for em in mentions:
+            if em["ner"] not in ("PERSON", "ORGANIZATION"):
+                continue
+            subj_surface = em["antecedent"] or em["surface"]
+            for s_surf, s_ner, s_b, s_e, s_a in slots_for_subject(
+                    tokens, pos, ment_tuples, subj_surface,
+                    layers=layers):
+                if s_a:
+                    continue                  # slot can't be a pronoun
+                if em["end"] <= s_b:
+                    gap = s_b - em["end"]
+                elif s_e <= em["begin"]:
+                    gap = em["begin"] - s_e
+                else:
+                    continue                  # overlapping spans
+                if gap > MAX_DISTANCE:
+                    continue
+                key = (subj_surface, s_surf)
+                prev = best.get(key)
+                if prev is not None and prev[0] <= gap:
+                    continue
+                lo, hi = ((em["end"], s_b) if em["end"] <= s_b
+                          else (s_e, em["begin"]))
+                between = " ".join(tokens[lo:hi])
+                best[key] = (gap, em, (s_surf, s_ner, s_b, s_e),
+                             subj_surface, between)
+        for gap, em, sm, subj_surface, between in best.values():
+            cols["subj"].append(subj_surface)
+            cols["subj_type"].append(em["ner"])
+            cols["obj"].append(sm[0])
+            cols["obj_type"].append(sm[1])
+            cols["doc_id"].append(doc_id)
+            cols["sent_idx"].append(sent_idx)
+            cols["subj_begin"].append(em["begin"])
+            cols["subj_end"].append(em["end"])
+            cols["obj_begin"].append(sm[2])
+            cols["obj_end"].append(sm[3])
+            cols["between"].append(between)
+            cols["ctx_features"].append(
+                context_features(tokens, pos, edges, ment_spans,
+                                 (em["begin"], em["end"]),
+                                 (sm[2], sm[3])))
+    return pa.Table.from_arrays(
+        [pa.array(cols[n], t) for n, t in
+         zip(CANDIDATES_SCHEMA.names, CANDIDATES_SCHEMA.types)],
+        schema=CANDIDATES_SCHEMA)
