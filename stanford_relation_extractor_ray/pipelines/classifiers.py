@@ -7,7 +7,10 @@ Each trainer consumes the same training bags as
 the ensemble's component interface, so any of them can vote in
 ``EnsembleScorer``-style combination. All learning is numpy over the
 shared hashed-feature space; training runs driver-side on the (small)
-bag table, like the reference's in-process trainers.
+bag table, like the reference's in-process trainers. Hashing and
+scoring are the shared kernel's (``classify.bucket_lists``,
+``classify.hashed_sums``); ``SUPERVISED`` is an ``LRModel`` trained
+by the one SGD loop, ``train.sgd_lr``.
 
 - ``PERCEPTRON`` — sentence-level averaged multiclass perceptron
   (``PerceptronExtractor.java``, 868 LoC): local updates against the
@@ -37,16 +40,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..stages.classify import HASH_DIM, NO_RELATION, hash_features
-from ..vocab import RELATION_NAMES
+from ..stages.classify import (HASH_DIM, LABELS, NO_RELATION, LRModel,
+                               bucket_lists, hashed_sums)
+from .train import sgd_lr
 
-_LABELS = [NO_RELATION] + RELATION_NAMES
-_LAB_IDX = {l: i for i, l in enumerate(_LABELS)}
-
-
-def _hashed(bags):
-    return [[[int(h) for h in hash_features(f)]
-             for f in b["sent_features"]] for b in bags]
+_LAB_IDX = {l: i for i, l in enumerate(LABELS)}
 
 
 class LinearBagModel:
@@ -54,18 +52,12 @@ class LinearBagModel:
     argmax over linear scores, bag label set = union of non-NIL
     predictions, score = max sigmoid(margin) per label."""
 
-    def __init__(self, W: np.ndarray, labels: list[str] = _LABELS):
+    def __init__(self, W: np.ndarray, labels: list[str] = LABELS):
         self.W = W.astype(np.float32)
         self.labels = labels
 
     def _scores(self, sent_features: list[list[str]]) -> np.ndarray:
-        out = np.zeros((len(sent_features), self.W.shape[1]),
-                       dtype=np.float64)
-        for i, feats in enumerate(sent_features):
-            idx = hash_features(feats)
-            if len(idx):
-                out[i] = self.W[idx].sum(axis=0)
-        return out
+        return hashed_sums(self.W, sent_features).astype(np.float64)
 
     def classify_bag(self, sent_features: list[list[str]]) -> dict:
         if not sent_features:
@@ -89,8 +81,8 @@ def train_perceptron(bags: list[dict], *, epochs: int = 5,
                      seed: int = 42) -> LinearBagModel:
     """Averaged sentence-level multiclass perceptron (local labels:
     every sentence of a positive bag carries the bag label)."""
-    hashed = _hashed(bags)
-    W = np.zeros((HASH_DIM, len(_LABELS)), dtype=np.float64)
+    hashed = [bucket_lists(b["sent_features"]) for b in bags]
+    W = np.zeros((HASH_DIM, len(LABELS)), dtype=np.float64)
     acc = np.zeros_like(W)
     rng = np.random.default_rng(seed)
     examples = [(idx, _LAB_IDX[b["pos"][0]] if b["pos"] else 0)
@@ -118,8 +110,8 @@ def train_hoffmann(bags: list[dict], *, epochs: int = 5,
     """MultiR / AT_LEAST_ONCE latent perceptron: constrained bag-level
     updates (force missed positives onto their best sentence, demote
     non-gold predictions)."""
-    hashed = _hashed(bags)
-    W = np.zeros((HASH_DIM, len(_LABELS)), dtype=np.float64)
+    hashed = [bucket_lists(b["sent_features"]) for b in bags]
+    W = np.zeros((HASH_DIM, len(LABELS)), dtype=np.float64)
     acc = np.zeros_like(W)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
@@ -128,7 +120,7 @@ def train_hoffmann(bags: list[dict], *, epochs: int = 5,
             if not hs:
                 continue
             gold = {_LAB_IDX[p] for p in bag["pos"]} or {0}
-            scores = np.zeros((len(hs), len(_LABELS)))
+            scores = np.zeros((len(hs), len(LABELS)))
             for i, idx in enumerate(hs):
                 if idx:
                     scores[i] = W[idx].sum(axis=0)
@@ -162,7 +154,7 @@ class OneVsAllModel:
 
     def classify_bag(self, sent_features: list[list[str]]) -> dict:
         out: dict[str, float] = {}
-        hashed = [hash_features(f) for f in sent_features]
+        hashed = bucket_lists(sent_features)
         for rel, w in self.W.items():
             best = 0.0
             for idx in hashed:
@@ -180,7 +172,7 @@ def train_one_vs_all(bags: list[dict], *, epochs: int = 8,
                      shift_l1: float = 0.1) -> OneVsAllModel:
     """LR_INC (incomplete negatives) / ROBUST_LR (per-positive-bag
     shift parameters soaking up distant-supervision noise)."""
-    hashed = _hashed(bags)
+    hashed = [bucket_lists(b["sent_features"]) for b in bags]
     Ws: dict[str, np.ndarray] = {}
     bs: dict[str, float] = {}
     rels = sorted({p for b in bags for p in b["pos"]})
@@ -245,7 +237,7 @@ class NoopModel:
         return {}
 
 
-class SupervisedModel:
+class SupervisedModel(LRModel):
     """Softmax LR trained on ANNOTATED sentence datums — the
     ``ModelType.SUPERVISED`` extractor (``SupervisedExtractor``;
     ``ModelType.java:45``), distinct from every distant-supervision
@@ -254,19 +246,9 @@ class SupervisedModel:
     join. ``classify_bag`` scores each sentence and noisy-ors the
     confident per-sentence argmax relations."""
 
-    def __init__(self, W: np.ndarray, b: np.ndarray,
-                 labels: list[str]):
-        self.W, self.b, self.labels = W, b, labels
-
     def classify_bag(self, sent_features: list[list[str]]) -> dict:
         om: dict[str, float] = {}
-        for feats in sent_features:
-            idx = hash_features(feats)
-            logits = self.b + (self.W[idx].sum(axis=0) if len(idx)
-                               else 0.0)
-            logits = logits - logits.max()
-            p = np.exp(logits)
-            p /= p.sum()
+        for p in self.predict_proba(sent_features):
             zi = int(p.argmax())
             lab = self.labels[zi]
             if lab == NO_RELATION or p[zi] < 0.5:
@@ -280,16 +262,11 @@ def train_supervised(datums: list[dict], *, epochs: int = 8,
     """``datums``: annotated sentence examples
     ``{"features": [...], "label": relation-or-no_relation}`` (NOT
     bags — the SUPERVISED input type)."""
-    from ..vocab import RELATION_NAMES
-    from .train import _sgd_lr
-    labels = [NO_RELATION] + RELATION_NAMES
-    lab_idx = {l: i for i, l in enumerate(labels)}
-    feats = [[int(h) for h in hash_features(d["features"])]
-             for d in datums]
-    ys = np.array([lab_idx[d["label"]] for d in datums],
+    feats = bucket_lists([d["features"] for d in datums])
+    ys = np.array([_LAB_IDX[d["label"]] for d in datums],
                   dtype=np.int64)
-    W, b = _sgd_lr(feats, ys, len(labels), seed)
-    return SupervisedModel(W, b, labels)
+    W, b = sgd_lr(feats, ys, len(LABELS), seed)
+    return SupervisedModel(W, b, LABELS)
 
 
 MODEL_REGISTRY = {

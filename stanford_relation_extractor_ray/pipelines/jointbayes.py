@@ -31,8 +31,10 @@ semantics (``kbp/slotfilling/classify/JointBayesRelationExtractor.java``):
   modes Y_GIVEN_ZSTAR / NOISY_OR / Y_THEN_NOISY_OR with per-relation
   thresholds.
 
-The trained single Z classifier is a plain ``LRModel`` dict — drop-in
-for the pipeline's ``CandidateScorer``/``EnsembleScorer``. Fold M-steps
+Z classifiers hash through ``classify.bucket_lists``, train with the
+one SGD loop (``train.sgd_lr``) and score through ``classify.gather_sum``;
+the single one is a plain ``LRModel`` dict for the pipeline's
+``CandidateScorer``/``EnsembleScorer``. Fold M-steps
 run as parallel Ray tasks when a cluster is up (``threadAndRun``
 analog); everything else is driver-side numpy over the (small)
 training-bag table.
@@ -40,11 +42,14 @@ training-bag table.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from ..stages.classify import HASH_DIM, LRModel, NO_RELATION, \
-    hash_features
+from ..stages.classify import (LABELS, LRModel, NO_RELATION,
+                               bucket_lists, gather_sum)
 from ..vocab import RELATION_NAMES, RELATIONS
+from .train import sgd_lr
 
 NONE_FEAT = "none"
 ATLEASTONCE_FEAT = "atleastonce"
@@ -123,38 +128,16 @@ class YClassifier:
 
 
 # ---------------------------------------------------------------------------
-# Z-classifier helpers (numpy multinomial LR over hashed features)
+# Z-classifier: an LRModel trained by the one SGD loop (train.sgd_lr)
 # ---------------------------------------------------------------------------
 
-def _train_z(feat_idx: list[list[int]], ys: np.ndarray, n_lab: int,
-             seed: int, epochs: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    W = np.zeros((HASH_DIM, n_lab), dtype=np.float32)
-    b = np.zeros(n_lab, dtype=np.float32)
-    lr = 0.5
-    n = len(feat_idx)
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            idx = feat_idx[i]
-            logits = b + (W[idx].sum(axis=0) if idx else 0.0)
-            logits -= logits.max()
-            p = np.exp(logits)
-            p /= p.sum()
-            p[ys[i]] -= 1.0
-            g = lr * p
-            b -= g
-            if idx:
-                W[idx] -= g
-        lr *= 0.8
-    return W, b
-
-
 def _z_log_probs(W, b, feat_idx: list[list[int]]) -> np.ndarray:
-    """[n_sentences, n_labels] log-softmax."""
-    logits = np.tile(b, (len(feat_idx), 1)).astype(np.float64)
-    for i, idx in enumerate(feat_idx):
-        if idx:
-            logits[i] += W[idx].sum(axis=0)
+    """[n_sentences, n_labels] log-softmax of the float64 bias plus
+    each sentence's float32 ``gather_sum``."""
+    lengths = np.fromiter(map(len, feat_idx), np.int64, len(feat_idx))
+    idx = np.fromiter(chain.from_iterable(feat_idx), np.int64,
+                      lengths.sum())
+    logits = b.astype(np.float64) + gather_sum(W, lengths, idx)
     logits -= logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(logits).sum(axis=1, keepdims=True))
     return logits - lse
@@ -193,12 +176,11 @@ def train_jointbayes(bags: list[dict], *, seed: int = 42,
     ``only_local=True`` stops after initialization — the LOCAL_BAYES /
     Mintz++ variant (``onlyLocalTraining``, ``:138,512-515``).
     """
-    labels = [NO_RELATION] + RELATION_NAMES
+    labels = LABELS
     lab_idx = {l: i for i, l in enumerate(labels)}
     n_lab = len(labels)
 
-    hashed = [[[int(h) for h in hash_features(f)] for f in
-               bag["sent_features"]] for bag in bags]
+    hashed = [bucket_lists(bag["sent_features"]) for bag in bags]
     n_bags = len(bags)
 
     # fold boundaries (foldStart/foldEnd :194-212)
@@ -223,8 +205,8 @@ def train_jointbayes(bags: list[dict], *, seed: int = 42,
                 continue            # cross-validation: hold out own fold
             fi.extend(hashed[i])
             ys.extend(z_labels[i])
-        return _train_z(fi, np.array(ys, dtype=np.int64), n_lab,
-                        seed + fold)
+        return sgd_lr(fi, np.array(ys, dtype=np.int64), n_lab,
+                      seed + fold)
 
     def train_all_folds():
         import ray
@@ -317,8 +299,8 @@ def train_jointbayes(bags: list[dict], *, seed: int = 42,
     for i in range(n_bags):
         all_fi.extend(hashed[i])
         all_ys.extend(z_labels[i])
-    W, b = _train_z(all_fi, np.array(all_ys, dtype=np.int64), n_lab,
-                    seed + 7919)
+    W, b = sgd_lr(all_fi, np.array(all_ys, dtype=np.int64), n_lab,
+                  seed + 7919)
     z_single = LRModel(W, b, labels).to_dict()
 
     return JointBayesModel(z_single,

@@ -40,8 +40,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..stages import featurize, link, mentions, nlp
-from ..stages.classify import HASH_DIM, NO_RELATION, feature_codes
-from ..vocab import RELATION_NAMES, RELATIONS
+from ..stages.classify import HASH_DIM, LABELS, NO_RELATION, feature_codes
+from ..vocab import RELATIONS
 from ..world import get_world
 
 TRAIN_DOC_OFFSET = 1_000_000      # disjoint from eval doc ids
@@ -149,11 +149,10 @@ def _design(examples) -> tuple[list[list[int]], np.ndarray, list[str]]:
     counts = np.bincount(rows[kept], minlength=len(lengths))
     h = h[kept]
     feats = [h[e - c:e].tolist() for c, e in zip(counts, np.cumsum(counts))]
-    labels = [NO_RELATION] + RELATION_NAMES
-    lab_idx = {l: i for i, l in enumerate(labels)}
+    lab_idx = {l: i for i, l in enumerate(LABELS)}
     ys = np.array([lab_idx[y] for y in t.column("label").to_pylist()],
                   dtype=np.int64)
-    return feats, ys, labels
+    return feats, ys, LABELS
 
 
 def train_lr(n_docs: int = 1500, seed: int = 42,
@@ -169,7 +168,7 @@ def train_lr(n_docs: int = 1500, seed: int = 42,
 
     feats, ys, labels = _design(
         training_examples(n_docs, seed).materialize())
-    W, b = _sgd_lr(feats, ys, len(labels), seed)
+    W, b = sgd_lr(feats, ys, len(labels), seed)
     out = {"weights": W, "bias": b,
            "labels": np.array(labels, dtype="U64")}
     np.savez_compressed(path + ".tmp.npz", **out)
@@ -222,8 +221,11 @@ def annotated_examples(n_docs: int, seed: int = 42):
         label, batch_format="pyarrow")
 
 
-def _sgd_lr(feats: list[list[int]], ys: np.ndarray, n_lab: int,
-            seed: int) -> tuple[np.ndarray, np.ndarray]:
+def sgd_lr(feats: list[list[int]], ys: np.ndarray, n_lab: int,
+           seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one multinomial-LR SGD loop (also MIML-RE's Z and
+    SUPERVISED) over per-row bucket lists; ``W[idx] -= g`` applies a
+    bucket repeated within a row once."""
     rng = np.random.default_rng(seed)
     W = np.zeros((HASH_DIM, n_lab), dtype=np.float32)
     b = np.zeros(n_lab, dtype=np.float32)
@@ -264,7 +266,7 @@ def train_bagged(n_docs: int = 1500, seed: int = 42, k: int = 3,
     for j in range(k):
         rng = np.random.default_rng((seed << 8) ^ j)
         take = rng.permutation(n)[: max(1, int(n * subsample))]
-        W, b = _sgd_lr([feats[i] for i in take], ys[take],
-                       len(labels), seed + j)
+        W, b = sgd_lr([feats[i] for i in take], ys[take],
+                      len(labels), seed + j)
         models.append({"weights": W, "bias": b, "labels": lab_arr})
     return models

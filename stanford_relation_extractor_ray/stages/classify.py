@@ -24,15 +24,19 @@ Components:
   ``1 − ∏(1−wᵢ)``; provenance from the highest-scoring agreeing
   sentence.
 
-Every scorer and the trainer share one hashing step:
-``feature_codes`` flattens a ``list<string>`` column, dictionary-
-encodes it and hashes each DISTINCT string once (``hash_features``,
-crc32 mod ``HASH_DIM`` — a pure function of the string, so this is
-exact); ``LRModel.logits`` gathers one weight row per distinct string
-and accumulates the rows' features position by position into zeros,
-then adds the bias — the float32 order of the per-row
-``b + W[idx].sum(axis=0)`` it replaced (kept as the oracle
-``lr_logits_loop`` in tests/oracles.py), so logits are bit-identical.
+Every scorer and trainer — extraction, ``train_lr``, the classifier
+zoo and MIML-RE — shares one hashing step and one scoring kernel.
+``feature_codes`` dictionary-encodes a ``list<string>`` column and
+hashes each DISTINCT string once (``hash_features``, crc32 mod
+``HASH_DIM``, a pure function of the string, so this is exact);
+``bucket_lists`` turns that into the per-row bucket lists the
+sequential SGD and perceptron loops index ``W`` with. ``gather_sum``
+adds each row's weight rows position by position into zeros, the
+float32 order of the per-row ``W[idx].sum(axis=0)`` it replaced, and
+each caller adds its bias in its own dtype; the replaced loops are
+oracles in tests/oracles.py, so scores are bit-identical. This is the
+weight-table gather-sum of *Sketching Linear Classifiers over Data
+Streams* (SIGMOD 2018).
 ``CandidateScorer`` selects LR hits with a label × object-type
 admissibility table, with no per-row Python.
 
@@ -51,13 +55,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schemas import FILLS_SCHEMA
-from ..vocab import RELATIONS, resolve_relation
+from ..vocab import RELATION_NAMES, RELATIONS, resolve_relation
 
 PATTERN_SENT_SCORE = 0.95
 LR_MIN_PROB = 0.9
 LR_WEIGHT = 0.6          # ensemble weight of the LR component
 HASH_DIM = 1 << 15
 NO_RELATION = "no_relation"
+LABELS = [NO_RELATION] + RELATION_NAMES   # every LR model's label order
 
 # TopEmployeesClassifier trigger list
 # (kbp/slotfilling/classify/TopEmployeesClassifier.java:25-107)
@@ -140,6 +145,44 @@ def feature_codes(feat_lists) -> tuple[np.ndarray, np.ndarray,
             hash_features(enc.dictionary.to_pylist()))
 
 
+def bucket_lists(feat_lists) -> list[list[int]]:
+    """Each row's ``hash_features`` buckets as a list of ints (an empty
+    row stays ``[]``), from one ``feature_codes`` pass."""
+    lengths, codes, buckets = feature_codes(feat_lists)
+    flat = buckets[codes].tolist()
+    ends = np.cumsum(lengths).tolist()
+    return [flat[e - n:e] for n, e in zip(lengths.tolist(), ends)]
+
+
+def gather_sum(rows: np.ndarray, lengths: np.ndarray,
+               idx: np.ndarray) -> np.ndarray:
+    """Output row i sums ``rows[idx[j]]`` over its ``lengths[i]``
+    consecutive entries of ``idx``, with no bias. Entries accumulate
+    position by position into zeros — row i gets its entry 0, then 1,
+    … — the sequential order of numpy's ``rows[idx_i].sum(axis=0)``, so
+    the sums are bit-identical to it (``np.add.reduceat`` is not a
+    sequential sum). Rows are ordered by length so the rows still open
+    at position p are a prefix."""
+    order = np.argsort(-lengths, kind="stable")     # longest first
+    starts = (np.cumsum(lengths) - lengths)[order]
+    # per position p, the number of rows longer than p
+    n_open = np.searchsorted(-lengths[order],
+                             -np.arange(lengths.max(initial=0)))
+    acc = np.zeros((len(lengths), rows.shape[1]), rows.dtype)
+    for p, k in enumerate(n_open):
+        acc[:k] += rows[idx[starts[:k] + p]]
+    sums = np.empty_like(acc)
+    sums[order] = acc
+    return sums
+
+
+def hashed_sums(W: np.ndarray, feat_lists) -> np.ndarray:
+    """Each feature-list row's summed weight rows of ``W``, no bias:
+    one gathered row per distinct string, then ``gather_sum``."""
+    lengths, codes, buckets = feature_codes(feat_lists)
+    return gather_sum(W[buckets], lengths, codes)
+
+
 class LRModel:
     """Multinomial LR over hashed features (numpy; trained in
     pipelines/train.py). ``labels[0]`` must be NO_RELATION."""
@@ -152,28 +195,8 @@ class LRModel:
 
     def logits(self, feat_lists) -> np.ndarray:
         """[n_rows, n_labels] float32: the bias plus each row's summed
-        weight rows, bit-identical to ``b + W[hash(row)].sum(axis=0)``.
-
-        Each distinct string is hashed once (``feature_codes``) and
-        its weight row gathered once; the rows are then accumulated
-        position by position into zeros — row i gets its feature 0,
-        then 1, … — which is the sequential float32 order of numpy's
-        axis-0 sum, and the bias is added last. (``np.add.reduceat``
-        is not a sequential sum and does not match.) Rows are ordered
-        by length so the rows still open at position p are a prefix."""
-        lengths, codes, buckets = feature_codes(feat_lists)
-        w = self.W[buckets]
-        order = np.argsort(-lengths, kind="stable")     # longest first
-        starts = (np.cumsum(lengths) - lengths)[order]
-        # per position p, the number of rows longer than p
-        n_open = np.searchsorted(-lengths[order],
-                                 -np.arange(lengths.max(initial=0)))
-        acc = np.zeros((len(lengths), self.W.shape[1]), np.float32)
-        for p, k in enumerate(n_open):
-            acc[:k] += w[codes[starts[:k] + p]]
-        sums = np.empty_like(acc)
-        sums[order] = acc
-        return sums + self.b
+        weight rows, bit-identical to ``b + W[hash(row)].sum(axis=0)``."""
+        return hashed_sums(self.W, feat_lists) + self.b
 
     def predict_proba(self, feat_lists) -> np.ndarray:
         """[n_rows, n_labels] softmax probabilities."""

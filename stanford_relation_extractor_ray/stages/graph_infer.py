@@ -121,18 +121,20 @@ def intersect_fills(fills_a, fills_b):
     def tag(side: str):
         return lambda df: df.assign(side=side)
 
-    def keep_both(df: pd.DataFrame) -> pd.DataFrame:
+    def keep_both(df: pd.DataFrame) -> pa.Table:
+        # an Arrow table in FILLS_SCHEMA, so an empty partition keeps
+        # its column types (an empty frame's would all be object)
         if len(df) == 0:
-            return pd.DataFrame(columns=list(FILLS_SCHEMA.names))
+            return FILLS_SCHEMA.empty_table()
         sides = df.groupby(TRIPLE_KEY, sort=False)["side"].nunique()
         min_s = df.groupby(TRIPLE_KEY, sort=False)["score"].min()
         a = df[df["side"] == "A"].drop_duplicates(TRIPLE_KEY) \
             .set_index(TRIPLE_KEY)
         a = a[sides.reindex(a.index).to_numpy() >= 2]
-        if len(a) == 0:
-            return pd.DataFrame(columns=list(FILLS_SCHEMA.names))
         a["score"] = min_s.reindex(a.index)
-        return a.reset_index()[list(FILLS_SCHEMA.names)]
+        return pa.Table.from_pandas(
+            a.reset_index(), schema=FILLS_SCHEMA,
+            preserve_index=False).replace_schema_metadata(None)
 
     return by_key([fills_a.map_batches(tag("A"), batch_format="pandas"),
                    fills_b.map_batches(tag("B"), batch_format="pandas")],

@@ -95,6 +95,95 @@ def lr_logits_loop(model, feat_lists: list[list[str]]):
     return logits
 
 
+def bucket_lists_loop(feat_lists: list[list[str]]) -> list[list[int]]:
+    """``classify.bucket_lists`` row by row: ``hash_features`` per row,
+    ``int`` per bucket."""
+    from stanford_relation_extractor_ray.stages.classify import \
+        hash_features
+    return [[int(h) for h in hash_features(f)] for f in feat_lists]
+
+
+def linear_bag_scores_loop(W, sent_features: list[list[str]]):
+    """``LinearBagModel._scores`` row by row: a float32
+    ``W[idx].sum(axis=0)`` per sentence, stored into float64 zeros."""
+    import numpy as np
+
+    from stanford_relation_extractor_ray.stages.classify import \
+        hash_features
+    out = np.zeros((len(sent_features), W.shape[1]), dtype=np.float64)
+    for i, feats in enumerate(sent_features):
+        idx = hash_features(feats)
+        if len(idx):
+            out[i] = W[idx].sum(axis=0)
+    return out
+
+
+def supervised_bag_loop(model, sent_features: list[list[str]]) -> dict:
+    """``SupervisedModel.classify_bag`` row by row: per sentence
+    ``b + W[idx].sum(axis=0)``, a 1-D softmax, then the noisy-or of
+    the confident non-NIL argmax labels."""
+    import numpy as np
+
+    from stanford_relation_extractor_ray.stages.classify import (
+        NO_RELATION, hash_features)
+    om: dict[str, float] = {}
+    for feats in sent_features:
+        idx = hash_features(feats)
+        logits = model.b + (model.W[idx].sum(axis=0) if len(idx)
+                            else 0.0)
+        logits = logits - logits.max()
+        p = np.exp(logits)
+        p /= p.sum()
+        zi = int(p.argmax())
+        lab = model.labels[zi]
+        if lab == NO_RELATION or p[zi] < 0.5:
+            continue
+        om[lab] = om.get(lab, 1.0) * (1.0 - float(p[zi]))
+    return {rel: 1.0 - v for rel, v in om.items()}
+
+
+def z_log_probs_loop(W, b, feat_idx: list[list[int]]):
+    """MIML-RE's ``_z_log_probs`` row by row: float64 logits that start
+    at ``b``, plus a float32 ``W[idx].sum(axis=0)`` per sentence, then
+    a log-softmax."""
+    import numpy as np
+    logits = np.tile(b, (len(feat_idx), 1)).astype(np.float64)
+    for i, idx in enumerate(feat_idx):
+        if idx:
+            logits[i] += W[idx].sum(axis=0)
+    logits -= logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return logits - lse
+
+
+def train_z_loop(feat_idx: list[list[int]], ys, n_lab: int, seed: int,
+                 epochs: int = 8):
+    """MIML-RE's former ``_train_z``, the copy of ``train.sgd_lr`` it
+    replaced: float32 multinomial-LR SGD over per-row bucket lists."""
+    import numpy as np
+
+    from stanford_relation_extractor_ray.stages.classify import HASH_DIM
+    rng = np.random.default_rng(seed)
+    W = np.zeros((HASH_DIM, n_lab), dtype=np.float32)
+    b = np.zeros(n_lab, dtype=np.float32)
+    lr = 0.5
+    n = len(feat_idx)
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            idx = feat_idx[i]
+            logits = b + (W[idx].sum(axis=0) if idx else 0.0)
+            logits -= logits.max()
+            p = np.exp(logits)
+            p /= p.sum()
+            p[ys[i]] -= 1.0
+            g = lr * p
+            b -= g
+            if idx:
+                W[idx] -= g
+        lr *= 0.8
+    return W, b
+
+
 def featurize_loop(batch: pa.Table, features=None) -> pa.Table:
     """``featurize_batch`` row by row: build each row's
     ``Featurizable``, run every provider, append its ``ctx_features``."""

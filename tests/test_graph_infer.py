@@ -136,6 +136,18 @@ def test_intersect_fills_empty_side(ray_session):
     assert graph_infer.intersect_fills(a, b).take_all() == []
 
 
+def test_intersect_fills_disjoint_keeps_schema(ray_session):
+    a = _fills_ds([
+        ("Alice Smith", "PERSON", "per:title", "curator", "TITLE", 0.9),
+    ])
+    b = _fills_ds([
+        ("Bob Jones", "PERSON", "per:title", "surgeon", "TITLE", 0.8),
+    ])
+    out = graph_infer.intersect_fills(a, b).materialize()
+    assert out.count() == 0
+    assert out.schema().base_schema == FILLS_SCHEMA
+
+
 def _edge(s, p, o, st="ORGANIZATION", ot="ORGANIZATION", score=0.9):
     return {"subj": s, "subj_type": st, "pred": p, "obj": o,
             "obj_type": ot, "score": score, "doc_id": "d0",

@@ -1,20 +1,31 @@
-"""The hashed-LR kernel, the Arrow featurizer and the training keep-set
-against their per-row oracles (tests/oracles.py): float32 logits are
-compared bit for bit, the features column and the keep-set exactly."""
+"""The hashed-linear kernel, the Arrow featurizer and the training
+keep-set against their per-row oracles (tests/oracles.py): float32
+logits, the classifier zoo's and MIML-RE's scores and the one SGD loop
+are compared bit for bit, bucket lists, the features column and the
+keep-set exactly."""
 
+import ast
 import collections
+import pathlib
 
 import numpy as np
 import pyarrow as pa
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stanford_relation_extractor_ray.pipelines.classifiers import (
+    LinearBagModel, SupervisedModel)
+from stanford_relation_extractor_ray.pipelines.jointbayes import \
+    _z_log_probs
+from stanford_relation_extractor_ray.pipelines.train import sgd_lr
 from stanford_relation_extractor_ray.stages import classify
 from stanford_relation_extractor_ray.stages.classify import (
-    HASH_DIM, LRModel, hash_features)
+    HASH_DIM, LRModel, bucket_lists, hash_features)
 
-from oracles import featurize_loop, lr_logits_loop
+from oracles import (bucket_lists_loop, featurize_loop,
+                     linear_bag_scores_loop, lr_logits_loop,
+                     supervised_bag_loop, train_z_loop, z_log_probs_loop)
 
 
 def _colliding_pair() -> list[str]:
@@ -33,6 +44,10 @@ def _colliding_pair() -> list[str]:
 COLLIDING = _colliding_pair()
 VOCAB = ["between:was born in", "order:SO", "span_word:né", "arg:東京",
          "", "x" * 40] + COLLIDING
+# feature-list rows: empty and single-feature rows, empty batches, and
+# rows that repeat a bucket
+ROWS = st.lists(st.lists(st.sampled_from(VOCAB), max_size=30),
+                max_size=25)
 
 
 def _model(seed: int, n_labels: int) -> LRModel:
@@ -61,17 +76,55 @@ def test_colliding_pair_shares_a_bucket():
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.lists(st.sampled_from(VOCAB), max_size=30),
-                     max_size=25),
-       seed=st.integers(0, 2**31 - 1), n_labels=st.integers(2, 6),
-       cut=st.integers(0, 25))
+@given(rows=ROWS, seed=st.integers(0, 2**31 - 1),
+       n_labels=st.integers(2, 6), cut=st.integers(0, 25))
 def test_logits_bit_identical_to_row_loop(rows, seed, n_labels, cut):
     model = _model(seed, n_labels)
     want = lr_logits_loop(model, rows).view(np.uint32)
+    want_buckets = bucket_lists_loop(rows)
     for form in _forms(rows, min(cut, len(rows))):
         got = model.logits(form)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got.view(np.uint32), want)
+        assert bucket_lists(form) == want_buckets
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=ROWS, seed=st.integers(0, 2**31 - 1),
+       n_labels=st.integers(2, 48))
+@example(rows=[], seed=0, n_labels=42)
+@example(rows=[[]], seed=0, n_labels=42)
+@example(rows=[[COLLIDING[0]], [], COLLIDING], seed=1, n_labels=42)
+def test_zoo_scores_bit_identical_to_row_loops(rows, seed, n_labels):
+    """The perceptron family's sentence scores, SUPERVISED's bag
+    scores and MIML-RE's Z log-probabilities through ``gather_sum``
+    against the per-row loops they replaced (42 labels is the
+    package's label count)."""
+    model = _model(seed, n_labels)
+    got = LinearBagModel(model.W, model.labels)._scores(rows)
+    want = linear_bag_scores_loop(model.W, rows)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  want.view(np.uint64))
+    sup = SupervisedModel(model.W, model.b, model.labels)
+    assert sup.classify_bag(rows) == supervised_bag_loop(sup, rows)
+    feat_idx = bucket_lists(rows)
+    got = _z_log_probs(model.W, model.b, feat_idx)
+    want = z_log_probs_loop(model.W, model.b, feat_idx)
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  want.view(np.uint64))
+
+
+def test_sgd_lr_equals_former_train_z():
+    """One SGD loop: ``sgd_lr`` gives MIML-RE's former ``_train_z``
+    weights byte for byte (rows repeat buckets, some are empty)."""
+    rng = np.random.default_rng(5)
+    rows = [list(rng.choice(VOCAB, rng.integers(0, 8))) for _ in range(300)]
+    feats = bucket_lists(rows)
+    ys = rng.integers(0, 42, len(rows))
+    W, b = sgd_lr(feats, ys, 42, 5)
+    W0, b0 = train_z_loop(feats, ys, 42, 5)
+    assert W.tobytes() == W0.tobytes() and b.tobytes() == b0.tobytes()
 
 
 def test_predict_proba_is_softmax_of_oracle_logits():
@@ -201,3 +254,24 @@ def test_scorers_hash_once_per_batch(monkeypatch, candidates):
         for i in range(6)], schema=BAGS_SCHEMA)
     EnsembleScorer(model)(bags)
     assert len(calls) == 2
+
+
+# --- one hashing entry point ----------------------------------------------
+
+def test_only_classify_references_hash_features():
+    """Every package hashing path goes through ``classify.feature_codes``
+    (``bucket_lists``, ``hashed_sums``): no other module names
+    ``hash_features``."""
+    pkg = pathlib.Path(classify.__file__).parent.parent
+    offenders = []
+    for path in sorted(pkg.rglob("*.py")):
+        rel = path.relative_to(pkg).as_posix()
+        if rel == "stages/classify.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] \
+                if isinstance(node, (ast.Import, ast.ImportFrom)) else \
+                [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "hash_features" in names:
+                offenders.append(f"{rel}:{node.lineno}")
+    assert offenders == []
