@@ -4,9 +4,8 @@ byte: the ``MODEL_REGISTRY`` models, ``JOINT_BAYES`` and
 ``LOCAL_BAYES`` on ``build_training_bags(200, seed)`` (with
 ``classify_bag`` over those bags), ``train_supervised`` on
 ``annotated_examples(200, seed)``, ``train_lr(400, seed)`` with a fresh
-cache dir and ``train_bagged(400, seed)``. Ray Data keeps block order,
-since ``annotated_examples`` otherwise returns its rows in a
-run-dependent order.
+cache dir and ``train_bagged(400, seed)``. Run it in several fresh
+processes to check that training does not depend on task timing.
 
 Usage, from the root of a checkout:
     PYTHONPATH=. python scripts/zoo_digests.py SEED
@@ -23,7 +22,6 @@ ray.init(address="local", num_cpus=4, include_dashboard=False,
          logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-DataContext.get_current().execution_options.preserve_order = True
 
 from stanford_relation_extractor_ray.pipelines import (
     classifiers, jointbayes, train)

@@ -3,8 +3,9 @@
 The reference drives runtime behavior through 233 ``@Option`` fields on
 ``kbp/common/Props.java`` and constructs classifiers reflectively via
 ``ModelType``/``MetaClass`` (``ModelType.java:68-105``). The Ray-Data
-analog: a frozen dataclass of the knobs this engine honors (named after
-their reference properties) plus a registry of swappable stage
+analog: a frozen dataclass of the knobs ``build_pipeline`` reads (named
+after their reference properties; any other keyword is a ``TypeError``,
+not a silently ignored setting) plus a registry of swappable stage
 constructors, so a user extends the engine by registering a callable —
 no edits to the pipeline modules.
 
@@ -15,7 +16,7 @@ the registry, mirroring how ``SlotfillingSystem`` wires components from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -23,34 +24,11 @@ class PipelineConfig:
     """Engine knobs, named for their reference properties."""
 
     seed: int = 42
-    # index.test.sentences.per.entity (StanfordMIMLRE.properties:30)
-    sentences_per_entity: int = 500
-    # index.maxsentencelength (:24) — None disables the gate
-    max_sentence_tokens: int | None = None
-    # train.negatives.subsampleratio (:71)
-    negative_subsample: float = 0.10
-    # featureCountThreshold (:10)
-    feature_count_threshold: int = 5
-    # train.jointbayes.epochs / .folds (:9,13)
-    epochs: int = 8
-    folds: int = 3
-    # kbp.model (ModelType) — which scorer trains/loads
-    model_type: str = "LOCAL_BAYES"
     # test.consistency.gibbsobjective (TOP = plain greedy)
     gibbs_objective: str = "TOP"
     gibbs_mixing_time: int = 10
     # test.probabilitypriors
     probability_priors: bool = False
-    # test.list.output (KBPEvaluator.java:94-98): ALL | BEST | TOP
-    list_output: str = "ALL"
-    # test.threshold.tune: FIXED | GLOBAL | PER_RELATION
-    threshold_tune: str = "FIXED"
-    slot_threshold: float = 0.0
-    # ensemble combination mode (AGREE_*)
-    ensemble_mode: str = "any"
-    with_top_employees: bool = False
-    # extra stages toggles
-    with_world_knowledge: bool = False
 
 
 # --- stage registry ---------------------------------------------------

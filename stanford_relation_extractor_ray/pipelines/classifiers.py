@@ -257,8 +257,8 @@ class SupervisedModel(LRModel):
         return {rel: 1.0 - v for rel, v in om.items()}
 
 
-def train_supervised(datums: list[dict], *, epochs: int = 8,
-                     seed: int = 42) -> SupervisedModel:
+def train_supervised(datums: list[dict], *, seed: int = 42
+                     ) -> SupervisedModel:
     """``datums``: annotated sentence examples
     ``{"features": [...], "label": relation-or-no_relation}`` (NOT
     bags — the SUPERVISED input type)."""

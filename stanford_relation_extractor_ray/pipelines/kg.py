@@ -167,19 +167,12 @@ def _postprocess_driver_side(consistent: pa.Table, sentences: pa.Table,
     absent) → Dataset."""
     import ray.data as rd
 
-    from ..stages.postprocess import unary_chain
+    from ..stages.postprocess import glosses, unary_chain
     from ..stages.worldknowledge import get_geography
 
-    def key(t: pa.Table) -> pa.Array:
-        return pc.binary_join_element_wise(
-            t.column("doc_id"), t.column("sent_idx").cast(pa.string()),
-            "|")
-
-    at = pc.index_in(key(consistent),
-                     value_set=key(sentences).combine_chunks())
-    gloss = pc.fill_null(sentences.column("text").take(at), "")
-    out = unary_chain(consistent.append_column("gloss", gloss),
-                      known=known, geo=get_geography()) \
+    glossed = consistent.append_column("gloss",
+                                       glosses(consistent, sentences))
+    out = unary_chain(glossed, known=known, geo=get_geography()) \
         .drop_columns(["gloss"])
     return rd.from_arrow(out)
 

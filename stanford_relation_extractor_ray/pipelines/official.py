@@ -77,7 +77,7 @@ def official_eval(n_docs: int, *, seed: int = 42, queries=None,
     """
     import os
 
-    from ..stages import link, nlp, postprocess
+    from ..stages import link, postprocess
     from ..sources import write_official_output, write_predictions_tab
 
     if queries is None:
@@ -107,8 +107,9 @@ def official_eval(n_docs: int, *, seed: int = 42, queries=None,
     consistent = consistent.map_batches(only_queries,
                                         batch_format="pyarrow")
 
-    # unary rewrite/filter chain with the distributed gloss join
-    sentences = nlp.annotate(documents_dataset(n_docs, seed), seed=seed)
+    # unary rewrite/filter chain with the distributed gloss join (the
+    # gloss needs only each sentence's text, no NLP)
+    sentences = kg.sentences_from_documents(documents_dataset(n_docs, seed))
     processed = postprocess.apply_unary(
         consistent, sentences, known=known, ignored=ignored or None,
         with_geo=True)

@@ -7,7 +7,7 @@ counts, string/date scalar functions) exercised against the TPC-H-ish
 tables so the driver can verify it against a DuckDB oracle (see
 __ray_entry__). Join sides bounded by a fact or dimension table are
 never broadcast or collected above their size gate — they co-partition
-on the hashed join key via one tagged-union ``runtime.by_key`` shuffle
+on the hashed join key via one two-sided ``runtime.by_key`` shuffle
 (``_membership_join``); only truly tiny lookup tables (nation, 25 rows)
 ride a closure.
 
@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..runtime import by_key
+from ..runtime import by_key, renamed
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -33,7 +33,7 @@ def _read(sf_dir: str, table: str, columns=None):
 # key-set size below which a semi-/anti-join key side broadcasts
 # (ray.put once, pc.is_in per batch) instead of co-partitioning —
 # 2M int64 keys ≈ 16 MB in the object store, well under a worker
-# heap; above it the tagged-union shuffle is the only scale-safe
+# heap; above it the two-sided shuffle is the only scale-safe
 # shape (VERDICT r4 "next round" #4: the SMALL_FILLS gate pattern)
 SMALL_KEYS = 2_000_000
 
@@ -49,7 +49,7 @@ def _membership_join(rows, keys, *, key_col: str, payload: dict,
       every row batch with a vectorized ``pc.is_in`` against the
       object-store copy. No shuffle at all; the fact side streams.
     - **large key side** (> gate): co-partition on the int64 key via
-      ONE tagged-union ``by_key`` shuffle — the scale-safe shape for
+      ONE two-sided ``by_key`` shuffle — the scale-safe shape for
       dimension-bounded key sets that must never land on the driver
       (VERDICT r3 "what's wrong" #1). Membership inside each
       partition is a vectorized ``pc.is_in``.
@@ -58,13 +58,13 @@ def _membership_join(rows, keys, *, key_col: str, payload: dict,
     tests/test_relational_gate.py at both sides of the threshold).
 
     ``payload`` maps the non-key columns of ``rows`` to their Arrow
-    types (used to null-pad the key side so the union schemas line
-    up). Keys are assumed integer (the TPC-H surrogate keys); both
-    sides cast them to int64 before the shuffle hashes them.
+    types (with the int64 key, the row side's schema in both tiers).
+    Keys are assumed integer (the TPC-H surrogate keys); both sides
+    cast them to int64 before the shuffle hashes them.
     ``keys_col`` names the key column on the ``keys`` side when it
     differs from ``key_col`` (the output keeps ``key_col``)."""
-    pay_names = list(payload)
     keys_col = keys_col or key_col
+    row_side = pa.schema([(key_col, pa.int64()), *payload.items()])
 
     keys = keys.materialize()       # consumed by count + one tier
     if keys.count() <= SMALL_KEYS:
@@ -79,47 +79,21 @@ def _membership_join(rows, keys, *, key_col: str, payload: dict,
                             value_set=kv)
             if anti:
                 mask = pc.invert(mask)
-            out = batch.filter(mask)
-            return pa.table(
-                {key_col: out.column(key_col).cast(pa.int64()),
-                 **{nm: out.column(nm).cast(ty)
-                    for nm, ty in payload.items()}})
+            return batch.filter(mask).select(row_side.names) \
+                .cast(row_side)
 
         return rows.map_batches(bfilter, batch_format="pyarrow",
                                 batch_size=65536)
 
-    def tag_rows(batch: pa.Table) -> pa.Table:
-        cols = {"key": batch.column(key_col).cast(pa.int64())}
-        for nm, ty in payload.items():
-            cols[nm] = batch.column(nm).cast(ty)
-        cols["side"] = pa.array(["R"] * batch.num_rows, pa.string())
-        return pa.table(cols)
+    def member(rws: pa.Table, kset: pa.Table) -> pa.Table:
+        mask = pc.is_in(rws.column(key_col),
+                        value_set=kset.column(key_col))
+        return rws.filter(pc.invert(mask) if anti else mask)
 
-    def tag_keys(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {"key": batch.column(keys_col).cast(pa.int64())}
-        for nm, ty in payload.items():
-            cols[nm] = pa.nulls(n, ty)
-        cols["side"] = pa.array(["K"] * n, pa.string())
-        return pa.table(cols)
-
-    def member(group: pa.Table) -> pa.Table:
-        sides = group.column("side")
-        kset = group.filter(pc.equal(sides, "K")).column("key")
-        rws = group.filter(pc.equal(sides, "R"))
-        mask = pc.is_in(rws.column("key"), value_set=kset)
-        if anti:
-            mask = pc.invert(mask)
-        out = rws.filter(mask)
-        return pa.table(
-            {key_col: out.column("key"),
-             **{nm: out.column(nm) for nm in pay_names}})
-
-    return by_key([rows.map_batches(tag_rows, batch_format="pyarrow",
-                                    batch_size=65536),
-                   keys.map_batches(tag_keys, batch_format="pyarrow",
-                                    batch_size=65536)],
-                  "key", member)
+    return by_key([(rows, row_side),
+                   (renamed(keys, {keys_col: key_col}),
+                    pa.schema([(key_col, pa.int64())]))],
+                  key_col, member)
 
 
 # --- groupby-aggregate with in-batch partial pre-aggregation -------------
@@ -189,7 +163,7 @@ def revenue_by_nation(sf_dir: str):
       join gave up: VERDICT r4 "next round" #4.)
     - **large customer side** (1.5B rows at 100×): orders
       pre-aggregate per custkey in-batch, then co-partition with
-      customer on the custkey in one tagged-union ``by_key`` shuffle
+      customer on the custkey in one two-sided ``by_key`` shuffle
       and join per partition (vectorized pandas merge).
 
     Either way, only the genuinely small side — nation, 25 rows —
@@ -210,6 +184,12 @@ def revenue_by_nation(sf_dir: str):
                                pa.string()),
             "revenue": batch.column("revenue")})
 
+    def per_customer(batch: pa.Table) -> pa.Table:
+        """In-batch partial revenue per customer (key, p_rev)."""
+        return (batch.group_by("o_custkey")
+                .aggregate([("o_totalprice", "sum")])
+                .rename_columns(["key", "p_rev"]))
+
     cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     if cust_ds.count() <= SMALL_KEYS:    # parquet-metadata count
         import ray
@@ -223,9 +203,7 @@ def revenue_by_nation(sf_dir: str):
         lut_ref = ray.put((ckey, cnat))
 
         def partial(batch: pa.Table) -> pa.Table:
-            t = (batch.group_by("o_custkey")
-                 .aggregate([("o_totalprice", "sum")])
-                 .rename_columns(["key", "p_rev"]))
+            t = per_customer(batch)
             ck, cn = ray.get(lut_ref)   # zero-copy plasma views
             if len(ck) == 0:            # empty dim side: inner join
                 return pa.table({       # yields no rows, not IndexError
@@ -255,27 +233,8 @@ def revenue_by_nation(sf_dir: str):
                                        batch_format="pyarrow")
                 .sort("n_name"))
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        t = (batch.group_by("o_custkey")
-             .aggregate([("o_totalprice", "sum")])
-             .rename_columns(["key", "p_rev"]))
-        return pa.table({
-            "key": t.column("key").cast(pa.int64()),
-            "p_rev": t.column("p_rev"),
-            "n_nationkey": pa.nulls(t.num_rows, pa.int64())})
-
-    def tag_cust(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "key": batch.column("c_custkey").cast(pa.int64()),
-            "p_rev": pa.nulls(n, pa.float64()),
-            "n_nationkey": batch.column("c_nationkey").cast(pa.int64())})
-
-    def join_partition(df: pd.DataFrame) -> pd.DataFrame:
-        # side discriminator: p_rev is null iff the row is the dim
-        # side (o_totalprice is NOT NULL, so a fact partial can't be)
-        dim = df[df["p_rev"].isna()][["key", "n_nationkey"]]
-        fact = df[df["p_rev"].notna()][["key", "p_rev"]]
+    def join_partition(fact: pd.DataFrame, dim: pd.DataFrame
+                       ) -> pd.DataFrame:
         m = fact.merge(dim, on="key", how="inner")
         out = (m.groupby("n_nationkey", sort=True)["p_rev"]
                .sum().reset_index())
@@ -283,11 +242,14 @@ def revenue_by_nation(sf_dir: str):
         return out
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    joined = by_key([orders.map_batches(tag_orders, batch_format="pyarrow",
-                                        batch_size=65536),
-                     cust_ds.map_batches(tag_cust, batch_format="pyarrow",
-                                         batch_size=65536)],
-                    "key", join_partition, batch_format="pandas")
+    joined = by_key(
+        [(orders.map_batches(per_customer, batch_format="pyarrow",
+                             batch_size=65536),
+          pa.schema([("key", pa.int64()), ("p_rev", pa.float64())])),
+         (renamed(cust_ds, {"c_custkey": "key",
+                            "c_nationkey": "n_nationkey"}),
+          pa.schema([("key", pa.int64()), ("n_nationkey", pa.int64())]))],
+        "key", join_partition, batch_format="pandas")
     from ray.data.aggregate import Sum
     per_nation = (joined.groupby("n_nationkey")
                   .aggregate(Sum("p_rev", alias_name="revenue")))
@@ -304,7 +266,7 @@ def customers_without_urgent_orders(sf_dir: str):
     duplicated key in two batches lands on the same partition and
     ``pc.is_in`` is idempotent), then joined via ``_membership_join``:
     broadcast ``pc.is_in`` while the key set is provably tiny
-    (≤ SMALL_KEYS), tagged-union co-partition above it — the key set
+    (≤ SMALL_KEYS), two-sided co-partition above it — the key set
     is customer-dimension-bounded, far too large to broadcast at
     100× scale."""
     def urgent_keys(batch: pa.Table) -> pa.Table:
@@ -507,7 +469,7 @@ def high_value_repeat_customers(sf_dir: str, min_orders: int = 15,
     balance. The qualifying-key side is computed distributed
     (in-batch partial counts → global sum → vectorized threshold
     filter) and stays distributed — it joins the customer side via
-    the tagged-union coarse-pid shuffle, never a driver set. The
+    the two-sided coarse-pid ``by_key`` shuffle, never a driver set. The
     balance predicate runs vectorized BEFORE the shuffle so only
     candidate rows move."""
     def partial_counts(batch: pa.Table) -> pa.Table:

@@ -50,7 +50,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..runtime import by_key
+from ..runtime import by_key, renamed
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -69,8 +69,7 @@ def events_asof_order(sf_dir: str, salt_chunk_minutes: int | None = None,
     highest ``o_orderkey`` — stated in the oracle SQL too, so both
     engines agree exactly.
 
-    Shape: tagged union of the two tables (schemas padded with nulls),
-    one ``by_key`` shuffle on the customer, then
+    Shape: one two-sided ``by_key`` shuffle on the customer, then
     ``pd.merge_asof(by=user)`` inside each partition — the standard
     distributed as-of: co-partition on the equality key, sort-merge on
     the temporal key locally.
@@ -91,38 +90,17 @@ def events_asof_order(sf_dir: str, salt_chunk_minutes: int | None = None,
         ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
         od = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderkey", "o_orderdate"])
+    # the join sides, keyed by user
+    od = renamed(od, {"o_custkey": "user_id"})
+    ev_side = pa.schema([("user_id", pa.int64()), ("event_id", pa.int64()),
+                         ("ts", pa.timestamp("us"))])
+    od_side = pa.schema([("user_id", pa.int64()), ("o_orderkey", pa.int64()),
+                         ("o_orderdate", pa.timestamp("us"))])
     if salt_chunk_minutes:
         return _events_asof_order_salted(
-            ev, od, chunk_sec=salt_chunk_minutes * 60)
+            (ev, ev_side), (od, od_side), chunk_sec=salt_chunk_minutes * 60)
 
-    def tag_ev(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        key = batch.column("user_id")
-        return pa.table({
-            "ukey": key,
-            "event_id": batch.column("event_id"),
-            "ts": batch.column("ts"),
-            "o_orderkey": pa.nulls(n, pa.int64()),
-            "o_orderdate": pa.nulls(n, pa.timestamp("us")),
-            "side": pa.array(np.zeros(n, np.int8)),   # 0 = event
-        })
-
-    def tag_od(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        key = batch.column("o_custkey")
-        return pa.table({
-            "ukey": pa.compute.cast(key, pa.int64()),
-            "event_id": pa.nulls(n, pa.int64()),
-            "ts": pa.nulls(n, pa.timestamp("us")),
-            "o_orderkey": batch.column("o_orderkey"),
-            "o_orderdate": pa.compute.cast(batch.column("o_orderdate"),
-                                           pa.timestamp("us")),
-            "side": pa.array(np.ones(n, np.int8)),    # 1 = order
-        })
-
-    def asof(df: pd.DataFrame) -> pd.DataFrame:
-        left = df[df["side"] == 0]
-        right = df[df["side"] == 1]
+    def asof(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if len(left) == 0 or len(right) == 0:
             return pd.DataFrame({
                 "event_id": pd.Series(dtype="int64"),
@@ -137,16 +115,12 @@ def events_asof_order(sf_dir: str, salt_chunk_minutes: int | None = None,
         right = right.sort_values(["o_orderdate", "o_orderkey"],
                                   kind="mergesort")
         j = pd.merge_asof(
-            left[["ts", "ukey", "event_id"]],
-            right[["o_orderdate", "ukey", "o_orderkey"]],
-            left_on="ts", right_on="o_orderdate", by="ukey",
-            direction="backward")
+            left, right, left_on="ts", right_on="o_orderdate",
+            by="user_id", direction="backward")
         j = j[j["o_orderkey"].notna()]
         return pd.DataFrame({
-            # the tagged union null-pads event_id on the orders side,
-            # so pandas promotes it to float64 in the group — cast back
-            "event_id": j["event_id"].to_numpy().astype(np.int64),
-            "user_id": j["ukey"].to_numpy().astype(np.int64),
+            "event_id": j["event_id"].to_numpy(),
+            "user_id": j["user_id"].to_numpy(),
             "ts": j["ts"].to_numpy(),
             "asof_orderkey": j["o_orderkey"].to_numpy().astype(np.int64),
             # emitted as a YYYY-MM-DD string: order dates are
@@ -159,61 +133,45 @@ def events_asof_order(sf_dir: str, salt_chunk_minutes: int | None = None,
                 j["o_orderdate"].to_numpy(), unit="D"),
         })
 
-    return by_key([ev.map_batches(tag_ev, batch_format="pyarrow"),
-                   od.map_batches(tag_od, batch_format="pyarrow")],
-                  "ukey", asof, batch_format="pandas").sort("event_id")
+    return by_key([(ev, ev_side), (od, od_side)], "user_id", asof,
+                  batch_format="pandas").sort("event_id")
 
 
-def _events_asof_order_salted(ev, od, *, chunk_sec: int):
-    """Two-round skew-safe as-of join (see ``events_asof_order``)."""
+def _events_asof_order_salted(ev_side, od_side, *, chunk_sec: int):
+    """Two-round skew-safe as-of join (see ``events_asof_order``) of
+    the ``(Dataset, schema)`` event and order sides."""
 
-    def tag_ev(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        user = batch.column("user_id").to_numpy()
-        ts = batch.column("ts").to_numpy()
-        ci = _chunk_of(ts, chunk_sec)
-        return pa.table({
-            "side": pa.array(["E"] * n, pa.string()),
-            "ukey": pa.array(user),
-            "ci": pa.array(ci),
-            "event_id": batch.column("event_id"),
-            "ts": batch.column("ts"),
-            "o_orderkey": pa.array(np.full(n, -1, np.int64)),
-            "o_orderdate": pa.nulls(n, pa.timestamp("us")),
-        })
+    def with_chunk(time_col: str):
+        def fn(batch: pa.Table) -> pa.Table:
+            ts = pa.compute.cast(batch.column(time_col),
+                                 pa.timestamp("us")).to_numpy()
+            return batch.append_column(
+                "ci", pa.array(_chunk_of(ts, chunk_sec)))
+        return fn
 
-    def tag_od(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        user = batch.column("o_custkey").to_numpy().astype(np.int64)
-        dates = pa.compute.cast(batch.column("o_orderdate"),
-                                pa.timestamp("us"))
-        ci = _chunk_of(dates.to_numpy(), chunk_sec)
-        return pa.table({
-            "side": pa.array(["O"] * n, pa.string()),
-            "ukey": pa.array(user),
-            "ci": pa.array(ci),
-            "event_id": pa.array(np.full(n, -1, np.int64)),
-            "ts": pa.nulls(n, pa.timestamp("us")),
-            "o_orderkey": batch.column("o_orderkey"),
-            "o_orderdate": dates,
-        })
+    def pending(ev: pd.DataFrame) -> pd.DataFrame:
+        """Events still looking for an order (side E)."""
+        return pd.DataFrame({
+            "side": "E", "ukey": ev["user_id"].to_numpy(),
+            "ci": ev["ci"].to_numpy(),
+            "event_id": ev["event_id"].to_numpy(),
+            "ts": ev["ts"].to_numpy(),
+            "o_orderkey": np.full(len(ev), -1, np.int64),
+            "o_orderdate": pd.Series(
+                [pd.NaT] * len(ev), dtype="datetime64[us]").to_numpy()})
 
-    def asof_local(df: pd.DataFrame) -> pd.DataFrame:
+    def asof_local(e: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
         """Per (user, chunk): local backward as-of; unmatched events
         stay pending (side E); each order-bearing chunk emits its best
         (max date, tie max key) order as a one-row summary (side S);
         everything is re-keyed by user for round 2."""
-        df = df.assign(
-            gk=df.groupby(["ukey", "ci"], sort=True).ngroup())
-        e = df[df["side"] == "E"].sort_values(
-            ["ts", "event_id"], kind="mergesort")
-        o = df[df["side"] == "O"].sort_values(
-            ["o_orderdate", "o_orderkey"], kind="mergesort")
+        e = e.sort_values(["ts", "event_id"], kind="mergesort")
+        o = o.sort_values(["o_orderdate", "o_orderkey"], kind="mergesort")
         frames = []
         if len(o):
-            summ = o.groupby("gk", sort=True).tail(1)
+            summ = o.groupby(["user_id", "ci"], sort=True).tail(1)
             frames.append(pd.DataFrame({
-                "side": "S", "ukey": summ["ukey"].to_numpy(),
+                "side": "S", "ukey": summ["user_id"].to_numpy(),
                 "ci": summ["ci"].to_numpy(),
                 "event_id": np.full(len(summ), -1, np.int64),
                 "ts": pd.Series([pd.NaT] * len(summ),
@@ -222,32 +180,21 @@ def _events_asof_order_salted(ev, od, *, chunk_sec: int):
                 "o_orderdate": summ["o_orderdate"].to_numpy()}))
         if len(e) and len(o):
             j = pd.merge_asof(
-                e[["ts", "gk", "ukey", "ci", "event_id"]],
-                o[["o_orderdate", "gk", "o_orderkey"]],
-                left_on="ts", right_on="o_orderdate", by="gk",
-                direction="backward")
+                e, o, left_on="ts", right_on="o_orderdate",
+                by=["user_id", "ci"], direction="backward")
             hit = j["o_orderkey"].notna()
             jh = j[hit]
             frames.append(pd.DataFrame({
-                "side": "J", "ukey": jh["ukey"].to_numpy(),
+                "side": "J", "ukey": jh["user_id"].to_numpy(),
                 "ci": jh["ci"].to_numpy(),
                 "event_id": jh["event_id"].to_numpy(),
                 "ts": jh["ts"].to_numpy(),
                 "o_orderkey": jh["o_orderkey"].to_numpy()
                 .astype(np.int64),
                 "o_orderdate": jh["o_orderdate"].to_numpy()}))
-            jm = j[~hit]
-            frames.append(pd.DataFrame({
-                "side": "E", "ukey": jm["ukey"].to_numpy(),
-                "ci": jm["ci"].to_numpy(),
-                "event_id": jm["event_id"].to_numpy(),
-                "ts": jm["ts"].to_numpy(),
-                "o_orderkey": np.full(len(jm), -1, np.int64),
-                "o_orderdate": pd.Series(
-                    [pd.NaT] * len(jm),
-                    dtype="datetime64[us]").to_numpy()}))
+            frames.append(pending(j[~hit]))
         elif len(e):
-            frames.append(e.drop(columns=["pid", "gk"]))
+            frames.append(pending(e))
         if not frames:
             return pd.DataFrame({
                 "side": pd.Series(dtype="object"),
@@ -310,9 +257,13 @@ def _events_asof_order_salted(ev, od, *, chunk_sec: int):
                     .dt.strftime("%Y-%m-%d").to_numpy()}))
         return pd.concat(outs, ignore_index=True)
 
-    local = by_key([ev.map_batches(tag_ev, batch_format="pyarrow"),
-                    od.map_batches(tag_od, batch_format="pyarrow")],
-                   ["ukey", "ci"], asof_local, batch_format="pandas")
+    ci = pa.field("ci", pa.int64())
+    local = by_key(
+        [(ds.map_batches(with_chunk(time_col), batch_format="pyarrow"),
+          schema.append(ci))
+         for (ds, schema), time_col in ((ev_side, "ts"),
+                                        (od_side, "o_orderdate"))],
+        ["user_id", "ci"], asof_local, batch_format="pandas")
     return by_key(local, "ukey", carry_join,
                   batch_format="pandas").sort("event_id")
 

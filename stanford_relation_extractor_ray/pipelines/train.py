@@ -81,7 +81,9 @@ def _label_batch(batch: pa.Table, kb: dict) -> pa.Table:
 def training_candidates(n_docs: int, seed: int = 42):
     """Featurized candidates of the training doc range, streaming:
     documents → nlp → pair → link → featurize, the stage chain the
-    evaluator uses."""
+    evaluator uses. Rows come out in document order: the chain (and
+    every Dataset built on it) keeps block order, so a seeded SGD over
+    these rows gives the same weights in every run."""
     import ray.data as rd
     from ..corpus import _docs_batch
 
@@ -90,6 +92,8 @@ def training_candidates(n_docs: int, seed: int = 42):
                          batch_format="numpy")
             .map_batches(lambda b: _docs_batch(b, seed),
                          batch_format="numpy", batch_size=2048))
+    # the context object is shared by every Dataset derived from docs
+    docs.context.execution_options.preserve_order = True
     sents = nlp.annotate(docs, seed=seed)
     return featurize.featurize(link.link(mentions.pair(sents), seed=seed))
 

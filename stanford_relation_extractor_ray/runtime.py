@@ -6,7 +6,10 @@ routes rows to ``shuffle_parts()`` coarse partitions by ``pid_of`` of
 their key columns and runs a function over each whole partition, so a
 key never costs one Ray group of its own (~200 µs each). Every stage
 that groups by entity, triple, user, gram, bucket or document goes
-through it; groupbys on small real keys do not.
+through it; groupbys on small real keys do not. Its list form is the
+package's one co-partition join: each caller names its sides'
+schemas and gets one table per side, while the null padding, side
+code and split stay here.
 
 Stages whose state is only a cache of immutable inputs (lexicons, alias
 indexes, model weights, codec tables and the memos built over them) need
@@ -83,15 +86,28 @@ def by_key(sides, key, fn, *, batch_format: str = "pyarrow"):
     """``fn`` over coarse partitions that each hold every row of their
     keys — the package's one hash-and-group shuffle.
 
-    ``sides`` is one Dataset, or the sides of a tagged union (equal
-    schemas); ``key`` is a column name, or a list of them, present on
-    every side. Each side's own map step (fused with whatever map
+    ``sides`` is one Dataset, or a list of ``(Dataset, schema)`` join
+    sides; ``key`` is a column name, or a list of them, present on
+    every side under the same name (a side renames its key before it
+    comes here). One Dataset: its map step (fused with whatever map
     built it) sets ``pid = pid_of(key columns, shuffle_parts())``,
-    replacing a ``pid`` column already there; the sides are unioned
-    and ``groupby("pid").map_groups(fn)`` runs. ``fn`` goes to Ray
-    unwrapped, so the operator keeps ``fn.__name__``."""
+    replacing a ``pid`` column already there, and
+    ``groupby("pid").map_groups(fn)`` runs with one argument, the
+    partition. A list: each side is projected and cast to its own
+    schema, padded with nulls to the union of the side schemas (a
+    column two sides share must have one type) and given an int8 side
+    code; the sides are unioned and grouped the same way, and each
+    group is split back by side code, so ``fn(*parts)`` gets one part
+    per side, in its side's own schema — empty but typed when the side
+    has no rows there. Parts are pandas frames with
+    ``batch_format="pandas"``, Arrow tables otherwise. Either way the
+    operator keeps ``fn.__name__``."""
+    import functools
+
+    import numpy as np
     import pandas as pd
     import pyarrow as pa
+    import pyarrow.compute as pc
     cols = [key] if isinstance(key, str) else list(key)
     n_parts = shuffle_parts()
 
@@ -106,10 +122,46 @@ def by_key(sides, key, fn, *, batch_format: str = "pyarrow"):
             batch.append_column("pid", arr)
 
     if not isinstance(sides, (list, tuple)):
-        sides = [sides]
-    tagged = [s.map_batches(add_pid, batch_format=None) for s in sides]
+        return sides.map_batches(add_pid, batch_format=None) \
+            .groupby("pid").map_groups(fn, batch_format=batch_format)
+
+    schemas = [schema.remove_metadata() for _ds, schema in sides]
+    union = pa.unify_schemas(schemas)
+
+    def tagger(code: int, schema: pa.Schema):
+        def tag(batch: pa.Table) -> pa.Table:
+            own = batch.select(schema.names).cast(schema)
+            n = own.num_rows
+            return add_pid(pa.Table.from_arrays(
+                [own.column(f.name) if f.name in schema.names
+                 else pa.nulls(n, f.type) for f in union]
+                + [pa.array(np.full(n, code, np.int8))],
+                schema=union.append(pa.field("_side", pa.int8()))))
+        return tag
+
+    @functools.wraps(fn)
+    def split(group: pa.Table):
+        code = group.column("_side")
+        parts = [group.filter(pc.equal(code, i)).select(s.names)
+                 for i, s in enumerate(schemas)]
+        if batch_format == "pandas":
+            parts = [p.to_pandas() for p in parts]
+        return fn(*parts)
+
+    tagged = [ds.map_batches(tagger(i, s), batch_format="pyarrow")
+              for i, ((ds, _), s) in enumerate(zip(sides, schemas))]
     ds = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return ds.groupby("pid").map_groups(fn, batch_format=batch_format)
+    return ds.groupby("pid").map_groups(split, batch_format="pyarrow")
+
+
+def renamed(ds, names: dict):
+    """``ds`` with columns renamed old → new by ``names`` in an Arrow
+    map step: how a ``by_key`` side gives its key the shared name (Ray's
+    ``rename_columns`` fails on pandas blocks)."""
+    def rename(batch):
+        return batch.rename_columns([names.get(c, c)
+                                     for c in batch.column_names])
+    return ds.map_batches(rename, batch_format="pyarrow")
 
 
 def collect_table(ds, schema):

@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import is_acronym_of, normalize_tokens, same_entity
-from ..runtime import by_key, collect_table
+from ..runtime import by_key, collect_table, renamed
 from ..schemas import EDGES_SCHEMA, FILLS_SCHEMA, NODES_SCHEMA
 from .classify import combine_fills, merge_fills_table
 
@@ -341,30 +341,23 @@ def canonical_map_ds(surfaces):
 
     # root join: surfaces ⋈ component labels on the name|type key;
     # unpaired surfaces are their own root
-    def tag_surface(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["name"].str.cat(df["type"], sep="|")
-        return pd.DataFrame({
-            "key": key, "root": "", "name": df["name"],
-            "type": df["type"], "weight": df["weight"], "side": "W"})
+    def with_key(batch: pa.Table) -> pa.Table:
+        return batch.append_column("key", _key(batch))
 
-    def tag_label(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "key": df["node"], "root": df["label"], "name": "",
-            "type": "", "weight": 0.0, "side": "L"})
-
-    def join_root(df: pd.DataFrame) -> pd.DataFrame:
-        lmap = dict(zip(df.loc[df["side"] == "L", "key"],
-                        df.loc[df["side"] == "L", "root"]))
-        w = df[df["side"] == "W"]
-        root = w["key"].map(lmap).fillna(w["key"])
+    def join_root(w: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
+        root = w["key"].map(dict(zip(lab["key"], lab["root"]))) \
+            .fillna(w["key"])
         return pd.DataFrame({
             "name": w["name"], "type": w["type"],
             "weight": w["weight"], "root": root})
 
-    rooted = by_key([surfaces.map_batches(tag_surface,
-                                          batch_format="pandas"),
-                     labels.map_batches(tag_label, batch_format="pandas")],
-                    "key", join_root, batch_format="pandas")
+    rooted = by_key(
+        [(surfaces.map_batches(with_key, batch_format="pyarrow"),
+          pa.schema([("key", pa.string()), ("name", pa.string()),
+                     ("type", pa.string()), ("weight", pa.float64())])),
+         (renamed(labels, {"node": "key", "label": "root"}),
+          pa.schema([("key", pa.string()), ("root", pa.string())]))],
+        "key", join_root, batch_format="pandas")
     # co-partitioned by root, so every cluster member is local
     return by_key(rooted, "root", pick_rep, batch_format="pandas")
 
@@ -477,40 +470,21 @@ def driver_graph(fills):
 
 def apply_canonical_join(fills, cmap_ds):
     """Dataset-tier canonical rewrite: per column (subj, then obj) one
-    co-partition tagged-union join of the fills with the canonical-map
-    Dataset on name|type, each partition running ``canonical_rewrite``
-    on its own rows. Map rows carry their (name, type) in the joined
-    column pair and a non-null ``rep``; fill rows a null one — both
-    sides stay FILLS-typed, so the union is schema-aligned."""
+    two-sided ``by_key`` join of the fills with the canonical-map
+    Dataset on name|type (the map's name and type renamed to the
+    joined column pair), each partition running ``canonical_rewrite``
+    on its own rows."""
     def one_join(ds, col: str):
         tcol = f"{col}_type"
 
-        def tag_fill(batch: pa.Table) -> pa.Table:
-            return batch.select(FILLS_SCHEMA.names).cast(FILLS_SCHEMA) \
-                .append_column("rep", pa.nulls(batch.num_rows,
-                                               pa.string()))
+        def rewrite(part: pa.Table, cmap: pa.Table) -> pa.Table:
+            return canonical_rewrite(
+                part, cmap.rename_columns(CMAP_SCHEMA.names), cols=(col,))
 
-        def tag_map(batch: pa.Table) -> pa.Table:
-            cols = {nm: pa.nulls(batch.num_rows, ty)
-                    for nm, ty in zip(FILLS_SCHEMA.names,
-                                      FILLS_SCHEMA.types)}
-            cols[col] = batch.column("name").cast(pa.string())
-            cols[tcol] = batch.column("type").cast(pa.string())
-            return pa.table(cols).append_column(
-                "rep", batch.column("rep").cast(pa.string()))
-
-        def rewrite(group: pa.Table) -> pa.Table:
-            is_map = pc.is_valid(group.column("rep"))
-            m = group.filter(is_map)
-            cmap = pa.table({"name": m.column(col),
-                             "type": m.column(tcol),
-                             "rep": m.column("rep")})
-            return canonical_rewrite(group.filter(pc.invert(is_map)),
-                                     cmap, cols=(col,))
-
-        return by_key([ds.map_batches(tag_fill, batch_format="pyarrow"),
-                       cmap_ds.map_batches(tag_map,
-                                           batch_format="pyarrow")],
+        return by_key([(ds, FILLS_SCHEMA),
+                       (renamed(cmap_ds, {"name": col, "type": tcol}),
+                        pa.schema([(col, pa.string()), (tcol, pa.string()),
+                                   ("rep", pa.string())]))],
                       [col, tcol], rewrite)
 
     return one_join(one_join(fills, "subj"), "obj")

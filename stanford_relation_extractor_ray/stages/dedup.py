@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..runtime import by_key
+from ..runtime import by_key, renamed
 
 _MERSENNE = (1 << 61) - 1
 
@@ -224,15 +224,13 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
     cand = _dedupe_pairs(cand)
 
     # ---- distributed exact-Jaccard verification ----------------------
-    # Two-pass digest join (the tagged-union shape of
-    # graph_infer.intersect_fills): candidate pairs meet each doc's
-    # 64-bit shingle-digest set in a coarse partition keyed by the
-    # doc id — first on id_a, then on id_b — and the Jaccard is
-    # computed where the second digest lands. No driver materialization
-    # of pairs or texts; the digest stream is shuffled twice, both
-    # passes streaming with O(CPUs) groups.
-    empty_sh = pa.array([], pa.list_(pa.uint64()))
-
+    # Two-pass digest join: candidate pairs meet each doc's 64-bit
+    # shingle-digest set in a coarse partition keyed by the doc id —
+    # first on id_a, then on id_b (two-sided ``by_key`` joins, the
+    # digest side renamed to the pass's key) — and the Jaccard is
+    # computed where the second digest lands. No driver
+    # materialization of pairs or texts; the digest stream is shuffled
+    # twice, both passes streaming with O(CPUs) groups.
     def digests(batch: pa.Table) -> pa.Table:
         """Per-doc sorted 64-bit shingle-digest sets, vectorized: one
         ``_doc_shingle_rows`` pass + ONE ``hash_pandas_object`` call
@@ -258,70 +256,26 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
         offs = np.concatenate(([0], np.cumsum(counts)))
         sh = pa.ListArray.from_arrays(pa.array(offs, pa.int32()),
                                       pa.array(h, pa.uint64()))
-        return pa.table({
-            "jid": pa.array(ids, pa.int64()),
-            "id_a": pa.array(ids, pa.int64()),
-            "id_b": pa.array([-1] * n_docs, pa.int64()),
-            "sh": sh,
-            "sh_a": pa.nulls(n_docs, pa.list_(pa.uint64())),
-            "side": pa.array(["D"] * n_docs, pa.string()),
-        })
+        return pa.table({"id": pa.array(ids, pa.int64()), "sh": sh})
 
-    def tag_pairs_on_a(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "jid": batch.column("id_a"),
-            "id_a": batch.column("id_a"),
-            "id_b": batch.column("id_b"),
-            "sh": pa.nulls(n, pa.list_(pa.uint64())),
-            "sh_a": pa.nulls(n, pa.list_(pa.uint64())),
-            "side": pa.array(["P"] * n, pa.string()),
-        })
+    def lookup(pairs: pa.Table, docs: pa.Table, col: str):
+        """The pairs whose ``col`` doc has a digest set, and that set."""
+        at = pc.index_in(pairs.column(col),
+                         value_set=docs.column(col).combine_chunks())
+        ok = pc.is_valid(at)
+        return pairs.filter(ok), docs.column("sh").take(at.filter(ok))
 
-    def attach_a(group: pa.Table) -> pa.Table:
-        sides = group.column("side").to_pylist()
-        jids = group.column("jid").to_pylist()
-        shs = group.column("sh").to_pylist()
-        by_id = {j: s for j, s, sd in zip(jids, shs, sides)
-                 if sd == "D"}
-        out = {"jid": [], "id_a": [], "id_b": [], "sh_a": []}
-        ias = group.column("id_a").to_pylist()
-        ibs = group.column("id_b").to_pylist()
-        for sd, ia, ib in zip(sides, ias, ibs):
-            if sd != "P":
-                continue
-            sa = by_id.get(ia)
-            if sa is None:
-                continue
-            out["jid"].append(ib)        # next pass joins on id_b
-            out["id_a"].append(ia)
-            out["id_b"].append(ib)
-            out["sh_a"].append(sa)
-        return pa.table({
-            "jid": pa.array(out["jid"], pa.int64()),
-            "id_a": pa.array(out["id_a"], pa.int64()),
-            "id_b": pa.array(out["id_b"], pa.int64()),
-            "sh": pa.nulls(len(out["jid"]), pa.list_(pa.uint64())),
-            "sh_a": pa.array(out["sh_a"], pa.list_(pa.uint64())),
-            "side": pa.array(["P"] * len(out["jid"]), pa.string()),
-        })
+    def attach_a(pairs: pa.Table, docs: pa.Table) -> pa.Table:
+        hit, sh_a = lookup(pairs, docs, "id_a")
+        return hit.append_column("sh_a", sh_a)
 
-    def verify(group: pa.Table) -> pa.Table:
-        sides = group.column("side").to_pylist()
-        jids = group.column("jid").to_pylist()
-        shs = group.column("sh").to_pylist()
-        by_id = {j: s for j, s, sd in zip(jids, shs, sides)
-                 if sd == "D"}
+    def verify(pairs: pa.Table, docs: pa.Table) -> pa.Table:
+        hit, sh_b = lookup(pairs, docs, "id_b")
         out_a, out_b, out_j = [], [], []
-        ias = group.column("id_a").to_pylist()
-        ibs = group.column("id_b").to_pylist()
-        sas = group.column("sh_a").to_pylist()
-        for sd, ia, ib, sa in zip(sides, ias, ibs, sas):
-            if sd != "P":
-                continue
-            sb_ = by_id.get(ib)
-            if sb_ is None or sa is None:
-                continue
+        for ia, ib, sa, sb_ in zip(hit.column("id_a").to_pylist(),
+                                   hit.column("id_b").to_pylist(),
+                                   hit.column("sh_a").to_pylist(),
+                                   sh_b.to_pylist()):
             na, nb = len(sa), len(sb_)
             inter = len(np.intersect1d(
                 np.asarray(sa, dtype=np.uint64),
@@ -339,11 +293,16 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
 
     dig = ds.map_batches(digests, batch_format="pyarrow",
                          batch_size=4096)
-    pass1 = by_key([cand.map_batches(tag_pairs_on_a,
-                                     batch_format="pyarrow"), dig],
-                   "jid", attach_a)
-    return (by_key([pass1, dig], "jid", verify)
-            .select_columns(["id_a", "id_b", "jaccard"]))
+    sets = pa.list_(pa.uint64())
+    pairs = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
+    pass1 = by_key([(cand, pairs),
+                    (renamed(dig, {"id": "id_a"}),
+                     pa.schema([("id_a", pa.int64()), ("sh", sets)]))],
+                   "id_a", attach_a)
+    return by_key([(pass1, pairs.append(pa.field("sh_a", sets))),
+                   (renamed(dig, {"id": "id_b"}),
+                    pa.schema([("id_b", pa.int64()), ("sh", sets)]))],
+                  "id_b", verify)
 
 
 def _dedupe_pairs(pairs, extra_col: str | None = None):
@@ -898,8 +857,8 @@ def connected_components_ds(pairs, *, id_a: str = "id_a",
                             id_b: str = "id_b"):
     """Distributed connected components over a near-dup pair Dataset —
     the scale path: iterative min-label propagation
-    (``canonicalize.propagate_components``; one coarse-pid
-    tagged-union shuffle per round), so the pair list never lands on
+    (``canonicalize.propagate_components``; one coarse-pid shuffle
+    per round), so the pair list never lands on
     the driver. Returns the (pair-node-bounded) assignment as a list
     of ``{"id": int, "root": int}`` rows, root = the component's
     minimum id — identical to ``connected_components`` union-find.

@@ -111,35 +111,29 @@ def intersect_fills(fills_a, fills_b):
     """Triples present in BOTH fills datasets — the reference's
     ``IntersectSlotFiller`` (``kbp/slotfilling/evaluate/
     IntersectSlotFiller.java``; RD note §2.8: inner join on the triple
-    key). Shape: tag each side, union, coarse-pid groupby, keep
+    key). Shape: one two-sided ``by_key`` join on the triple, keep
     triples seen on both sides; score = min of the two (the
     conservative combination), provenance from side A."""
     import pandas as pd
 
     from .classify import TRIPLE_KEY
 
-    def tag(side: str):
-        return lambda df: df.assign(side=side)
-
-    def keep_both(df: pd.DataFrame) -> pa.Table:
+    def keep_both(a: pd.DataFrame, b: pd.DataFrame) -> pa.Table:
         # an Arrow table in FILLS_SCHEMA, so an empty partition keeps
         # its column types (an empty frame's would all be object)
-        if len(df) == 0:
+        if len(a) == 0 or len(b) == 0:
             return FILLS_SCHEMA.empty_table()
-        sides = df.groupby(TRIPLE_KEY, sort=False)["side"].nunique()
-        min_s = df.groupby(TRIPLE_KEY, sort=False)["score"].min()
-        a = df[df["side"] == "A"].drop_duplicates(TRIPLE_KEY) \
-            .set_index(TRIPLE_KEY)
-        a = a[sides.reindex(a.index).to_numpy() >= 2]
+        min_s = pd.concat([a, b]).groupby(TRIPLE_KEY, sort=False)[
+            "score"].min()
+        a = a.drop_duplicates(TRIPLE_KEY).set_index(TRIPLE_KEY)
+        a = a[a.index.isin(b.set_index(TRIPLE_KEY).index)]
         a["score"] = min_s.reindex(a.index)
         return pa.Table.from_pandas(
             a.reset_index(), schema=FILLS_SCHEMA,
             preserve_index=False).replace_schema_metadata(None)
 
-    return by_key([fills_a.map_batches(tag("A"), batch_format="pandas"),
-                   fills_b.map_batches(tag("B"), batch_format="pandas")],
-                  TRIPLE_KEY, keep_both, batch_format="pandas") \
-        .select_columns(FILLS_SCHEMA.names)
+    return by_key([(fills_a, FILLS_SCHEMA), (fills_b, FILLS_SCHEMA)],
+                  TRIPLE_KEY, keep_both, batch_format="pandas")
 
 
 def prune_by_distance(fills, query_entities, max_dist: int = 4):
@@ -229,18 +223,9 @@ def mine_rules(fills, *, min_support: int = 2,
     path_ds = by_key(fills.map_batches(tag, batch_format="pyarrow"),
                      "bridge", paths, batch_format="pandas")
 
-    # co-locate paths with direct edges on (subj, obj)
-    edges_flat = fills.map_batches(
-        lambda b: b.select(["subj", "pred", "obj"]).to_pandas()
-        .rename(columns={"pred": "p"}).assign(q="", kind="E"),
-        batch_format="pyarrow")
-    paths_flat = path_ds.map_batches(
-        lambda df: df.assign(kind="P"), batch_format="pandas")
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
+    def score(paths: pd.DataFrame, edges: pd.DataFrame) -> pd.DataFrame:
         heads: dict[tuple, list] = {}
-        for s, o, p in zip(*(df.loc[df["kind"] == "E", c]
-                             for c in ("subj", "obj", "p"))):
+        for s, o, p in zip(edges["subj"], edges["obj"], edges["pred"]):
             heads.setdefault((s, o), []).append(p)
         rows = []
         # paths() dedups only within its bridge-hashed partition: the
@@ -249,8 +234,7 @@ def mine_rules(fills, *, min_support: int = 2,
         # so the global distinct lives in this partition — without it,
         # support/total depend on the partition count, i.e. on cluster
         # size.
-        pdf = df[df["kind"] == "P"].drop_duplicates(
-            ["subj", "p", "q", "obj"])
+        pdf = paths.drop_duplicates(["subj", "p", "q", "obj"])
         for s, o, p, q in zip(pdf["subj"], pdf["obj"], pdf["p"],
                               pdf["q"]):
             rows.append((p, q, "", 0, 1))     # one total per path
@@ -262,8 +246,13 @@ def mine_rules(fills, *, min_support: int = 2,
         # (p, q, head) per partition, not per path
         return out.groupby(["p", "q", "head"], as_index=False).sum()
 
-    scored = by_key([paths_flat, edges_flat], ["subj", "obj"], score,
-                    batch_format="pandas")
+    # co-locate paths with direct edges on (subj, obj)
+    text = pa.string()
+    scored = by_key(
+        [(path_ds, pa.schema([(c, text) for c in ("subj", "p", "q",
+                                                    "obj")])),
+         (fills, pa.schema([(c, text) for c in ("subj", "pred", "obj")]))],
+        ["subj", "obj"], score, batch_format="pandas")
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         totals = df.groupby(["p", "q"])["total"].sum()

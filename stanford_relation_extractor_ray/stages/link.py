@@ -166,80 +166,40 @@ def alias_dataset(seed: int = 42):
 def link_via_join(candidates, aliases, *, surface_col: str = "subj",
                   type_col: str = "subj_type"):
     """Sharded exact-alias linking: candidates ⋈ aliases on the
-    surface form via a tagged-union coarse-pid join — the scale path
-    when the alias index exceeds broadcast size. Exact hits are
-    rewritten to their canonical; misses pass through unchanged
+    surface form via a two-sided coarse-pid ``by_key`` join — the
+    scale path when the alias index exceeds broadcast size. Exact hits
+    are rewritten to their canonical; misses pass through unchanged
     (fuzzy resolution stays in the per-worker linker, which handles
     the small residue). Wikidict-faithful: the reference's wikidict is
     likewise an exact surface → article index."""
-    from ..runtime import by_key
+    from ..runtime import by_key, renamed
 
-    def tag_alias(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "__join_surface": batch.column("surface"),
-            "__join_type": batch.column("type"),
-            "__canonical": batch.column("canonical"),
-            "__side": pa.array(["A"] * batch.num_rows, pa.string())})
-
-    def tag_cand(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {c: batch.column(c) for c in batch.column_names}
-        cols["__join_surface"] = batch.column(surface_col)
-        cols["__join_type"] = batch.column(type_col)
-        cols["__canonical"] = pa.nulls(n, pa.string())
-        cols["__side"] = pa.array(["C"] * n, pa.string())
-        return pa.table(cols)
-
-    def join(group: pa.Table) -> pa.Table:
-        sides = group.column("__side").to_pylist()
-        surfs = group.column("__join_surface").to_pylist()
-        typs = group.column("__join_type").to_pylist()
-        canon = group.column("__canonical").to_pylist()
+    def join(cands: pa.Table, alias: pa.Table) -> pa.Table:
         # deterministic on ambiguous surfaces (the norm at wikidict
         # scale): smallest canonical wins, independent of the
         # group-internal row order Ray does not guarantee
         amap: dict[tuple, str] = {}
-        for s, t, c, sd in zip(surfs, typs, canon, sides):
-            if sd == "A" and (((s, t) not in amap)
-                              or c < amap[(s, t)]):
+        for s, t, c in zip(alias.column(surface_col).to_pylist(),
+                           alias.column(type_col).to_pylist(),
+                           alias.column("canonical").to_pylist()):
+            if (s, t) not in amap or c < amap[(s, t)]:
                 amap[(s, t)] = c
-        mask = [sd == "C" for sd in sides]
-        sub = group.filter(pa.array(mask))
-        if sub.num_rows == 0:
-            return sub.drop_columns(
-                ["__join_surface", "__join_type", "__canonical",
-                 "__side", "pid"])
-        new_subj = [amap.get((s, t)) or s
-                    for s, t, sd in zip(surfs, typs, sides)
-                    if sd == "C"]
-        i = sub.column_names.index(surface_col)
-        sub = sub.set_column(i, surface_col,
-                             pa.array(new_subj, pa.string()))
-        return sub.drop_columns(
-            ["__join_surface", "__join_type", "__canonical",
-             "__side", "pid"])
+        new_subj = [amap.get((s, t)) or s for s, t in zip(
+            cands.column(surface_col).to_pylist(),
+            cands.column(type_col).to_pylist())]
+        return cands.set_column(
+            cands.schema.get_field_index(surface_col), surface_col,
+            pa.array(new_subj, pa.string()))
 
-    # union needs equal schemas: build the alias side with the
-    # candidate columns nulled (schema discovered from the cand side)
-    def tag_alias_like(cands_schema):
-        def fn(batch: pa.Table) -> pa.Table:
-            t = tag_alias(batch)
-            n = t.num_rows
-            cols = {}
-            for name, typ in zip(cands_schema.names,
-                                 cands_schema.types):
-                cols[name] = pa.nulls(n, typ)
-            for name in t.column_names:
-                cols[name] = t.column(name)
-            return pa.table(cols)
-        return fn
-
+    # the candidate schema is open: whatever columns the caller has
     cand_schema = candidates.schema().base_schema
-    return by_key([candidates.map_batches(tag_cand,
-                                          batch_format="pyarrow"),
-                   aliases.map_batches(tag_alias_like(cand_schema),
-                                       batch_format="pyarrow")],
-                  "__join_surface", join)
+    alias_side = pa.schema([(surface_col, pa.string()),
+                            (type_col, pa.string()),
+                            ("canonical", pa.string())])
+    return by_key([(candidates, cand_schema),
+                   (renamed(aliases, {"surface": surface_col,
+                                      "type": type_col}), alias_side)],
+                  surface_col, join)
 
 
 def linking_features(surface: str, candidate: str,

@@ -325,7 +325,11 @@ class NLPAnnotator:
         out_doc, out_idx, out_text, out_ntok, out_mentions = \
             [], [], [], [], []
         out_pos, out_deps = [], []
-        for doc_id, sent_idx, tokens, ments, _text in \
+        # tags and edges are functions of the tokens, so of the text:
+        # one parse per distinct text in this batch (a memo that lived
+        # as long as the worker would grow with every new text)
+        parsed: dict[str, tuple] = {}
+        for doc_id, sent_idx, tokens, ments, text in \
                 self.iter_sentences(batch):
             out_doc.append(doc_id)
             out_idx.append(sent_idx)
@@ -334,10 +338,14 @@ class NLPAnnotator:
             out_mentions.append(
                 [{"surface": s, "ner": t, "begin": b, "end": e,
                   "antecedent": a} for s, t, b, e, a in ments])
-            pos, edges = self.analyze(tokens)
-            out_pos.append(pos)
-            out_deps.append([{"head": h, "dep": d, "label": l}
-                             for h, d, l in edges])
+            hit = parsed.get(text)
+            if hit is None:
+                pos, edges = self.analyze(tokens)
+                hit = parsed[text] = (
+                    pos, [{"head": h, "dep": d, "label": l}
+                          for h, d, l in edges])
+            out_pos.append(hit[0])
+            out_deps.append(hit[1])
         from ..schemas import DEP_EDGE_STRUCT
         return pa.Table.from_arrays(
             [pa.array(out_doc, pa.string()),

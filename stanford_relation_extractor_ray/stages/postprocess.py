@@ -10,10 +10,10 @@ filters (``unaryFilters``, ``:83-94``), then the KB anti-join
 
 Rewrites/filters that need the *containing sentence* (the reference's
 ``containingSentenceLossy``) read a ``gloss`` column attached by
-``attach_gloss`` — a distributed tagged-union join of fills against the
-sentences table on (doc_id, sent_idx) with coarse-pid partitions (the
-``intersect_fills`` shape; nothing lands on the driver). Without a
-gloss the sentence-dependent clauses no-op, mirroring the reference's
+``attach_gloss`` — a distributed two-sided ``by_key`` join of fills
+against the sentences table on (doc_id, sent_idx) with coarse-pid
+partitions (nothing lands on the driver). Without a gloss the
+sentence-dependent clauses no-op, mirroring the reference's
 ``provenance.isDefined()`` guards.
 
 Chain entry: ``unary_chain(fills_batch, ...)`` (pure, per-batch) and
@@ -428,56 +428,38 @@ def unary_chain(batch: pa.Table, *, known: dict | None = None,
                      for n in keep})
 
 
+def glosses(fills: pa.Table, sentences: pa.Table):
+    """Each fill's containing sentence text, looked up in
+    ``sentences``' (doc_id, sent_idx, text) rows on (doc_id, sent_idx)
+    by one Arrow ``index_in`` ("" when absent) — the gloss join of both
+    size tiers."""
+    import pyarrow.compute as pc
+
+    def key(t: pa.Table):
+        return pc.binary_join_element_wise(
+            t.column("doc_id"), t.column("sent_idx").cast(pa.string()),
+            "|")
+
+    at = pc.index_in(key(fills),
+                     value_set=key(sentences).combine_chunks())
+    return pc.fill_null(sentences.column("text").take(at), "")
+
+
 def attach_gloss(fills, sentences):
     """Distributed fills ⋈ sentences on (doc_id, sent_idx): adds a
-    ``gloss`` string column (the containing sentence text). Tagged
-    union → coarse-pid groupby → in-partition dict join; the
+    ``gloss`` string column (the containing sentence text). One
+    two-sided ``by_key`` shuffle, then ``glosses`` per partition; the
     provenance-recovery shape of ``SimpleSlotFiller.java:484-676``
     restructured per SURVEY.md §7.4."""
     from ..runtime import by_key
-    fill_names = list(FILLS_SCHEMA.names)
-    fill_types = dict(zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types))
+    from ..schemas import SENTENCES_SCHEMA
 
-    def tag_fill(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        # cast to canonical FILLS types: pandas-built upstream stages
-        # widen int32 → int64, which breaks the union
-        cols = {nm: batch.column(nm).cast(fill_types[nm])
-                for nm in fill_names}
-        cols["side"] = pa.array(["F"] * n, pa.string())
-        cols["gloss"] = pa.nulls(n, pa.string())
-        return pa.table(cols)
+    def join(f: pa.Table, s: pa.Table) -> pa.Table:
+        return f.append_column("gloss", glosses(f, s))
 
-    def tag_sent(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {}
-        for nm, ty in zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types):
-            if nm == "doc_id":
-                cols[nm] = batch.column("doc_id")
-            elif nm == "sent_idx":
-                cols[nm] = batch.column("sent_idx")
-            else:
-                cols[nm] = pa.nulls(n, ty)
-        cols["side"] = pa.array(["S"] * n, pa.string())
-        cols["gloss"] = batch.column("text")
-        return pa.table(cols)
-
-    def join(group: pa.Table) -> pa.Table:
-        sides = group.column("side").to_pylist()
-        docs = group.column("doc_id").to_pylist()
-        sents = group.column("sent_idx").to_pylist()
-        glosses = group.column("gloss").to_pylist()
-        by_key = {(d, s): g for d, s, g, sd in
-                  zip(docs, sents, glosses, sides) if sd == "S"}
-        mask = [sd == "F" for sd in sides]
-        sub = group.filter(pa.array(mask))
-        g = [by_key.get((d, s), "")
-             for d, s, sd in zip(docs, sents, sides) if sd == "F"]
-        sub = sub.drop_columns(["side", "gloss", "pid"])
-        return sub.append_column("gloss", pa.array(g, pa.string()))
-
-    return by_key([fills.map_batches(tag_fill, batch_format="pyarrow"),
-                   sentences.map_batches(tag_sent, batch_format="pyarrow")],
+    sent_side = pa.schema([SENTENCES_SCHEMA.field(c)
+                           for c in ("doc_id", "sent_idx", "text")])
+    return by_key([(fills, FILLS_SCHEMA), (sentences, sent_side)],
                   ["doc_id", "sent_idx"], join)
 
 

@@ -82,6 +82,26 @@ def sentences_loop(batch: pa.Table) -> pa.Table:
                      "text": pa.array(out_t, pa.string())})
 
 
+def annotate_loop(ann, batch: pa.Table) -> pa.Table:
+    """``NLPAnnotator.__call__`` with one tagger + parser run per
+    sentence occurrence (no per-text memo)."""
+    from stanford_relation_extractor_ray.schemas import SENTENCES_SCHEMA
+    cols = [[] for _ in SENTENCES_SCHEMA]
+    for doc_id, sent_idx, tokens, ments, _text in \
+            ann.iter_sentences(batch):
+        pos, edges = ann.analyze(tokens)
+        for col, v in zip(cols, (
+                doc_id, sent_idx, " ".join(tokens), len(tokens),
+                [{"surface": s, "ner": t, "begin": b, "end": e,
+                  "antecedent": a} for s, t, b, e, a in ments],
+                pos, [{"head": h, "dep": d, "label": l}
+                      for h, d, l in edges])):
+            col.append(v)
+    return pa.Table.from_arrays(
+        [pa.array(c, f.type) for c, f in zip(cols, SENTENCES_SCHEMA)],
+        schema=SENTENCES_SCHEMA)
+
+
 def lr_logits_loop(model, feat_lists: list[list[str]]):
     """``LRModel.logits`` row by row: hash each row's strings, then
     ``b + W[idx].sum(axis=0)``."""

@@ -233,3 +233,21 @@ def test_slot_scan_dangling_edge_at_sentence_end():
                 [(0, 1, "PERSON"), (1, 2, "PERSON")],
                 mask_spans=[(1, 2)], entity_ner="PERSON")
     assert out == []
+
+
+def test_annotator_parses_each_text_once_and_equals_unmemoized_build():
+    import numpy as np
+    from oracles import annotate_loop
+
+    from stanford_relation_extractor_ray.corpus import _docs_batch
+    batch = _docs_batch({"id": np.arange(300, dtype=np.int64)}, 42)
+    ann = NLPAnnotator(seed=42)
+    want = annotate_loop(ann, batch)
+    texts = want.column("text").to_pylist()
+    assert len(set(texts)) < len(texts)       # texts repeat
+    calls = []
+    analyze = ann.analyze
+    ann.analyze = lambda tokens: calls.append(1) or analyze(tokens)
+    got = ann(batch)
+    assert got.equals(want)
+    assert len(calls) == len(set(texts))

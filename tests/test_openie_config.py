@@ -110,3 +110,19 @@ def test_build_pipeline_from_config(ray_session):
     # priors rescale scores but never invent or drop triples pre-greedy
     assert {(r["subj"], r["pred"], r["obj"]) for r in fills} == \
         {(r["subj"], r["pred"], r["obj"]) for r in fills2}
+
+
+def test_knobs_nothing_reads_are_type_errors():
+    # a setting nothing reads fails loudly instead of being ignored
+    from stanford_relation_extractor_ray.config import PipelineConfig
+    from stanford_relation_extractor_ray.pipelines.classifiers import \
+        train_supervised
+    for name in ("sentences_per_entity", "max_sentence_tokens",
+                 "negative_subsample", "feature_count_threshold",
+                 "epochs", "folds", "model_type", "list_output",
+                 "threshold_tune", "slot_threshold", "ensemble_mode",
+                 "with_top_employees", "with_world_knowledge"):
+        with pytest.raises(TypeError):
+            PipelineConfig(**{name: None})
+    with pytest.raises(TypeError):
+        train_supervised([], epochs=2)

@@ -126,39 +126,60 @@ def test_by_key_co_locates_every_side_of_a_key(ray_session, monkeypatch,
                                                n_parts):
     import ray.data as rd
 
-    def count_sides(group: pa.Table) -> pa.Table:
-        pids = group.column("pid").unique().to_pylist()
-        out = group.group_by(["k", "side"]).aggregate([("k", "count")])
-        n = out.num_rows
-        return pa.table({"k": out.column("k"), "side": out.column("side"),
-                         "n": out.column("k_count"),
-                         "pid": pa.array([pids[0]] * n, pa.int32()),
-                         "n_pids": pa.array([len(pids)] * n)})
+    def describe(part):
+        """(column:type list, key values) of one part."""
+        if isinstance(part, pd.DataFrame):
+            return (",".join(f"{c}:{t}" for c, t in part.dtypes.items()),
+                    part["k"].tolist())
+        return (",".join(f"{f.name}:{f.type}" for f in part.schema),
+                part.column("k").to_pylist())
+
+    def count_sides(a, b, c):
+        (ta, ka), (tb, kb), (tc, kc) = map(describe, (a, b, c))
+        keys = sorted(set(ka) | set(kb))
+        n = len(keys)
+        return pa.table({
+            "k": pa.array(keys, pa.int64()),
+            "n_a": pa.array([ka.count(k) for k in keys], pa.int64()),
+            "n_b": pa.array([kb.count(k) for k in keys], pa.int64()),
+            "types": [f"{ta}|{tb}|{tc}|{len(kc)}"] * n,
+            "part": pa.array([keys[0] if keys else -1] * n, pa.int64())})
 
     monkeypatch.setattr(runtime, "shuffle_parts", lambda: n_parts)
+    # side a carries a stale pid and a column outside its schema; side
+    # b's key is int32 (cast to the shared int64); side c is empty
     a = rd.from_arrow(pa.table({
         "k": pa.array([i % 40 for i in range(400)], pa.int64()),
-        "side": ["A"] * 400,
+        "x": [f"x{i}" for i in range(400)],
+        "junk": [1.0] * 400,
         "pid": pa.array([0] * 400, pa.int32())})).repartition(4)
     b = rd.from_arrow(pa.table({
-        "k": pa.array(list(range(0, 40, 2)), pa.int64()),
-        "side": ["B"] * 20,
-        "pid": pa.array([0] * 20, pa.int32())}))
-    ds = runtime.by_key([a, b], "k", count_sides).materialize()
-    out = ds.to_pandas()
-    assert (out["n_pids"] == 1).all()
-    # every key sits in exactly one partition, with all of its rows
-    assert out.groupby("k")["pid"].nunique().max() == 1
-    assert len(out.groupby("k")) == 40
-    a_rows = out[out["side"] == "A"].set_index("k")["n"]
-    assert (a_rows == 10).all() and len(a_rows) == 40
-    assert len(out[out["side"] == "B"]) == 20
-    # the pid column already on the input is replaced, not kept
-    assert set(out["pid"]) <= set(range(n_parts))
-    assert out["pid"].nunique() > 1
-    # the operator keeps the function's name (perfbench finds its
-    # skew metrics by it)
-    assert "MapBatches(count_sides)" in ds.stats()
+        "k": pa.array(list(range(0, 40, 2)), pa.int32()),
+        "y": pa.array(range(20), pa.int64())}))
+    c = rd.from_arrow(pa.table({"k": pa.array([], pa.int64()),
+                                "z": pa.array([], pa.float64())}))
+    sides = [(a, pa.schema([("k", pa.int64()), ("x", pa.string())])),
+             (b, pa.schema([("k", pa.int64()), ("y", pa.int64())])),
+             (c, pa.schema([("k", pa.int64()), ("z", pa.float64())]))]
+    for batch_format, want in (
+            ("pyarrow", "k:int64,x:string|k:int64,y:int64|k:int64,z:double"),
+            ("pandas", "k:int64,x:object|k:int64,y:int64|k:int64,z:float64")):
+        ds = runtime.by_key(sides, "k", count_sides,
+                            batch_format=batch_format).materialize()
+        out = ds.to_pandas()
+        # every part is in its side's own schema: the padding, the side
+        # code and the pid are gone, the int64 column padded with nulls
+        # in the union stays int64 in pandas form, and the empty side's
+        # part is empty but typed
+        assert set(out["types"]) == {want + "|0"}
+        # every key sits in exactly one partition, with all of its rows
+        assert sorted(out["k"]) == list(range(40))
+        assert (out["n_a"] == 10).all()
+        assert (out["n_b"] == (out["k"] % 2 == 0)).all()
+        assert 1 < out["part"].nunique() <= n_parts
+        # the operator keeps the function's name (perfbench finds its
+        # skew metrics by it)
+        assert "MapBatches(count_sides)" in ds.stats()
 
 
 # --- partition invariance ----------------------------------------------------
@@ -199,6 +220,67 @@ def _asof_inputs():
     return ev, od
 
 
+def _fill(subj, pred, obj, score=0.5, doc=0, sent=0, subj_type="PERSON",
+          obj_type="PERSON"):
+    return {"subj": subj, "subj_type": subj_type, "pred": pred,
+            "obj": obj, "obj_type": obj_type, "score": score,
+            "doc_id": f"d{doc}", "sent_idx": sent,
+            "subj_span": [0, 1], "obj_span": [2, 3]}
+
+
+def _fills(rows):
+    from stanford_relation_extractor_ray.schemas import FILLS_SCHEMA
+    return pa.Table.from_pylist(rows, schema=FILLS_SCHEMA)
+
+
+def _join_inputs():
+    """Inputs of the two-sided joins: glosses, exact-alias links,
+    triple intersection, canonical roots and mined rules."""
+    rng = np.random.default_rng(5)
+    sents = pa.table({
+        "doc_id": [f"d{i // 5}" for i in range(100)],
+        "sent_idx": pa.array([i % 5 for i in range(100)], pa.int32()),
+        "text": [f"sentence {i}" for i in range(100)]})
+    # docs 20-24 and sentences 5-6 have no text: their gloss is ""
+    glossed = _fills([_fill(f"S{i}", "per:title", f"O{i}", doc=i % 25,
+                            sent=i % 7) for i in range(120)])
+    names = [f"N{i}" for i in range(30)]
+    cands = pa.table({
+        "subj": [names[i % 30] for i in range(200)],
+        "subj_type": ["PERSON" if i % 3 else "ORGANIZATION"
+                      for i in range(200)],
+        "x": pa.array(range(200), pa.int64())})
+    # ambiguous surfaces: the smallest canonical wins
+    aliases = pa.table({
+        "surface": [names[i % 20] for i in range(50)],
+        "type": ["PERSON"] * 50,
+        "canonical": [f"C{rng.integers(0, 9)}" for _ in range(50)]})
+    triples = [(f"S{i % 17}", "per:title", f"O{i % 11}")
+               for i in range(80)]
+    fills_a = _fills([_fill(*t, score=float(rng.random()), doc=i)
+                      for i, t in enumerate(triples[:60])])
+    fills_b = _fills([_fill(*t, score=float(rng.random()), doc=i)
+                      for i, t in enumerate(triples[30:])])
+    stems = ["Acme Dynamics", "Blue River", "Cobalt Lake", "Delta Rho"]
+    surf = [(n, "ORGANIZATION") for s in stems
+            for n in (s, f"{s} Corp", f"{s} Corporation")] + \
+        [(f"Person {i}", "PERSON") for i in range(12)]
+    surfaces = pa.table({
+        "name": [n for n, _t in surf], "type": [t for _n, t in surf],
+        "weight": [float(w) for w in rng.random(len(surf))]})
+    paths = []
+    for i in range(12):
+        paths += [_fill(f"A{i}", "org:parents", f"B{i}"),
+                  _fill(f"B{i}", "org:parents", f"C{i}")]
+        if i % 3:
+            paths.append(_fill(f"A{i}", "org:parents", f"C{i}"))
+        if i % 4 == 0:
+            paths.append(_fill(f"B{i}", "org:members", f"A{i}"))
+    return {"sents": sents, "glossed": glossed, "cands": cands,
+            "aliases": aliases, "fills_a": fills_a, "fills_b": fills_b,
+            "surfaces": surfaces, "paths": _fills(paths)}
+
+
 def _ops(tmp_path):
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -206,19 +288,42 @@ def _ops(tmp_path):
     from stanford_relation_extractor_ray.pipelines import relational
     from stanford_relation_extractor_ray.pipelines.temporal import \
         events_asof_order
+    from stanford_relation_extractor_ray.stages.canonicalize import \
+        canonical_map_ds
     from stanford_relation_extractor_ray.stages.dedup import (
         exact_dedup, minhash_lsh_pairs, substring_spans)
+    from stanford_relation_extractor_ray.stages.graph_infer import (
+        intersect_fills, mine_rules)
+    from stanford_relation_extractor_ray.stages.link import link_via_join
+    from stanford_relation_extractor_ray.stages.postprocess import \
+        attach_gloss
 
     docs = _docs()
     ev, od = _asof_inputs()
+    j = _join_inputs()
     # several orders per customer, some on the same date (the tie goes
     # to the highest order key)
-    pq.write_table(od.set_column(2, "o_orderdate", pa.array(
+    od = od.set_column(2, "o_orderdate", pa.array(
         (od.column("o_orderdate").cast(pa.int32()).to_numpy() // 4 * 4)
-        .astype(np.int32), pa.date32())), tmp_path / "orders.parquet")
+        .astype(np.int32), pa.date32()))
+    n_od = od.num_rows
+    pq.write_table(od.append_column("o_totalprice", pa.array(
+        np.arange(n_od) * 1.25 + 3.0)), tmp_path / "orders.parquet")
+    # customer 59 has no orders, and the orders of 60-and-up customers
+    # nobody (customer keys stop at 59)
+    pq.write_table(pa.table({
+        "c_custkey": pa.array(range(60), pa.int64()),
+        "c_nationkey": pa.array([i % 5 for i in range(60)], pa.int32())}),
+        tmp_path / "customer.parquet")
+    pq.write_table(pa.table({
+        "n_nationkey": pa.array(range(5), pa.int32()),
+        "n_name": [f"NATION{i}" for i in range(5)]}),
+        tmp_path / "nation.parquet")
 
     def ds(t, n):
         return rd.from_arrow(t).repartition(n)
+
+    spans = ["subj_span", "obj_span"]
 
     def asof(salt):
         return events_asof_order("", salt, datasets=(ds(ev, 3),
@@ -243,6 +348,18 @@ def _ops(tmp_path):
         "membership_join": membership,
         "latest_order": lambda: relational.latest_order_per_customer(
             str(tmp_path)),
+        "revenue_by_nation": lambda: relational.revenue_by_nation(
+            str(tmp_path)),
+        "attach_gloss": lambda: attach_gloss(
+            ds(j["glossed"], 3), ds(j["sents"], 2)).drop_columns(spans),
+        "link_via_join": lambda: link_via_join(
+            ds(j["cands"], 3), ds(j["aliases"], 2)),
+        "intersect_fills": lambda: intersect_fills(
+            ds(j["fills_a"], 3), ds(j["fills_b"], 2)).drop_columns(spans),
+        "canonical_map_ds": lambda: canonical_map_ds(ds(j["surfaces"], 3)),
+        "mine_rules": lambda: mine_rules(ds(j["paths"], 3),
+                                         min_support=1,
+                                         min_confidence=0.0),
     }
 
 
@@ -252,19 +369,27 @@ def _sorted(df: pd.DataFrame) -> pd.DataFrame:
 
 @pytest.mark.parametrize("op", [
     "exact_dedup", "substring_spans", "minhash_lsh_pairs", "asof",
-    "asof_salted", "membership_join", "latest_order"])
+    "asof_salted", "membership_join", "latest_order",
+    "revenue_by_nation", "attach_gloss", "link_via_join",
+    "intersect_fills", "canonical_map_ds", "mine_rules"])
 def test_outputs_do_not_depend_on_partition_count(ray_session,
                                                   monkeypatch, tmp_path,
                                                   op):
     from stanford_relation_extractor_ray.pipelines import relational
+    # above the gate: the key sides co-partition
     monkeypatch.setattr(relational, "SMALL_KEYS", 0)
     build = _ops(tmp_path)[op]
-    want = _sorted(build().to_pandas())
+
+    def frame():
+        out = build()       # mine_rules returns its (tiny) frame
+        return _sorted(out if isinstance(out, pd.DataFrame)
+                       else out.to_pandas())
+
+    want = frame()
     assert len(want)
     for n in (1, 7):
         monkeypatch.setattr(runtime, "shuffle_parts", lambda n=n: n)
-        got = _sorted(build().to_pandas())
-        pd.testing.assert_frame_equal(got, want)
+        pd.testing.assert_frame_equal(frame(), want)
 
 
 # --- source shape ------------------------------------------------------------
