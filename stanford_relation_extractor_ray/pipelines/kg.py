@@ -14,8 +14,10 @@ zero-execution driver tier below the surface gate and a Dataset-only
 tier above it, see ``build_graph``) → node/edge tables.
 
 Two entry styles:
-- ``extract_fills(docs)`` — the streaming lazy pipeline for one shard.
-- ``run_kg(...)`` — the resumable job: shards the doc-id range, runs and
+- ``extract_fills(docs)`` — the streaming lazy pipeline over a documents
+  Dataset (``run_kg`` without a checkpoint).
+- ``run_kg(...)`` — the resumable job: shards the doc-id range, extracts
+  every stale shard in one Ray Data execution with one staged write and
   checkpoints each shard's fills to Parquet with a per-partition lineage
   manifest (state/manifest.py), then runs the global stages over the
   union of shard outputs (read on the driver when small) and
@@ -33,6 +35,7 @@ tests verify against).
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -165,8 +168,7 @@ def _postprocess_driver_side(consistent: pa.Table, sentences: pa.Table,
     """The SAME ``unary_chain`` in one driver-side call, each fill's
     gloss looked up in ``sentences`` on (doc_id, sent_idx) ("" when
     absent) → Dataset."""
-    import ray.data as rd
-
+    from ..runtime import table_dataset
     from ..stages.postprocess import glosses, unary_chain
     from ..stages.worldknowledge import get_geography
 
@@ -174,7 +176,7 @@ def _postprocess_driver_side(consistent: pa.Table, sentences: pa.Table,
                                        glosses(consistent, sentences))
     out = unary_chain(glossed, known=known, geo=get_geography()) \
         .drop_columns(["gloss"])
-    return rd.from_arrow(out)
+    return table_dataset(out)
 
 
 def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
@@ -210,12 +212,10 @@ def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
     The official-eval pipeline passes ``postprocess=False`` and
     applies the chain itself with per-query ignored slots.
     """
-    import ray.data as rd
-
-    from ..runtime import collect_table
+    from ..runtime import collect_table, materialized, table_dataset
     from ..stages import postprocess as pp
 
-    fills = fills.materialize()
+    fills = materialized(fills)
     if fills.count() <= SMALL_FILLS:
         from ..stages.link import EntityLinker
 
@@ -225,7 +225,7 @@ def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
             collect_table(fills, FILLS_SCHEMA),
             linker=EntityLinker(aliases_ref, seed),
             engine=consistency.make_engine(objective, mixing_time, seed))
-        consistent = rd.from_arrow(table)
+        consistent = table_dataset(table)
     else:
         consistent = consistency.combine_enforce(
             fills, aliases_ref=aliases_ref, seed=seed,
@@ -242,7 +242,9 @@ def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
     if auto and table is not None:
         sents = _generator_sentences(table.column("doc_id"), seed)
         out = _postprocess_driver_side(table, sents, known)
-        sentences = rd.from_arrow(sents) if sents.num_rows else None
+        # only the repair pass below reads them as a Dataset
+        sentences = table_dataset(sents) if repair and sents.num_rows \
+            else None
     else:
         if auto:
             sentences = provenance_sentences(consistent, seed)
@@ -313,8 +315,9 @@ def build_graph(consistent_fills):
     representative pick, co-partition canonical rewrite — where nodes
     is a Dataset too (nothing entity-universe-bounded on the driver).
     """
+    from ..runtime import materialized
     from ..stages.canonicalize import driver_graph, materialize_graph_ds
-    consistent_fills = consistent_fills.materialize()
+    consistent_fills = materialized(consistent_fills)
     if _graph_on_driver(consistent_fills.count()):
         return driver_graph(consistent_fills)
     return materialize_graph_ds(consistent_fills)
@@ -331,15 +334,14 @@ def _driver_table(files: dict[str, int], schema: pa.Schema) -> pa.Table:
 def _read_parts(files: dict[str, int], schema: pa.Schema):
     """Committed part files → Dataset with every column they hold: while
     their committed rows fit ``SMALL_FILLS``, read on the driver and
-    wrapped by ``rd.from_arrow`` (materialized, so neither this nor a
-    consumer's read of its blocks starts a Ray Data execution); above
-    it a ``read_parquet`` one."""
-    import ray.data as rd
-
+    wrapped by ``runtime.table_dataset`` (materialized, so neither this
+    nor a consumer's read of its blocks starts a Ray Data execution);
+    above it a ``read_parquet`` one."""
+    from ..runtime import table_dataset
     from ..storage import read_parquet_clean
     if sum(files.values()) > SMALL_FILLS:
         return read_parquet_clean(list(files))
-    return rd.from_arrow(_driver_table(files, schema)).materialize()
+    return table_dataset(_driver_table(files, schema))
 
 
 def _commit_graph(graph: Manifest, graph_digest: str, consistent, nodes,
@@ -384,19 +386,95 @@ def _read_graph(files: dict[str, int]):
             _read_parts(by["edges"], EDGES_SCHEMA))
 
 
+def _shards(n_docs: int, n_shards: int, seed: int,
+            model_fp: str) -> list[tuple[str, str, int, int]]:
+    """``(part, digest, lo, hi)`` of each non-empty doc-id shard."""
+    per = (n_docs + n_shards - 1) // n_shards
+    out = []
+    for k in range(n_shards):
+        lo, hi = k * per, min((k + 1) * per, n_docs)
+        if lo < hi:
+            out.append((f"{k:04d}", digest("fills", seed, lo, hi,
+                                           PIPELINE_VERSION,
+                                           str(FILLS_SCHEMA), model_fp),
+                        lo, hi))
+    return out
+
+
+# Ray Data's output-block bound on the shard extraction's own Dataset
+# context. Until a fresh operator's first task finishes, Ray estimates
+# each pending task's output at twice this bound; at the default
+# 128 MiB a 512 MiB object store admits one extract task at a time.
+# One 4096-doc chunk emits 0.2-0.35 MB of partial fills (pattern-only
+# and trained, seeds 42 and 7), so its output stays one block.
+SHARD_BLOCK_BYTES = 8 << 20
+
+
+def _extract_chunk(batch: pa.Table, seed: int, aliases_ref,
+                   model_ref) -> pa.Table:
+    """One ``(part, lo, hi)`` chunk row → the partial fills of documents
+    ``lo``…``hi - 1`` (one ``_extract_batch`` call, the batch
+    ``extract_fills`` gives a shard of at most ``EXTRACT_BATCH``
+    documents), each row tagged with the chunk's shard ``part``."""
+    from ..corpus import _docs_batch
+    from ..stages.extract_fused import _extract_batch
+    lo, hi = batch["lo"][0].as_py(), batch["hi"][0].as_py()
+    fills = _extract_batch(
+        _docs_batch({"id": np.arange(lo, hi, dtype=np.int64)}, seed),
+        seed, aliases_ref, model_ref)
+    return fills.append_column("part",
+                               pa.repeat(batch["part"][0], fills.num_rows))
+
+
+def _extract_stale(man: Manifest, stale, *, seed: int, aliases_ref,
+                   model_ref) -> None:
+    """Extract every stale ``(part, digest, lo, hi)`` shard in ONE Ray
+    Data execution, then commit each shard in order.
+
+    The input holds one block per chunk of at most ``EXTRACT_BATCH``
+    documents of a shard, so each chunk is one task; one hive-partitioned
+    ``write_parquet`` stages every shard's fills under
+    ``<stage>/_staging/part=<k>/``, and ``Manifest.begin`` adopts that
+    dir as the shard's temp dir (an empty one when the shard has no
+    fills). Shards must not run as concurrent executions from threads
+    instead: two ``write_parquet`` calls in one driver race on Ray's
+    ``HTTPFileSystem`` import."""
+    import ray.data as rd
+
+    from ..stages.extract_fused import EXTRACT_BATCH
+    chunks = [pa.table({"part": [part], "lo": [a],
+                        "hi": [min(a + EXTRACT_BATCH, hi)]})
+              for part, _, lo, hi in stale
+              for a in range(lo, hi, EXTRACT_BATCH)]
+    ds = rd.from_blocks(chunks).map_batches(
+        _extract_chunk,
+        fn_kwargs={"seed": seed, "aliases_ref": aliases_ref,
+                   "model_ref": model_ref},
+        batch_format="pyarrow", batch_size=None)
+    ds.context.target_max_block_size = SHARD_BLOCK_BYTES
+    staging = man.staging_dir()
+    ds.write_parquet(staging, partition_cols=["part"])
+    for part, d, _, _ in stale:
+        man.begin(part, staged=True)
+        man.commit(part, d)
+    shutil.rmtree(staging)
+
+
 def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
            checkpoint_dir: str | None = None, n_shards: int = 8,
            out_dir: str | None = None):
     """The full resumable job. Returns dict with fills/nodes/edges.
 
-    With ``checkpoint_dir``, each doc-id shard's partial fills are
-    materialized to ``<dir>/fills/part=<k>/`` guarded by a lineage
-    manifest; a rerun recomputes only missing, stale or truncated
-    shards, and reads the shard files on the driver while their
-    committed rows fit ``SMALL_FILLS``. The answer — consistent fills,
-    nodes, edges — is then committed as the graph boundary
-    ``<dir>/graph/part=0000/``, keyed by the ordered shard digests,
-    ``seed``, ``PIPELINE_VERSION``, the fills schema and
+    With ``checkpoint_dir``, the doc-id range is cut into ``n_shards``
+    shards whose partial fills are checkpointed to
+    ``<dir>/fills/part=<k>/`` under a lineage manifest. A call extracts
+    every missing, stale or truncated shard in one Ray Data execution
+    with one staged write, and commits each of them (``_extract_stale``);
+    shards that are done are not recomputed. Shard files are read on the
+    driver while their committed rows fit ``SMALL_FILLS``. The answer —
+    consistent fills, nodes, edges — is then committed as the graph
+    boundary ``<dir>/graph/part=0000/``, keyed by the ordered shard
+    digests, ``seed``, ``PIPELINE_VERSION``, the fills schema and
     ``finalize_fills``' settings. A call that recomputed no shard and
     finds the boundary intact reads it back instead of re-running
     finalize and the graph build (no Ray Data execution below the
@@ -404,6 +482,11 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
     """
     import ray.data as rd
 
+    from ..runtime import materialized
+
+    if checkpoint_dir is not None and n_shards < 1:
+        raise ValueError(f"run_kg: n_shards must be at least 1 with a "
+                         f"checkpoint_dir, got {n_shards}")
     aliases_ref = link.build_alias_ref(seed)
 
     def global_stages(fills):
@@ -412,7 +495,7 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
         # consistency/canonicalization consume the fills twice →
         # materialize the (small) consistent-fills table once, not the
         # whole corpus.
-        consistent = consistent.materialize()
+        consistent = materialized(consistent)
         return (consistent, *build_graph(consistent))
 
     if checkpoint_dir is None:
@@ -421,43 +504,24 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
             docs, seed=seed, aliases_ref=aliases_ref,
             model_ref=model_ref))
     else:
-        from ..corpus import _docs_batch
         man = Manifest(checkpoint_dir, "fills")
-        per = (n_docs + n_shards - 1) // n_shards
-        model_fp = _model_fingerprint(model_ref)
-        shards, recomputed = [], False
-        for k in range(n_shards):
-            lo, hi = k * per, min((k + 1) * per, n_docs)
-            if lo >= hi:
-                continue
-            d = digest("fills", seed, lo, hi, PIPELINE_VERSION,
-                       str(FILLS_SCHEMA), model_fp)
-            part = f"{k:04d}"
-            shards.append((part, d))
-            if man.is_done(part, d):
-                continue
-            recomputed = True
-            tmp = man.begin(part)
-            docs = rd.range(hi - lo).map_batches(
-                lambda b, lo=lo: {"id": b["id"] + lo},
-                batch_format="numpy")
-            docs = docs.map_batches(
-                lambda b: _docs_batch(b, seed), batch_format="numpy",
-                batch_size=2048)
-            extract_fills(docs, seed=seed, aliases_ref=aliases_ref,
-                          model_ref=model_ref).write_parquet(tmp)
-            man.commit(part, d)
+        shards = _shards(n_docs, n_shards, seed,
+                         _model_fingerprint(model_ref))
+        stale = [s for s in shards if not man.is_done(*s[:2])]
+        if stale:
+            _extract_stale(man, stale, seed=seed, aliases_ref=aliases_ref,
+                           model_ref=model_ref)
         graph = Manifest(checkpoint_dir, "graph")
         # run_kg finalizes with finalize_fills' keyword defaults
-        graph_digest = digest("graph", shards, seed, PIPELINE_VERSION,
-                              str(FILLS_SCHEMA),
+        graph_digest = digest("graph", [s[:2] for s in shards], seed,
+                              PIPELINE_VERSION, str(FILLS_SCHEMA),
                               sorted(finalize_fills.__kwdefaults__
                                      .items()))
-        if not recomputed and graph.is_done("0000", graph_digest):
+        if not stale and graph.is_done("0000", graph_digest):
             consistent, nodes, edges = _read_graph(graph.committed("0000"))
         else:
             files = {}
-            for part, _ in shards:
+            for part, *_ in shards:
                 files.update(man.committed(part))
             consistent, nodes, edges = global_stages(
                 _read_parts(files, PARTIAL_SCHEMA))

@@ -164,6 +164,28 @@ def renamed(ds, names: dict):
     return ds.map_batches(rename, batch_format="pyarrow")
 
 
+def materialized(ds):
+    """``ds`` with its output computed, so that reading its blocks starts
+    no Ray Data execution. A ``MaterializedDataset`` (``from_arrow`` or
+    ``from_blocks`` output, or a ``materialize()`` result) only executes
+    its own plan: over blocks already in hand that starts no executor,
+    and the second time it is a no-op, where ``materialize()`` would
+    copy the plan and run it twice."""
+    from ray.data.dataset import MaterializedDataset
+    if not isinstance(ds, MaterializedDataset):
+        return ds.materialize()
+    ds._plan.execute()
+    return ds
+
+
+def table_dataset(table):
+    """One driver-side Arrow table as a ``materialized`` Dataset of one
+    block. ``rd.from_blocks`` takes the block metadata from the table
+    (``rd.from_arrow`` runs a remote task per table to compute it)."""
+    import ray.data as rd
+    return materialized(rd.from_blocks([table]))
+
+
 def collect_table(ds, schema):
     """A materialized Dataset's blocks as one Arrow table on the driver
     (no Ray Data execution); ``schema``'s empty table when it has no

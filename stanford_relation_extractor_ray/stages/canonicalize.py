@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import is_acronym_of, normalize_tokens, same_entity
-from ..runtime import by_key, collect_table, renamed
+from ..runtime import by_key, collect_table, renamed, table_dataset
 from ..schemas import EDGES_SCHEMA, FILLS_SCHEMA, NODES_SCHEMA
 from .classify import combine_fills, merge_fills_table
 
@@ -459,13 +459,11 @@ def driver_graph(fills):
     merge (noisy-or is associative). A shuffle per step here was pure
     task overhead on a ~5k-row table and measured ANTI-scaling
     (0.9 s at 8 CPUs → 2.1 s at 32)."""
-    import ray.data as rd
     tbl = collect_table(fills, FILLS_SCHEMA)
     cmap = canonical_map(surface_weights(tbl))
     merged = merge_fills_table(canonical_rewrite(tbl, cmap)) \
         .select(FILLS_SCHEMA.names).combine_chunks()
-    return make_nodes(cmap), \
-        rd.from_arrow(_to_edges(merged)).materialize()
+    return make_nodes(cmap), table_dataset(_to_edges(merged))
 
 
 def apply_canonical_join(fills, cmap_ds):

@@ -71,13 +71,18 @@ class FusedExtractor:
         return self.scorer(cands)
 
 
+# documents per extract task: the batch the per-batch partial noisy-or
+# and the annotator's memos work over
+EXTRACT_BATCH = 4096
+
+
 def _extract_batch(batch: pa.Table, seed: int, aliases_ref,
                    model_ref) -> pa.Table:
     return FusedExtractor.cached(seed, aliases_ref, model_ref)(batch)
 
 
 def extract(documents, *, seed: int = 42, aliases_ref=None,
-            model_ref=None, batch_size: int = 4096):
+            model_ref=None, batch_size: int = EXTRACT_BATCH):
     """documents Dataset → partial fills Dataset (stateless tasks).
     ``aliases_ref`` and ``model_ref`` are ``ray.put`` refs (or None)."""
     return documents.map_batches(

@@ -10,9 +10,16 @@ partition's row count is their sum). A rerun skips partitions whose
 manifest row matches the current input digest and whose part files
 still carry their committed row counts (one footer read per file, so
 a truncated or unreadable file reruns its partition) — kill the job
-at any point and restart it with the same arguments to resume. ``pipelines/kg.run_kg`` keeps two stages: the
-per-shard partial fills (``fills``) and the graph boundary (``graph``:
-consistent fills, nodes and edges of one call).
+at any point and restart it with the same arguments to resume.
+
+A write may also cover several partitions at once: it goes to the
+stage's ``_staging`` dir (``staging_dir``), one hive-named
+``part=<partition>`` subdir per partition, and ``begin(partition,
+staged=True)`` moves each subdir in as that partition's temp dir before
+it is committed on its own. ``pipelines/kg.run_kg`` keeps two stages:
+the per-shard partial fills (``fills``: one staged write per call for
+every stale shard, committed shard by shard) and the graph boundary
+(``graph``: consistent fills, nodes and edges of one call).
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ class Manifest:
         self.dir = os.path.join(root, stage)
         os.makedirs(self.dir, exist_ok=True)
         self.path = os.path.join(self.dir, "_MANIFEST.json")
+        # not named like a partition, so nothing reads it as one
+        self.staging = os.path.join(self.dir, "_staging")
         self._rows: dict[str, dict] = {}
         if os.path.exists(self.path):
             with open(self.path) as f:
@@ -74,12 +83,26 @@ class Manifest:
         files = self._rows.get(partition, {}).get("files", {})
         return {os.path.join(base, f): files[f] for f in sorted(files)}
 
-    def begin(self, partition: str) -> str:
-        """→ temp dir to write into; commit() renames it into place."""
+    def staging_dir(self) -> str:
+        """→ the stage's staging dir, fresh and empty, for one write that
+        covers several partitions."""
+        if os.path.isdir(self.staging):
+            shutil.rmtree(self.staging)
+        os.makedirs(self.staging)
+        return self.staging
+
+    def begin(self, partition: str, staged: bool = False) -> str:
+        """→ temp dir to write into; commit() renames it into place.
+        ``staged``: the temp dir is ``partition``'s subdir of the
+        staging dir, moved in (empty when the write left none)."""
         tmp = self.partition_dir(partition) + ".tmp"
         if os.path.isdir(tmp):
             shutil.rmtree(tmp)
-        os.makedirs(tmp)
+        src = os.path.join(self.staging, f"part={partition}")
+        if staged and os.path.isdir(src):
+            os.rename(src, tmp)
+        else:
+            os.makedirs(tmp)
         return tmp
 
     def commit(self, partition: str, input_digest: str) -> None:

@@ -315,3 +315,34 @@ def pair_mentions_loop(batch: pa.Table) -> pa.Table:
         [pa.array(cols[n], t) for n, t in
          zip(CANDIDATES_SCHEMA.names, CANDIDATES_SCHEMA.types)],
         schema=CANDIDATES_SCHEMA)
+
+
+def checkpoint_shards_serial(n_docs: int, ckpt: str, *, seed: int = 42,
+                             model_ref=None, n_shards: int = 8) -> None:
+    """``run_kg``'s former shard loop: each stale shard is its own Ray
+    Data execution (a doc-id range → documents in batches of 2048 →
+    ``extract_fills``), written and committed before the next one
+    starts. It writes the checkpoint layout and digests ``run_kg``
+    reads, so ``run_kg`` over the same directory resumes from it."""
+    import ray.data as rd
+
+    from stanford_relation_extractor_ray.corpus import _docs_batch
+    from stanford_relation_extractor_ray.pipelines import kg
+    from stanford_relation_extractor_ray.stages import link
+    from stanford_relation_extractor_ray.state.manifest import Manifest
+
+    aliases_ref = link.build_alias_ref(seed)
+    man = Manifest(ckpt, "fills")
+    for part, d, lo, hi in kg._shards(n_docs, n_shards, seed,
+                                      kg._model_fingerprint(model_ref)):
+        if man.is_done(part, d):
+            continue
+        tmp = man.begin(part)
+        docs = rd.range(hi - lo).map_batches(
+            lambda b, lo=lo: {"id": b["id"] + lo}, batch_format="numpy")
+        docs = docs.map_batches(
+            lambda b: _docs_batch(b, seed), batch_format="numpy",
+            batch_size=2048)
+        kg.extract_fills(docs, seed=seed, aliases_ref=aliases_ref,
+                         model_ref=model_ref).write_parquet(tmp)
+        man.commit(part, d)

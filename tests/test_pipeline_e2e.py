@@ -93,11 +93,14 @@ _TRIPLE_COLS = ["subj", "subj_type", "pred", "obj", "obj_type", "doc_id",
                 "sent_idx"]
 
 
-def _kg_triples(ckpt: str) -> str:
-    from stanford_relation_extractor_ray.pipelines import kg
-    out = kg.run_kg(80, checkpoint_dir=ckpt, n_shards=2)
+def _triples(out) -> str:
     return out["fills"].to_pandas()[_TRIPLE_COLS] \
         .sort_values(_TRIPLE_COLS).to_csv(index=False)
+
+
+def _kg_triples(ckpt: str) -> str:
+    from stanford_relation_extractor_ray.pipelines import kg
+    return _triples(kg.run_kg(80, checkpoint_dir=ckpt, n_shards=2))
 
 
 def test_checkpoint_resume(ray_session, tmp_path, monkeypatch):
@@ -275,6 +278,128 @@ def test_pipeline_version_bump_recomputes_every_shard(ray_session,
     assert kg_triples() == first
     assert committed("fills") == ["0000", "0001"]
     assert committed("graph") == ["0000"]
+
+
+def _shard_tables(ckpt: str) -> dict:
+    """{part: its committed partial fills, read as ``run_kg`` reads
+    them}."""
+    from stanford_relation_extractor_ray.pipelines import kg
+    from stanford_relation_extractor_ray.stages.classify import \
+        PARTIAL_SCHEMA
+    from stanford_relation_extractor_ray.state.manifest import Manifest
+    man = Manifest(ckpt, "fills")
+    return {p: kg._driver_table(man.committed(p), PARTIAL_SCHEMA)
+            for p in sorted(man._rows)}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_committed_shards_equal_serial_chain(ray_session, tmp_path, seed):
+    """For shards of at most ``EXTRACT_BATCH`` documents, each shard
+    ``run_kg`` commits from its one execution is the table the former
+    per-shard serial chain committed: pattern-only (two 2250-doc
+    shards, which that chain generated in 2048-doc batches) and trained
+    (three 200-doc shards)."""
+    from stanford_relation_extractor_ray.pipelines import kg
+    from stanford_relation_extractor_ray.pipelines.train import train_lr
+
+    from oracles import checkpoint_shards_serial
+
+    model_ref = ray_session.put(
+        train_lr(300, seed, cache_dir=str(tmp_path / "model")))
+    for name, n_docs, n_shards, ref in (("pattern", 4500, 2, None),
+                                        ("trained", 600, 3, model_ref)):
+        serial, ckpt = str(tmp_path / f"{name}-serial"), \
+            str(tmp_path / name)
+        checkpoint_shards_serial(n_docs, serial, seed=seed, model_ref=ref,
+                                 n_shards=n_shards)
+        kg.run_kg(n_docs, seed=seed, model_ref=ref, checkpoint_dir=ckpt,
+                  n_shards=n_shards)
+        want, got = _shard_tables(serial), _shard_tables(ckpt)
+        assert list(got) == list(want) == [f"{k:04d}"
+                                           for k in range(n_shards)]
+        for part, table in want.items():
+            assert table.num_rows > 100 and got[part].equals(table), part
+
+
+@pytest.mark.parametrize("seed,n_docs,n_shards,empty",
+                         [(42, 5000, 1, []), (7, 8, 8, ["0004", "0007"])])
+def test_kg_triples_equal_serial_chain(ray_session, tmp_path, monkeypatch,
+                                       seed, n_docs, n_shards, empty):
+    """A pattern-only shard of more than ``EXTRACT_BATCH`` documents (two
+    chunk tasks; the serial chain batched it its own way), and
+    single-document shards of which two have no fills: ``run_kg``'s
+    kg_triples equal those over the serial chain's checkpoint, an empty
+    shard commits an empty dir, and no staging dir is left behind."""
+    import os
+
+    from stanford_relation_extractor_ray.pipelines import kg
+    from stanford_relation_extractor_ray.state.manifest import Manifest
+
+    from oracles import checkpoint_shards_serial
+
+    serial, ckpt = str(tmp_path / "serial"), str(tmp_path / "ckpt")
+    checkpoint_shards_serial(n_docs, serial, seed=seed, n_shards=n_shards)
+    committed = _commit_spy(monkeypatch)
+    want = _triples(kg.run_kg(n_docs, seed=seed, checkpoint_dir=serial,
+                              n_shards=n_shards))
+    assert committed == [("graph", "0000")] and want.count("\n") > 10
+    assert _triples(kg.run_kg(n_docs, seed=seed, checkpoint_dir=ckpt,
+                              n_shards=n_shards)) == want
+    shards = _shard_tables(ckpt)
+    assert [p for p, t in shards.items() if t.num_rows == 0] == empty
+    man = Manifest(ckpt, "fills")
+    assert all(man.committed(p) == {} and os.path.isdir(
+        man.partition_dir(p)) for p in empty)
+    assert sorted(os.listdir(man.dir)) == ["_MANIFEST.json"] + [
+        f"part={p}" for p in shards]
+
+
+def test_stale_shards_extract_in_one_execution(ray_session, tmp_path,
+                                               monkeypatch):
+    """A call with three stale shards starts exactly one Ray Data
+    execution (extraction and the staged write; finalize and the graph
+    build run in their driver tiers) and leaves the process's
+    ``DataContext`` as it was; its resume, and a zero-document call,
+    start none."""
+    from ray.data import DataContext
+    from ray.data._internal.plan import ExecutionPlan
+
+    from stanford_relation_extractor_ray.pipelines.kg import run_kg
+
+    ctx = DataContext.get_current()
+    before = (ctx.target_max_block_size,
+              ctx._max_num_blocks_in_streaming_gen_buffer)
+    started = []
+    create = ExecutionPlan.create_executor
+
+    def spy(self, *args, **kwargs):
+        started.append(self)
+        return create(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", spy)
+    ckpt = str(tmp_path / "ckpt")
+    first = run_kg(90, checkpoint_dir=ckpt, n_shards=3)
+    assert len(started) == 1
+    assert DataContext.get_current() is ctx and before == (
+        ctx.target_max_block_size,
+        ctx._max_num_blocks_in_streaming_gen_buffer)
+    started.clear()
+    assert _triples(run_kg(90, checkpoint_dir=ckpt, n_shards=3)) \
+        == _triples(first)
+    empty = run_kg(0, checkpoint_dir=str(tmp_path / "zero"))
+    assert started == [] and empty["fills"].count() == 0
+
+
+@pytest.mark.parametrize("n_shards", [0, -1])
+def test_checkpointed_run_rejects_non_positive_n_shards(ray_session,
+                                                        tmp_path,
+                                                        n_shards):
+    """With a checkpoint, ``n_shards`` below 1 is a ``ValueError`` that
+    names it (0 used to divide by zero, -1 to return an empty graph)."""
+    from stanford_relation_extractor_ray.pipelines.kg import run_kg
+    with pytest.raises(ValueError, match="n_shards"):
+        run_kg(80, checkpoint_dir=str(tmp_path / "ckpt"),
+               n_shards=n_shards)
 
 
 def test_fast_path_equals_bag_path(ray_session):
