@@ -163,8 +163,7 @@ def _generator_sentences(doc_ids, seed: int) -> pa.Table:
         {"id": np.asarray(_doc_numbers(doc_ids), np.int64)}, seed))
 
 
-def _postprocess_driver_side(consistent: pa.Table, sentences: pa.Table,
-                             known: dict | None):
+def _postprocess_driver_side(consistent: pa.Table, sentences: pa.Table):
     """The SAME ``unary_chain`` in one driver-side call, each fill's
     gloss looked up in ``sentences`` on (doc_id, sent_idx) ("" when
     absent) → Dataset."""
@@ -174,7 +173,7 @@ def _postprocess_driver_side(consistent: pa.Table, sentences: pa.Table,
 
     glossed = consistent.append_column("gloss",
                                        glosses(consistent, sentences))
-    out = unary_chain(glossed, known=known, geo=get_geography()) \
+    out = unary_chain(glossed, geo=get_geography()) \
         .drop_columns(["gloss"])
     return table_dataset(out)
 
@@ -182,8 +181,7 @@ def _postprocess_driver_side(consistent: pa.Table, sentences: pa.Table,
 def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
                    objective: str = "TOP",
                    mixing_time: int = 10, postprocess: bool = True,
-                   sentences="auto", known: dict | None = None,
-                   repair: bool = False):
+                   sentences="auto", repair: bool = False):
     """raw (partial) fills → consistent, object-linked fills (global
     stages).
 
@@ -206,8 +204,7 @@ def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
     driver tier), else ``stages.postprocess.apply_unary``'s distributed
     gloss join. ``sentences`` is "auto" (regenerate the provenance
     documents from the seeded corpus), a (doc_id, sent_idx, text)
-    Dataset, or None (chain without glosses). ``known`` feeds the
-    FilterAlreadyKnownSlots anti-join. ``repair`` re-points weak
+    Dataset, or None (chain without glosses). ``repair`` re-points weak
     provenance to the best supporting sentence among those sentences.
     The official-eval pipeline passes ``postprocess=False`` and
     applies the chain itself with per-query ignored slots.
@@ -241,15 +238,14 @@ def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
     auto = isinstance(sentences, str) and sentences == "auto"
     if auto and table is not None:
         sents = _generator_sentences(table.column("doc_id"), seed)
-        out = _postprocess_driver_side(table, sents, known)
+        out = _postprocess_driver_side(table, sents)
         # only the repair pass below reads them as a Dataset
         sentences = table_dataset(sents) if repair and sents.num_rows \
             else None
     else:
         if auto:
             sentences = provenance_sentences(consistent, seed)
-        out = pp.apply_unary(consistent, sentences, known=known,
-                             with_geo=True)
+        out = pp.apply_unary(consistent, sentences, with_geo=True)
     if repair and sentences is not None:
         # opt-in provenance-recovery pass (weak provenance → best
         # supporting sentence within the sentences)

@@ -11,8 +11,10 @@ copy of each step:
    ``group_by`` sum.
 2. **Blocking** (``_explode_blocks`` → ``_pairs_in_partition``): every
    surface gets block keys (its alphabetically-first normalized token,
-   plus acronym expansion blocks) and pairwise linker scoring runs
-   ONLY within blocks — never corpus-wide all-pairs.
+   plus acronym expansion blocks); the package's one bucket-pair
+   kernel, ``dedup.bucket_pairs``, lists the pairs inside each block
+   (the same candidate step as MinHash LSH and SimHash), and the
+   linker verdict runs per candidate — never corpus-wide all-pairs.
 3. **Components**: driver union-find (``dedup.connected_components``)
    below the gate; distributed min-label propagation
    (``propagate_components_ds``) above it.
@@ -46,7 +48,8 @@ import pyarrow.compute as pc
 from ..functions.text import is_acronym_of, normalize_tokens, same_entity
 from ..runtime import by_key, collect_table, renamed, table_dataset
 from ..schemas import EDGES_SCHEMA, FILLS_SCHEMA, NODES_SCHEMA
-from .classify import combine_fills, merge_fills_table
+from .classify import _rank_codes, combine_fills, merge_fills_table
+from .dedup import bucket_pairs, connected_components
 
 ENTITY_TYPES = ("PERSON", "ORGANIZATION")
 
@@ -131,34 +134,24 @@ def _explode_blocks(surfaces: pa.Table) -> pa.Table:
 
 def _pairs_in_partition(group: pa.Table) -> pa.Table:
     """Blocks (whole ones: a coarse partition, or every block on the
-    driver): bucket rows by block key, pairwise linker scoring within
-    each block → same-entity pairs. (One Ray group per block would pay
-    per-group overhead on thousands of tiny blocks.)"""
-    names = group.column("name").to_pylist()
-    types = group.column("type").to_pylist()
-    blocks = group.column("block").to_pylist()
-    by_block: dict[str, list[int]] = {}
-    for i, blk in enumerate(blocks):
-        by_block.setdefault(blk, []).append(i)
-    out_a, out_b, out_t = [], [], []
-    for blk in sorted(by_block):
-        idx = by_block[blk]
-        order = sorted(idx, key=lambda i: (names[i], types[i]))
-        for ii in range(len(order)):
-            i = order[ii]
-            for jj in range(ii + 1, len(order)):
-                j = order[jj]
-                if types[i] != types[j] or names[i] == names[j]:
-                    continue
-                if same_entity(names[i], names[j], types[i]) \
-                        or is_acronym_of(names[i], names[j]) \
-                        or is_acronym_of(names[j], names[i]):
-                    out_a.append(names[i])
-                    out_b.append(names[j])
-                    out_t.append(types[i])
-    return pa.table({"a": pa.array(out_a, pa.string()),
-                     "b": pa.array(out_b, pa.string()),
-                     "type": pa.array(out_t, pa.string())})
+    driver) → same-entity pairs ``(a, b, type)``, ``a < b``. The
+    candidates are ``dedup.bucket_pairs`` over block codes, ids the
+    names' rank codes, so ``a`` is the lexicographically smaller name
+    (``approx_match_score``'s greedy token match is not symmetric);
+    the linker verdict runs once per candidate. (One Ray group per
+    block would pay per-group overhead on thousands of tiny blocks.)"""
+    names = group.column("name")
+    left, right = bucket_pairs(_rank_codes(group.column("block")),
+                               _rank_codes(names))
+    a = names.take(pa.array(left)).to_pylist()
+    b = names.take(pa.array(right)).to_pylist()
+    types = group.column("type").take(pa.array(left)).to_pylist()
+    keep = [same_entity(x, y, t) or is_acronym_of(x, y)
+            or is_acronym_of(y, x) for x, y, t in zip(a, b, types)]
+    return pa.table({"a": pa.array(a, pa.string()),
+                     "b": pa.array(b, pa.string()),
+                     "type": pa.array(types, pa.string())}) \
+        .filter(pa.array(keep, pa.bool_()))
 
 
 def _block_pairs_ds(surfaces):
@@ -196,8 +189,7 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
 
     Returns the final (node → root) assignment as a DATASET of
     ``(node, label)`` rows (``a``/``b`` name|type keys → root) —
-    nothing lands on the driver; ``propagate_components`` below is
-    the list-collecting form.
+    nothing lands on the driver.
     """
     def to_edges(batch: pa.Table) -> pa.Table:
         ka, kb = _key(batch, "a"), _key(batch, "b")
@@ -261,7 +253,7 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
         worst = max((len(a) for a in nbrs), default=0)
         if worst > MAX_COMPONENT_ADJ:
             raise RuntimeError(
-                f"propagate_components: a node accumulated {worst} "
+                f"propagate_components_ds: a node accumulated {worst} "
                 f"adjacency entries (> MAX_COMPONENT_ADJ="
                 f"{MAX_COMPONENT_ADJ}) — a same-entity component is "
                 "pathologically large; check the blocking/linker "
@@ -283,17 +275,10 @@ def propagate_components_ds(pairs, *, max_iter: int = 50):
             break
     if not converged:
         raise RuntimeError(
-            f"propagate_components did not reach a fixpoint in "
+            f"propagate_components_ds did not reach a fixpoint in "
             f"{max_iter} rounds — component diameter exceeds the "
             f"pointer-jumping bound; raise max_iter")
     return state.select_columns(["node", "label"])
-
-
-def propagate_components(pairs, *, max_iter: int = 50) -> list[dict]:
-    """Driver-collected form of ``propagate_components_ds`` (columnar
-    collect — take_all on pandas blocks is per-row-priced)."""
-    return (propagate_components_ds(pairs, max_iter=max_iter)
-            .to_pandas().to_dict("records"))
 
 
 # --- 4. representative → canonical map ------------------------------------
@@ -318,7 +303,6 @@ def canonical_map(surfaces: pa.Table) -> pa.Table:
     union-find, representative pick. Same clusters and representatives
     as ``canonical_map_ds`` (pinned by tests/test_canonicalize_scale.py).
     """
-    from .dedup import connected_components
     pairs = _pairs_in_partition(_explode_blocks(surfaces))
     root_of = connected_components(list(zip(
         _key(pairs, "a").to_pylist(), _key(pairs, "b").to_pylist())))

@@ -8,8 +8,9 @@ plan SURVEY.md §7.2/7.3, generalized corpus-wide):
 - ``exact_dedup``       — content-hash groupby, keep first (min id).
 - ``minhash_lsh_pairs`` — shingle → minhash → banded LSH buckets →
   candidate pairs → distributed exact-Jaccard verification over a
-  two-pass shingle-digest join. The scale path: only bucket-mates are
-  compared, never all pairs, and nothing lands on the driver.
+  two-pass shingle-digest join, one shingling pass per text. The
+  scale path: only bucket-mates are compared, never all pairs, and
+  nothing lands on the driver.
 - ``simhash_pairs``     — 64-bit simhash, banded by pigeonhole so any
   pair within the hamming radius shares ≥1 of (radius+1) bands —
   exact, no false negatives.
@@ -19,6 +20,10 @@ plan SURVEY.md §7.2/7.3, generalized corpus-wide):
   bucketing (deterministic seeded centroids, in-bucket matmul,
   coarse-pid pair distinct) — no driver-side matrix, bucket id doubles
   as a partition key at scale.
+
+MinHash LSH, SimHash and canonicalization blocking find bucket-mates
+through one numpy kernel, ``bucket_pairs``, and verify them their own
+way (distinct pairs, hamming ≤ radius, the linker verdict).
 
 All hash functions are deterministic (crc32/blake2, seeded
 multiply-shift) so results are reproducible across processes and
@@ -141,9 +146,9 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
                       threshold: float = 0.5, seed: int = 7):
     """Near-duplicate pairs via MinHash + banded LSH + exact verify.
 
-    Dataflow (fully distributed, nothing on the driver): per-batch
-    signature computation (vectorized numpy) → banded bucket rows →
-    coarse-pid groupby → within-bucket candidate pairs → coarse-pid
+    Dataflow (fully distributed, nothing on the driver): one per-batch
+    sketch (band buckets + digest set; materialized by this call) →
+    banded bucket rows → coarse-pid groupby → ``bucket_pairs`` → coarse-pid
     pair distinct → two-pass digest join (pairs meet each doc's 64-bit
     shingle-digest set on id_a, then id_b) → in-partition exact
     Jaccard. Output: (id_a, id_b, jaccard) with id_a < id_b.
@@ -160,24 +165,27 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
     r = num_perm // bands
     a, b = _perm_params(num_perm, seed)
 
-    def to_bands(batch: pa.Table) -> pa.Table:
-        """(id, bucket) rows — one per band; vectorized across
-        the WHOLE batch (``_doc_shingle_rows`` + crc32 once per
-        distinct gram + per-perm ``minimum.reduceat`` over
-        doc-contiguous segments — byte-identical signatures to the
-        per-doc ``minhash_signature`` loop, pinned in
-        tests/test_properties.py). Band hashes fold into a single
-        uint64 bucket key; ``by_key`` routes buckets to coarse
-        partitions, O(CPUs) groups, not O(rows)."""
+    def sketch(batch: pa.Table) -> pa.Table:
+        """(id, bands, sh) per doc from ONE ``_doc_shingle_rows`` pass;
+        crc32 and the digest hash run once per distinct gram. ``bands``:
+        per-perm ``minimum.reduceat`` signatures (byte-identical to the
+        per-doc ``minhash_signature``, pinned in
+        tests/test_properties.py), r rows folded per uint64 bucket key.
+        ``sh``: the sorted shingle-digest set, 64-bit siphash13 with a
+        fixed key (``hash_pandas_object``: process-stable and
+        value-based) — NOT a crc32 pair: crc32 is affine, so the pair
+        carries only 32 bits, and birthday collisions from ~77k
+        distinct shingles would inflate the "exact" Jaccard verify."""
+        import pandas as pd
         ids = np.asarray(batch.column(id_col).to_numpy(), np.int64)
         n_docs = batch.num_rows
         d, grams, seg = _doc_shingle_rows(
             batch.column(text_col).combine_chunks(), k)
         enc = grams.dictionary_encode()
+        codes = enc.indices.to_numpy(zero_copy_only=False)
         dvals = enc.dictionary.to_pylist()     # cross-doc distinct
-        dh = np.fromiter((zlib.crc32(s.encode()) for s in dvals),
-                         np.uint64, len(dvals))
-        hv = dh[enc.indices.to_numpy(zero_copy_only=False)]
+        hv = np.fromiter((zlib.crc32(s.encode()) for s in dvals),
+                         np.uint64, len(dvals))[codes]
         sig = np.empty((n_docs, num_perm), np.uint64)
         for i in range(num_perm):
             sig[:, i] = np.minimum.reduceat(
@@ -189,36 +197,36 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
             acc = (acc ^ folded[:, :, col]) * np.uint64(1099511628211)
         acc = (acc ^ np.arange(bands, dtype=np.uint64)[None, :]) \
             * np.uint64(1099511628211)
-        return pa.table({"id": np.repeat(ids, bands),
-                         "bucket": acc.reshape(-1)})
+        h = pd.util.hash_pandas_object(
+            pd.Series(dvals, dtype=object), index=False) \
+            .to_numpy().astype(np.uint64)[codes]
+        h = h[np.lexsort((h, d))]
+        offs = np.concatenate(([0], np.cumsum(
+            np.bincount(d, minlength=n_docs))))
+        return pa.table({
+            "id": pa.array(ids, pa.int64()),
+            "bands": pa.FixedSizeListArray.from_arrays(
+                pa.array(acc.reshape(-1), pa.uint64()), bands),
+            "sh": pa.ListArray.from_arrays(pa.array(offs, pa.int32()),
+                                           pa.array(h, pa.uint64()))})
 
-    banded = ds.map_batches(to_bands, batch_format="pyarrow",
-                            batch_size=4096)
+    # the one pass over the texts; both the band shuffle and the two
+    # verify passes read it
+    sk = ds.map_batches(sketch, batch_format="pyarrow",
+                        batch_size=4096).materialize()
 
+    def to_rows(t: pa.Table) -> pa.Table:
+        """(id, bucket) rows, one per band."""
+        return pa.table({
+            "id": np.repeat(t.column("id").to_numpy(), bands),
+            "bucket": pc.list_flatten(t.column("bands"))})
+
+    # by_key names the stage after fn (perfbench's partition_skew)
     def partition_pairs(group: pa.Table) -> pa.Table:
-        """One coarse partition: dict-group by bucket, emit candidate
-        pairs (deduped within the partition)."""
-        ids = group.column("id").to_numpy()
-        buckets = group.column("bucket").to_numpy()
-        order = np.lexsort((ids, buckets))
-        ids, buckets = ids[order], buckets[order]
-        seen: set[tuple[int, int]] = set()
-        run_start = 0
-        for i in range(1, len(ids) + 1):
-            if i == len(ids) or buckets[i] != buckets[run_start]:
-                if i - run_start > 1:
-                    run = np.unique(ids[run_start:i])
-                    for x in range(len(run)):
-                        for y in range(x + 1, len(run)):
-                            seen.add((int(run[x]), int(run[y])))
-                run_start = i
-        return pa.table(
-            {"id_a": np.fromiter((p[0] for p in seen), np.int64,
-                                 len(seen)),
-             "id_b": np.fromiter((p[1] for p in seen), np.int64,
-                                 len(seen))})
+        return _lsh_pairs(group)
 
-    cand = by_key(banded, "bucket", partition_pairs)
+    cand = by_key(sk.map_batches(to_rows, batch_format="pyarrow"),
+                  "bucket", partition_pairs)
     # a pair can surface from several band partitions → coarse-pid
     # distinct (never one group per pair, never the driver)
     cand = _dedupe_pairs(cand)
@@ -231,33 +239,6 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
     # computed where the second digest lands. No driver
     # materialization of pairs or texts; the digest stream is shuffled
     # twice, both passes streaming with O(CPUs) groups.
-    def digests(batch: pa.Table) -> pa.Table:
-        """Per-doc sorted 64-bit shingle-digest sets, vectorized: one
-        ``_doc_shingle_rows`` pass + ONE ``hash_pandas_object`` call
-        over the whole gram column (element hashes are value-based, so
-        this equals the former per-doc Series hashing exactly), then a
-        doc-major lexsort and a ListArray wrap. The digest is
-        genuinely 64-bit siphash13 with a fixed key (process-stable) —
-        NOT a crc32 pair: crc32 is affine, so crc32(b+'#') is a fixed
-        bijection of crc32(b) and the pair carries only 32 bits;
-        birthday collisions from ~77k distinct shingles would inflate
-        the "exact" Jaccard verify at corpus scale."""
-        import pandas as pd
-        ids = np.asarray(batch.column(id_col).to_numpy(), np.int64)
-        n_docs = batch.num_rows
-        d, grams, _seg = _doc_shingle_rows(
-            batch.column(text_col).combine_chunks(), k)
-        h = pd.util.hash_pandas_object(
-            grams.to_pandas().astype("object"), index=False) \
-            .to_numpy().astype(np.uint64)
-        order = np.lexsort((h, d))
-        h = h[order]
-        counts = np.bincount(d, minlength=n_docs)
-        offs = np.concatenate(([0], np.cumsum(counts)))
-        sh = pa.ListArray.from_arrays(pa.array(offs, pa.int32()),
-                                      pa.array(h, pa.uint64()))
-        return pa.table({"id": pa.array(ids, pa.int64()), "sh": sh})
-
     def lookup(pairs: pa.Table, docs: pa.Table, col: str):
         """The pairs whose ``col`` doc has a digest set, and that set."""
         at = pc.index_in(pairs.column(col),
@@ -291,18 +272,71 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
                          "id_b": pa.array(out_b, pa.int64()),
                          "jaccard": pa.array(out_j, pa.float64())})
 
-    dig = ds.map_batches(digests, batch_format="pyarrow",
-                         batch_size=4096)
     sets = pa.list_(pa.uint64())
     pairs = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
     pass1 = by_key([(cand, pairs),
-                    (renamed(dig, {"id": "id_a"}),
+                    (renamed(sk, {"id": "id_a"}),
                      pa.schema([("id_a", pa.int64()), ("sh", sets)]))],
                    "id_a", attach_a)
     return by_key([(pass1, pairs.append(pa.field("sh_a", sets))),
-                   (renamed(dig, {"id": "id_b"}),
+                   (renamed(sk, {"id": "id_b"}),
                     pa.schema([("id_b", pa.int64()), ("sh", sets)]))],
                   "id_b", verify)
+
+
+def bucket_pairs(buckets, ids) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one bucket-mate enumeration: row indices
+    ``(left, right)`` of every two DISTINCT ids that share a bucket,
+    ``ids[left] < ids[right]``, in (bucket, id) order; a repeated
+    (bucket, id) row counts once, as its first row. One lexsort, a
+    repeat-row drop, then each run's pairs by repeat/cumsum arithmetic
+    (the per-run loops it replaced are in tests/oracles.py)."""
+    buckets, ids = np.asarray(buckets), np.asarray(ids)
+    order = np.lexsort((ids, buckets))
+    b, i = buckets[order], ids[order]
+    head = np.ones(len(order), bool)
+    head[1:] = (b[1:] != b[:-1]) | (i[1:] != i[:-1])
+    order, b = order[head], b[head]
+    head = np.ones(len(b), bool)
+    head[1:] = b[1:] != b[:-1]
+    start = np.flatnonzero(head)
+    size = np.diff(np.append(start, len(b)))
+    # row p pairs with every later row of its run
+    pos = np.arange(len(b))
+    mates = np.repeat(start + size, size) - pos - 1
+    left = np.repeat(pos, mates)
+    first = np.cumsum(mates) - mates
+    right = left + 1 + np.arange(len(left)) - np.repeat(first, mates)
+    return order[left], order[right]
+
+
+def _lsh_pairs(group: pa.Table) -> pa.Table:
+    """(id, bucket) rows of whole buckets → the distinct bucket-mate
+    pairs (id_a, id_b), id_a < id_b."""
+    ids = group.column("id").to_numpy()
+    left, right = bucket_pairs(group.column("bucket").to_numpy(), ids)
+    ab = np.unique(np.stack([ids[left], ids[right]], axis=1), axis=0)
+    return pa.table({"id_a": pa.array(ab[:, 0], pa.int64()),
+                     "id_b": pa.array(ab[:, 1], pa.int64())})
+
+
+def _hamming_pairs(group: pa.Table, radius: int) -> pa.Table:
+    """(id, bucket, sh) rows of whole buckets → (id_a, id_b, hamming)
+    of the bucket-mates whose simhashes ``sh`` differ in ≤ radius
+    bits, id_a < id_b."""
+    ids = group.column("id").to_numpy()
+    hs = group.column("sh").to_numpy()
+    left, right = bucket_pairs(group.column("bucket").to_numpy(), ids)
+    # popcount by byte table: numpy 1.26 has no bitwise_count
+    xor = (hs[left] ^ hs[right]).view(np.uint8)
+    ham = _POPCOUNT8[xor].reshape(-1, 8).sum(axis=1)
+    near = ham <= radius
+    return pa.table({"id_a": pa.array(ids[left][near], pa.int64()),
+                     "id_b": pa.array(ids[right][near], pa.int64()),
+                     "hamming": pa.array(ham[near], pa.int64())})
+
+
+_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], np.int64)
 
 
 def _dedupe_pairs(pairs, extra_col: str | None = None):
@@ -408,55 +442,13 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                          "bucket": out_bucket, "sh": hrep})
 
     def partition_pairs(group: pa.Table) -> pa.Table:
-        """One coarse partition: dict-group by bucket key, verify
-        hamming within buckets."""
-        ids = group.column("id").to_numpy()
-        buckets = group.column("bucket").to_numpy()
-        hs = group.column("sh").to_numpy()
-        order = np.lexsort((ids, buckets))
-        ids, buckets, hs = ids[order], buckets[order], hs[order]
-        out: set[tuple[int, int, int]] = set()
-        run_start = 0
-        for i in range(1, len(ids) + 1):
-            if i == len(ids) or buckets[i] != buckets[run_start]:
-                if i - run_start > 1:
-                    rid, rh = ids[run_start:i], hs[run_start:i]
-                    for x in range(len(rid)):
-                        for y in range(x + 1, len(rid)):
-                            if rid[x] == rid[y]:
-                                continue
-                            d = int(rh[x] ^ rh[y]).bit_count()
-                            if d <= radius:
-                                a_, b_ = sorted((int(rid[x]),
-                                                 int(rid[y])))
-                                out.add((a_, b_, d))
-                run_start = i
-        rows = sorted(out)
-        return pa.table(
-            {"id_a": pa.array([r_[0] for r_ in rows], pa.int64()),
-             "id_b": pa.array([r_[1] for r_ in rows], pa.int64()),
-             "hamming": pa.array([r_[2] for r_ in rows], pa.int64())})
+        return _hamming_pairs(group, radius)
 
     blocks = ds.map_batches(to_blocks, batch_format="pyarrow",
                             batch_size=4096)
-    pairs = by_key(blocks, "bucket", partition_pairs)
-
-    # distinct pairs across partitions: coarse-pid dedupe again (a pair
-    # can surface from several blocks) — never one group per pair
-    def dedupe(group: pa.Table) -> pa.Table:
-        ia = group.column("id_a").to_numpy()
-        ib = group.column("id_b").to_numpy()
-        hm = group.column("hamming").to_numpy()
-        order = np.lexsort((hm, ib, ia))
-        ia, ib, hm = ia[order], ib[order], hm[order]
-        keep = np.ones(len(ia), dtype=bool)
-        keep[1:] = (ia[1:] != ia[:-1]) | (ib[1:] != ib[:-1])
-        return pa.table({"id_a": pa.array(ia[keep]),
-                         "id_b": pa.array(ib[keep]),
-                         "hamming": pa.array(hm[keep])})
-
-    return by_key(pairs, ["id_a", "id_b"], dedupe) \
-        .select_columns(["id_a", "id_b", "hamming"])
+    # a pair can surface from several blocks
+    return _dedupe_pairs(by_key(blocks, "bucket", partition_pairs),
+                         extra_col="hamming")
 
 
 def jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
@@ -857,15 +849,16 @@ def connected_components_ds(pairs, *, id_a: str = "id_a",
                             id_b: str = "id_b"):
     """Distributed connected components over a near-dup pair Dataset —
     the scale path: iterative min-label propagation
-    (``canonicalize.propagate_components``; one coarse-pid shuffle
+    (``canonicalize.propagate_components_ds``; one coarse-pid shuffle
     per round), so the pair list never lands on
     the driver. Returns the (pair-node-bounded) assignment as a list
-    of ``{"id": int, "root": int}`` rows, root = the component's
-    minimum id — identical to ``connected_components`` union-find.
-    Ids are zero-padded in the label space so string-min equals
-    numeric min. Below ``SMALL_CC_PAIRS`` the identical union-find
-    runs driver-side instead (the propagation loop costs a handful of
-    fixed-latency Ray executions — the canonicalize gate pattern)."""
+    of ``{"id": int, "root": int}`` rows sorted by id, root = the
+    component's minimum id — identical to ``connected_components``
+    union-find. A label is the sign-flipped id as 20 zero-padded
+    digits, so string-min equals numeric min. Below ``SMALL_CC_PAIRS``
+    the identical union-find runs driver-side instead (the propagation
+    loop costs a handful of fixed-latency Ray executions — the
+    canonicalize gate pattern)."""
     pairs = pairs.materialize()
     if pairs.count() <= SMALL_CC_PAIRS:
         df = pairs.to_pandas()
@@ -874,19 +867,27 @@ def connected_components_ds(pairs, *, id_a: str = "id_a",
         return [{"id": int(k), "root": int(v)}
                 for k, v in sorted(cmap.items())]
 
-    def to_edges(batch: pa.Table) -> pa.Table:
-        a = batch.column(id_a).to_pylist()
-        b = batch.column(id_b).to_pylist()
-        return pa.table({
-            "a": pa.array([f"{x:020d}" for x in a], pa.string()),
-            "b": pa.array([f"{x:020d}" for x in b], pa.string()),
-            "type": pa.array(["cc"] * len(a), pa.string())})
+    def label(col) -> pa.Array:
+        u = np.asarray(col.to_numpy(), np.int64).view(np.uint64) ^ _SIGN
+        return pc.utf8_lpad(pa.array(u).cast(pa.string()), 20, "0")
 
-    from .canonicalize import propagate_components
-    rows = propagate_components(
-        pairs.map_batches(to_edges, batch_format="pyarrow"))
-    return [{"id": int(r["node"].split("|", 1)[0]),
-             "root": int(r["label"].split("|", 1)[0])} for r in rows]
+    def to_edges(batch: pa.Table) -> pa.Table:
+        return pa.table({"a": label(batch.column(id_a)),
+                         "b": label(batch.column(id_b)),
+                         "type": np.full(batch.num_rows, "cc")})
+
+    from .canonicalize import propagate_components_ds
+    rows = propagate_components_ds(
+        pairs.map_batches(to_edges, batch_format="pyarrow")).to_pandas()
+    # "<label>|cc" keys back to int64 ids
+    ids, roots = ((pc.utf8_slice_codeunits(pa.array(rows[c], pa.string()),
+                                           0, 20).cast(pa.uint64())
+                   .to_numpy() ^ _SIGN).view(np.int64)
+                  for c in ("node", "label"))
+    return pa.table({"id": ids, "root": roots}).sort_by("id").to_pylist()
+
+
+_SIGN = np.uint64(1 << 63)
 
 
 def connected_components(pairs_rows: list[tuple]) -> dict:
@@ -975,7 +976,7 @@ def embedding_dup_pairs(ds, *, vec_col: str = "embedding",
             "vec": vec_arr,
         })
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
+    def matmul_pairs(group: pa.Table) -> pa.Table:
         """One coarse partition (≥1 whole buckets): per bucket, matmul
         among members, emit (id_a, id_b, cosine) above threshold."""
         ids = group.column("id").to_numpy()
@@ -1007,5 +1008,5 @@ def embedding_dup_pairs(ds, *, vec_col: str = "embedding",
 
     pairs = by_key(ds.map_batches(to_buckets, batch_format="pyarrow",
                                   batch_size=4096),
-                   "bucket", bucket_pairs)
+                   "bucket", matmul_pairs)
     return _dedupe_pairs(pairs, extra_col="cosine")

@@ -5,9 +5,10 @@ entities with aliases (nicknames, acronyms, corporate-suffix variants),
 typed slot-value vocabularies for every NER tag the 42 relations use, and
 a consistent fact table (relation cardinality respected). The corpus
 generator (corpus.py), the NER lexicon (stages/nlp.py), the entity linker
-(stages/link.py) and the pure-Python oracle (oracle.py) all derive from
-this one object, so extraction parity is a property of the pipeline, not
-of shared lookups into gold data.
+(stages/link.py) and the pure-Python test oracle
+(tests/oracle_extractor.py) all derive from this one object, so
+extraction parity is a property of the pipeline, not of shared lookups
+into gold data.
 
 Mirrors the reference fixtures' world (FIXTURES.md; reference test
 fixtures ``PostProcessorsData.java``) in spirit: closed entity set, alias

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import re
 
-from .corpus import doc_plan
-from .functions.text import same_entity
-from .vocab import INCOMPATIBLE_RELATIONS, RELATIONS, SINGLE_RELATIONS, \
-    resolve_relation
-from .world import World, get_world
+from stanford_relation_extractor_ray.corpus import doc_plan
+from stanford_relation_extractor_ray.functions.text import same_entity
+from stanford_relation_extractor_ray.vocab import (
+    INCOMPATIBLE_RELATIONS, RELATIONS, SINGLE_RELATIONS,
+    resolve_relation)
+from stanford_relation_extractor_ray.world import World, get_world
 
 _PRONOUNS = {"He": "PERSON", "She": "PERSON", "It": "ORGANIZATION"}
 

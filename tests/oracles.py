@@ -346,3 +346,89 @@ def checkpoint_shards_serial(n_docs: int, ckpt: str, *, seed: int = 42,
         kg.extract_fills(docs, seed=seed, aliases_ref=aliases_ref,
                          model_ref=model_ref).write_parquet(tmp)
         man.commit(part, d)
+
+
+def lsh_pairs_loop(group: pa.Table) -> set:
+    """MinHash LSH's former in-partition pair loop: sort by bucket,
+    scan the runs, every two distinct ids of a run → {(id_a, id_b)}."""
+    import numpy as np
+
+    ids = group.column("id").to_numpy()
+    buckets = group.column("bucket").to_numpy()
+    order = np.lexsort((ids, buckets))
+    ids, buckets = ids[order], buckets[order]
+    seen: set[tuple[int, int]] = set()
+    run_start = 0
+    for i in range(1, len(ids) + 1):
+        if i == len(ids) or buckets[i] != buckets[run_start]:
+            if i - run_start > 1:
+                run = np.unique(ids[run_start:i])
+                for x in range(len(run)):
+                    for y in range(x + 1, len(run)):
+                        seen.add((int(run[x]), int(run[y])))
+            run_start = i
+    return seen
+
+
+def hamming_pairs_loop(group: pa.Table, radius: int) -> set:
+    """SimHash's former in-partition loop: every two rows of a bucket
+    with distinct ids, kept when their hashes differ in ≤ radius bits
+    → {(id_a, id_b, hamming)}."""
+    import numpy as np
+
+    ids = group.column("id").to_numpy()
+    buckets = group.column("bucket").to_numpy()
+    hs = group.column("sh").to_numpy()
+    order = np.lexsort((ids, buckets))
+    ids, buckets, hs = ids[order], buckets[order], hs[order]
+    out: set[tuple[int, int, int]] = set()
+    run_start = 0
+    for i in range(1, len(ids) + 1):
+        if i == len(ids) or buckets[i] != buckets[run_start]:
+            if i - run_start > 1:
+                rid, rh = ids[run_start:i], hs[run_start:i]
+                for x in range(len(rid)):
+                    for y in range(x + 1, len(rid)):
+                        if rid[x] == rid[y]:
+                            continue
+                        d = int(rh[x] ^ rh[y]).bit_count()
+                        if d <= radius:
+                            a_, b_ = sorted((int(rid[x]), int(rid[y])))
+                            out.add((a_, b_, d))
+            run_start = i
+    return out
+
+
+def pairs_in_partition_loop(group: pa.Table) -> pa.Table:
+    """Canonicalization's former blocking loop: rows bucketed by block
+    in a dict, each block sorted by (name, type), the linker verdict
+    on every two rows of one type with different names → (a, b, type)
+    same-entity pairs, ``a`` the smaller name."""
+    from stanford_relation_extractor_ray.functions.text import (
+        is_acronym_of, same_entity)
+
+    names = group.column("name").to_pylist()
+    types = group.column("type").to_pylist()
+    blocks = group.column("block").to_pylist()
+    by_block: dict[str, list[int]] = {}
+    for i, blk in enumerate(blocks):
+        by_block.setdefault(blk, []).append(i)
+    out_a, out_b, out_t = [], [], []
+    for blk in sorted(by_block):
+        idx = by_block[blk]
+        order = sorted(idx, key=lambda i: (names[i], types[i]))
+        for ii in range(len(order)):
+            i = order[ii]
+            for jj in range(ii + 1, len(order)):
+                j = order[jj]
+                if types[i] != types[j] or names[i] == names[j]:
+                    continue
+                if same_entity(names[i], names[j], types[i]) \
+                        or is_acronym_of(names[i], names[j]) \
+                        or is_acronym_of(names[j], names[i]):
+                    out_a.append(names[i])
+                    out_b.append(names[j])
+                    out_t.append(types[i])
+    return pa.table({"a": pa.array(out_a, pa.string()),
+                     "b": pa.array(out_b, pa.string()),
+                     "type": pa.array(out_t, pa.string())})

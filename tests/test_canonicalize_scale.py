@@ -95,7 +95,8 @@ def test_propagate_components_multi_hop(ray_session):
         {"a": "C", "b": "D", "type": "PERSON"},
         {"a": "X", "b": "Y", "type": "PERSON"},    # second component
     ])
-    rows = C.propagate_components(pairs)
+    rows = C.propagate_components_ds(pairs).to_pandas() \
+        .to_dict("records")
     roots = {r["node"]: r["label"] for r in rows}
     assert len({roots[k] for k in ("A|PERSON", "B|PERSON", "C|PERSON",
                                    "D|PERSON")}) == 1
@@ -111,14 +112,16 @@ def test_cc_ds_gate_paths_equal(ray_session, monkeypatch):
     pairs = rd.from_items([
         {"id_a": 1, "id_b": 2}, {"id_a": 2, "id_b": 30},
         {"id_a": 400, "id_b": 5}, {"id_a": 9, "id_b": 10},
+        # negative and above-2**32 ids keep numeric min order
+        {"id_a": -3, "id_b": -7}, {"id_a": 2**40, "id_b": -3},
     ])
     small = D.connected_components_ds(pairs)
     monkeypatch.setattr(D, "SMALL_CC_PAIRS", 0)
     large = D.connected_components_ds(pairs)
-    assert sorted(small, key=lambda r: r["id"]) == \
-        sorted(large, key=lambda r: r["id"])
+    assert small == large
     roots = {r["id"]: r["root"] for r in small}
     assert roots[30] == 1 and roots[400] == 5 and roots[10] == 9
+    assert roots[-3] == roots[2**40] == -7
 
 
 def test_propagate_components_long_chain_pointer_jumping(ray_session):
@@ -132,7 +135,8 @@ def test_propagate_components_long_chain_pointer_jumping(ray_session):
     pairs = rd.from_items([
         {"a": f"N{i:03d}", "b": f"N{i + 1:03d}", "type": "ORGANIZATION"}
         for i in range(16)])
-    rows = C.propagate_components(pairs, max_iter=8)
+    rows = C.propagate_components_ds(pairs, max_iter=8).to_pandas() \
+        .to_dict("records")
     roots = {r["node"]: r["label"] for r in rows}
     assert set(roots.values()) == {"N000|ORGANIZATION"}
 

@@ -8,7 +8,8 @@ import pytest
 
 from stanford_relation_extractor_ray.corpus import (documents_dataset,
                                                     gold_triple_set)
-from stanford_relation_extractor_ray.oracle import OracleExtractor
+
+from oracle_extractor import OracleExtractor
 
 N_DOCS = 200
 

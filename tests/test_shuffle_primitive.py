@@ -291,7 +291,7 @@ def _ops(tmp_path):
     from stanford_relation_extractor_ray.stages.canonicalize import \
         canonical_map_ds
     from stanford_relation_extractor_ray.stages.dedup import (
-        exact_dedup, minhash_lsh_pairs, substring_spans)
+        exact_dedup, minhash_lsh_pairs, simhash_pairs, substring_spans)
     from stanford_relation_extractor_ray.stages.graph_infer import (
         intersect_fills, mine_rules)
     from stanford_relation_extractor_ray.stages.link import link_via_join
@@ -343,6 +343,7 @@ def _ops(tmp_path):
         "substring_spans": lambda: substring_spans(ds(docs, 3), n=3),
         "minhash_lsh_pairs": lambda: minhash_lsh_pairs(
             ds(docs, 3), num_perm=32, bands=16, threshold=0.5),
+        "simhash_pairs": lambda: simhash_pairs(ds(docs, 3), radius=3),
         "asof": lambda: asof(None),
         "asof_salted": lambda: asof(24 * 60),
         "membership_join": membership,
@@ -368,8 +369,8 @@ def _sorted(df: pd.DataFrame) -> pd.DataFrame:
 
 
 @pytest.mark.parametrize("op", [
-    "exact_dedup", "substring_spans", "minhash_lsh_pairs", "asof",
-    "asof_salted", "membership_join", "latest_order",
+    "exact_dedup", "substring_spans", "minhash_lsh_pairs",
+    "simhash_pairs", "asof", "asof_salted", "membership_join", "latest_order",
     "revenue_by_nation", "attach_gloss", "link_via_join",
     "intersect_fills", "canonical_map_ds", "mine_rules"])
 def test_outputs_do_not_depend_on_partition_count(ray_session,
