@@ -4,6 +4,8 @@ call, to compare two checkouts: each shard's committed partial fills
 nodes and edges (rows sorted). It runs pattern-only and with the
 ``train_lr(400, SEED)`` model, each into a fresh checkpoint, and checks
 that the resume of each recomputes nothing and gives the same digests.
+Each run also prints the consistent fills of ``finalize_fills`` over
+the same partials with ``kg.SMALL_FILLS = 0`` (the distributed tier).
 
 Usage, from the root of a checkout:
     PYTHONPATH=. python scripts/ckpt_digests.py SEED N_DOCS N_SHARDS
@@ -23,10 +25,12 @@ DataContext.get_current().enable_progress_bars = False
 
 from stanford_relation_extractor_ray.pipelines import kg
 from stanford_relation_extractor_ray.pipelines.train import train_lr
-from stanford_relation_extractor_ray.runtime import collect_table
+from stanford_relation_extractor_ray.runtime import (collect_table,
+                                                     table_dataset)
 from stanford_relation_extractor_ray.schemas import (EDGES_SCHEMA,
                                                      FILLS_SCHEMA,
                                                      NODES_SCHEMA)
+from stanford_relation_extractor_ray.stages import link
 from stanford_relation_extractor_ray.stages.classify import PARTIAL_SCHEMA
 from stanford_relation_extractor_ray.state.manifest import Manifest
 
@@ -44,6 +48,23 @@ def dig(table: pa.Table, ordered: bool) -> str:
     for r in rows:
         m.update(r.encode() + b"\n")
     return m.hexdigest()[:16]
+
+
+def distributed_finalize(ckpt: str) -> pa.Table:
+    """``finalize_fills`` above the gate over every committed shard's
+    partials, in shard order, as one block."""
+    man = Manifest(ckpt, "fills")
+    files = {}
+    for part in sorted(man._rows):
+        files.update(man.committed(part))
+    partials = table_dataset(kg._driver_table(files, PARTIAL_SCHEMA))
+    gate, kg.SMALL_FILLS = kg.SMALL_FILLS, 0
+    try:
+        out = kg.finalize_fills(partials, seed=seed,
+                                aliases_ref=link.build_alias_ref(seed))
+        return collect_table(out.materialize(), FILLS_SCHEMA)
+    finally:
+        kg.SMALL_FILLS = gate
 
 
 def graph_digests(out) -> list:
@@ -74,4 +95,6 @@ with tempfile.TemporaryDirectory() as d:
         assert first == resumed, (first, resumed)
         for key, rows, h in first:
             print(name, key, rows, h)
+        t = distributed_finalize(ckpt)
+        print(name, "fills SMALL_FILLS=0", t.num_rows, dig(t, ordered=False))
 ray.shutdown()

@@ -5,13 +5,14 @@ The Ray-Data re-expression of the reference's slot-filling lifecycle
 pairing → subject entity-linking → featurize → per-candidate scoring
 with in-batch partial noisy-or, one stateless task per batch over
 per-worker cached components, ``stages/extract_fused``) → per-triple
-combine → object linking → per-entity greedy consistency (one
-kernel, ``consistency.finalize_partition``, in two tiers: once on the
-driver below the fills gate, per partition behind one shuffle above
-it, see ``finalize_fills``) → unary rewrite/filter chain →
-canonicalization (two tiers sharing one set of kernels — a
-zero-execution driver tier below the surface gate and a Dataset-only
-tier above it, see ``build_graph``) → node/edge tables.
+combine → object linking → per-entity greedy consistency → unary
+rewrite/filter chain over glosses from the regenerated provenance
+documents (one finalize kernel, ``_finalize_table``, in two tiers: once
+on the driver below the fills gate, per subject partition behind one
+shuffle above it, see ``finalize_fills``) → canonicalization (two tiers
+sharing one set of kernels — a zero-execution driver tier below the
+surface gate and a Dataset-only tier above it, see ``build_graph``) →
+node/edge tables.
 
 Two entry styles:
 - ``extract_fills(docs)`` — the streaming lazy pipeline over a documents
@@ -28,8 +29,7 @@ Two entry styles:
 
 The per-row span-sequence invariant: the pipeline never mutates the
 ``documents`` dataset — media spans and span order flow to any document
-re-emission unchanged (``passthrough_documents`` is the identity stage
-tests verify against).
+re-emission unchanged (tests verify it with an identity stage).
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ from ..stages.classify import PARTIAL_SCHEMA
 PIPELINE_VERSION = 1
 
 
-def passthrough_documents(documents):
-    """Identity re-emission of documents (span invariant surface)."""
-    return documents.map_batches(lambda b: b, batch_format="pyarrow")
-
-
 def extract_fills(documents, *, seed: int = 42, aliases_ref=None,
                   model_ref=None):
     """documents Dataset → raw (partial) fills Dataset (lazy, streaming).
@@ -74,46 +69,6 @@ def extract_fills(documents, *, seed: int = 42, aliases_ref=None,
     from ..stages.extract_fused import extract
     return extract(documents, seed=seed, aliases_ref=aliases_ref,
                    model_ref=model_ref)
-
-
-def _doc_numbers(doc_ids) -> list[int]:
-    """Sorted distinct generator doc numbers among ``doc_ids``
-    (``corpus.parse_doc_ids``: other ids are skipped)."""
-    from ..corpus import parse_doc_ids
-    return sorted(pc.unique(parse_doc_ids(doc_ids).drop_null())
-                  .to_pylist())
-
-
-def provenance_sentences(fills_mat, seed: int = 42):
-    """(doc_id, sent_idx, text) rows for exactly the provenance
-    documents of a (materialized) fills Dataset.
-
-    The consistent-fills table is bounded by the entity universe, not
-    the corpus, so its distinct provenance doc-id set is tiny; those
-    documents are regenerated from the seeded corpus generator — NO
-    pass over (or shuffle of) the full corpus. This is the gloss
-    substrate for the unary rewrite chain and provenance recovery
-    (``SimpleSlotFiller.java:484-676`` restructured per SURVEY §7.4).
-    Returns None when no provenance doc id is generator-format
-    (external corpora should pass their own sentences dataset instead).
-    """
-    import ray.data as rd
-
-    from ..corpus import _docs_batch
-    from ..runtime import collect_table
-
-    ids = _doc_numbers(collect_table(
-        fills_mat.select_columns(["doc_id"]),
-        pa.schema([("doc_id", pa.string())])).column("doc_id"))
-    if not ids:
-        return None
-
-    def to_docs(batch):
-        return _docs_batch(batch, seed)
-
-    docs = rd.from_items([{"id": i} for i in ids]) \
-        .map_batches(to_docs, batch_format="numpy", batch_size=2048)
-    return sentences_from_documents(docs)
 
 
 def document_sentences(batch: pa.Table) -> pa.Table:
@@ -149,113 +104,93 @@ def sentences_from_documents(documents):
                                  batch_format="pyarrow")
 
 
-# row count up to which finalize runs on the driver: partial fills
-# for the combine + consistency kernel (they bound the consistent
-# fills), consistent fills for the unary chain
+# partial-fills row count up to which finalize runs on the driver (the
+# partials bound the consistent fills)
 SMALL_FILLS = 100_000
 
 
 def _generator_sentences(doc_ids, seed: int) -> pa.Table:
     """(doc_id, sent_idx, text) of every generator-format document
-    among ``doc_ids``, each regenerated once on the driver."""
-    from ..corpus import _docs_batch
+    among ``doc_ids`` (``corpus.parse_doc_ids``; other ids are
+    skipped), each regenerated once, in doc-number order."""
+    from ..corpus import _docs_batch, parse_doc_ids
+    ids = sorted(pc.unique(parse_doc_ids(doc_ids).drop_null()).to_pylist())
     return document_sentences(_docs_batch(
-        {"id": np.asarray(_doc_numbers(doc_ids), np.int64)}, seed))
+        {"id": np.asarray(ids, np.int64)}, seed))
 
 
-def _postprocess_driver_side(consistent: pa.Table, sentences: pa.Table):
-    """The SAME ``unary_chain`` in one driver-side call, each fill's
-    gloss looked up in ``sentences`` on (doc_id, sent_idx) ("" when
-    absent) → Dataset."""
-    from ..runtime import table_dataset
+def _finalize_table(partials: pa.Table, *, linker, engine, seed: int,
+                    postprocess: bool) -> pa.Table:
+    """The finalize kernel of both tiers: partials holding every partial
+    of their subjects → consistent fills (``consistency.
+    finalize_partition``); with ``postprocess``, those fills then run
+    the unary chain, each with its gloss looked up among the sentences
+    of its own provenance documents (regenerated from the seeded corpus
+    generator; "" for any other doc id)."""
     from ..stages.postprocess import glosses, unary_chain
     from ..stages.worldknowledge import get_geography
 
-    glossed = consistent.append_column("gloss",
-                                       glosses(consistent, sentences))
-    out = unary_chain(glossed, geo=get_geography()) \
-        .drop_columns(["gloss"])
-    return table_dataset(out)
+    out = consistency.finalize_partition(partials, linker=linker,
+                                         engine=engine)
+    if not postprocess:
+        return out
+    sents = _generator_sentences(out.column("doc_id"), seed)
+    out = out.append_column("gloss", glosses(out, sents))
+    return unary_chain(out, geo=get_geography()).drop_columns(["gloss"])
 
 
 def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
                    objective: str = "TOP",
-                   mixing_time: int = 10, postprocess: bool = True,
-                   sentences="auto", repair: bool = False):
+                   mixing_time: int = 10, postprocess: bool = True):
     """raw (partial) fills → consistent, object-linked fills (global
     stages).
 
-    Two size tiers run one kernel, ``consistency.finalize_partition``
-    (noisy-or merge → object linking → per-subject consistency engine),
-    equivalent to the three-stage chain classify.combine_fills →
-    link.link → consistency.enforce. The partials are materialized and
-    gated on their row count: up to ``SMALL_FILLS`` the kernel runs
-    once on the driver over one Arrow table — zero Ray Data executions
-    on a materialized input; above it ``consistency.combine_enforce``
-    runs it per partition behind one shuffle. ``objective`` selects the
-    consistency engine (TOP greedy / SUM Gibbs restarts).
+    Two size tiers run one kernel, ``_finalize_table``: the noisy-or
+    merge → object linking → per-subject consistency engine
+    (``consistency.finalize_partition``, equivalent to the three-stage
+    chain classify.combine_fills → link.link → consistency.enforce),
+    then with ``postprocess`` the unary rewrite/filter chain. The
+    partials are materialized and gated on their row count: up to
+    ``SMALL_FILLS`` the kernel runs once on the driver over one Arrow
+    table — zero Ray Data executions on a materialized input; above it
+    once per coarse ``hash(subj)`` partition behind ONE shuffle (a
+    partition holds every partial of its subjects; the map side
+    pre-merges each ~64k-row window, ``classify.local_combine``).
+    ``objective`` selects the consistency engine (TOP greedy / SUM
+    Gibbs restarts).
 
     ``postprocess=True`` (the default — the reference applies its
     unary rewrite/filter chain to EVERY fill,
     ``SlotfillPostProcessor.java:104-141``,
-    ``SimpleSlotFiller.java:293-313``) runs that chain over the
-    consistent fills with sentence glosses attached: on the driver
-    while the consistent fills fit ``SMALL_FILLS`` (always, in the
-    driver tier), else ``stages.postprocess.apply_unary``'s distributed
-    gloss join. ``sentences`` is "auto" (regenerate the provenance
-    documents from the seeded corpus), a (doc_id, sent_idx, text)
-    Dataset, or None (chain without glosses). ``repair`` re-points weak
-    provenance to the best supporting sentence among those sentences.
-    The official-eval pipeline passes ``postprocess=False`` and
-    applies the chain itself with per-query ignored slots.
+    ``SimpleSlotFiller.java:293-313``) glosses each fill from its
+    regenerated provenance document. The chain is per row and a
+    document regenerates the same way on its own, so the per-partition
+    chain gives the driver tier's rows. Pipelines with their own
+    sentences or chain options (official eval, virtual IR) pass
+    ``postprocess=False`` and call ``stages.postprocess.apply_unary``.
     """
-    from ..runtime import collect_table, materialized, table_dataset
-    from ..stages import postprocess as pp
+    from ..runtime import by_key, collect_table, materialized, table_dataset
+    from ..stages.classify import local_combine
+    from ..stages.link import EntityLinker, _cached_linker
 
+    engine = consistency.make_engine(objective, mixing_time, seed)
     fills = materialized(fills)
     if fills.count() <= SMALL_FILLS:
-        from ..stages.link import EntityLinker
-
         # a plain linker, not ``_cached_linker``: worker_cached would
         # retune this (client) process's GC thresholds
-        table = consistency.finalize_partition(
+        return table_dataset(_finalize_table(
             collect_table(fills, FILLS_SCHEMA),
-            linker=EntityLinker(aliases_ref, seed),
-            engine=consistency.make_engine(objective, mixing_time, seed))
-        consistent = table_dataset(table)
-    else:
-        consistent = consistency.combine_enforce(
-            fills, aliases_ref=aliases_ref, seed=seed,
-            objective=objective, mixing_time=mixing_time)
-        if postprocess:
-            # materialize once so the gloss join and the provenance
-            # doc-id read below do not each re-run the combine shuffle
-            consistent = consistent.materialize()
-            table = collect_table(consistent, FILLS_SCHEMA) \
-                if consistent.count() <= SMALL_FILLS else None
-    if not postprocess:
-        return consistent
-    auto = isinstance(sentences, str) and sentences == "auto"
-    if auto and table is not None:
-        sents = _generator_sentences(table.column("doc_id"), seed)
-        out = _postprocess_driver_side(table, sents)
-        # only the repair pass below reads them as a Dataset
-        sentences = table_dataset(sents) if repair and sents.num_rows \
-            else None
-    else:
-        if auto:
-            sentences = provenance_sentences(consistent, seed)
-        out = pp.apply_unary(consistent, sentences, with_geo=True)
-    if repair and sentences is not None:
-        # opt-in provenance-recovery pass (weak provenance → best
-        # supporting sentence within the sentences)
-        import ray
+            linker=EntityLinker(aliases_ref, seed), engine=engine,
+            seed=seed, postprocess=postprocess))
 
-        from ..world import get_world
-        alias_rows = ray.get(aliases_ref) if aliases_ref is not None \
-            else get_world(seed).alias_table()
-        out = pp.repair_provenance(out, sentences, aliases=alias_rows)
-    return out
+    def finalize(group: pa.Table) -> pa.Table:
+        return _finalize_table(
+            group, linker=_cached_linker(aliases_ref, seed), engine=engine,
+            seed=seed, postprocess=postprocess)
+
+    return by_key(fills.map_batches(local_combine, batch_format="pyarrow",
+                                    batch_size=65536),
+                  "subj", finalize)
 
 
 def extract_alternate_names(documents, *, seed: int = 42,

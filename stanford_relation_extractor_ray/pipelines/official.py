@@ -111,8 +111,7 @@ def official_eval(n_docs: int, *, seed: int = 42, queries=None,
     # gloss needs only each sentence's text, no NLP)
     sentences = kg.sentences_from_documents(documents_dataset(n_docs, seed))
     processed = postprocess.apply_unary(
-        consistent, sentences, known=known, ignored=ignored or None,
-        with_geo=True)
+        consistent, sentences, known=known, ignored=ignored or None)
 
     rows = processed.take_all()          # per-query fills: tiny table
     # the rewrite chain normalizes dates to timex form; compare

@@ -86,7 +86,7 @@ def fill_from_candidate_sentences(path: str, *, seed: int = 42,
     """candidate_sentences TSV → consistent fills Dataset (the full
     virtual-IR slot-filling entry)."""
     from ..sources import read_candidate_sentences
-    from ..stages import link
+    from ..stages import link, postprocess
     from . import kg
 
     docs = virtual_ir_documents(read_candidate_sentences(path),
@@ -96,6 +96,8 @@ def fill_from_candidate_sentences(path: str, *, seed: int = 42,
                              model_ref=model_ref)
     # glosses come from the TSV's own sentences, not the seeded
     # corpus generator — these doc ids are foreign to it
-    return kg.finalize_fills(
-        fills, seed=seed, aliases_ref=aliases_ref,
-        sentences=kg.sentences_from_documents(docs))
+    consistent = kg.finalize_fills(fills, seed=seed,
+                                   aliases_ref=aliases_ref,
+                                   postprocess=False)
+    return postprocess.apply_unary(consistent,
+                                   kg.sentences_from_documents(docs))

@@ -6,8 +6,10 @@ Ray-Data shape of the reference's combine and consistency steps
 filterStep + ``HeuristicSlotfillPostProcessors.java`` filter/rewrite
 chain): noisy-or per triple, then the greedy pass per entity. One Arrow
 kernel, ``finalize_partition``, does both for any table holding every
-partial of its subjects; ``pipelines.kg.finalize_fills`` runs it on the
-driver below a size gate, per ``hash(subj)`` partition above it.
+partial of its subjects. ``pipelines.kg.finalize_fills`` runs it, with
+the unary chain after it, inside its own finalize kernel: once on the
+driver below a size gate, per ``hash(subj)`` partition behind one
+shuffle above it.
 
 Greedy pass: sort the entity's fills by (score desc, obj token count
 **desc** — longer slot values first — then pred asc, obj asc) — the
@@ -149,11 +151,6 @@ def consistent_fills(tbl: pa.Table, engine) -> pa.Table:
         .take(pa.array(take, pa.int64())).cast(FILLS_SCHEMA)
 
 
-def consistent_group(group: pa.Table) -> pa.Table:
-    """One entity's fills → its consistent fills (test surface)."""
-    return consistent_fills(group, make_engine("TOP", 10, 42))
-
-
 LOC_OF_DEATH = frozenset({"per:city_of_death",
                           "per:stateorprovince_of_death",
                           "per:country_of_death"})
@@ -207,10 +204,10 @@ def enforce(fills, *, objective: str = "TOP", mixing_time: int = 10,
 
 def finalize_partition(tbl: pa.Table, *, linker, engine) -> pa.Table:
     """Partial fills holding every partial of their subjects →
-    consistent, object-linked fills: the one finalize kernel of both
-    tiers. In exact unfused order: (1) the noisy-or merge per RAW
-    triple (``classify.merge_fills_table``), (2) object linking
-    (``link.link_objects``), (3) the per-subject engine
+    consistent, object-linked fills: the consistency half of
+    ``pipelines.kg``'s finalize kernel. In exact unfused order: (1) the
+    noisy-or merge per RAW triple (``classify.merge_fills_table``), (2)
+    object linking (``link.link_objects``), (3) the per-subject engine
     (``consistent_fills``) — which also dedups triples whose raw
     objects linked to the same canonical, keeping the higher-scored
     one exactly as the unfused ``combine_fills → link → enforce``
@@ -221,32 +218,3 @@ def finalize_partition(tbl: pa.Table, *, linker, engine) -> pa.Table:
         return FILLS_SCHEMA.empty_table()
     return consistent_fills(link_objects(merge_fills_table(tbl), linker),
                             engine)
-
-
-def combine_enforce(partial_fills, *, aliases_ref=None, seed: int = 42,
-                    objective: str = "TOP", mixing_time: int = 10):
-    """The distributed tier of finalize: ``finalize_partition`` per
-    coarse partition, in ONE shuffle.
-
-    Partials are routed by ``hash(subj)`` (not the triple key —
-    subjects are already canonical after extraction), so a partition
-    holds every partial of every one of its subjects' triples; the map
-    side pre-merges each ~64k-row window (``classify.local_combine``).
-    Each partition links with this worker's cached linker. Equality
-    with the unfused chain and with the driver tier is pinned by
-    tests/test_classify_consistency.py.
-    """
-    from .classify import local_combine
-    from .link import _cached_linker
-
-    engine = make_engine(objective, mixing_time, seed)
-
-    def run_partition(group: pa.Table) -> pa.Table:
-        return finalize_partition(
-            group, linker=_cached_linker(aliases_ref, seed),
-            engine=engine)
-
-    return by_key(partial_fills.map_batches(local_combine,
-                                            batch_format="pyarrow",
-                                            batch_size=65536),
-                  "subj", run_partition)

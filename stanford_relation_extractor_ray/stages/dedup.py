@@ -148,10 +148,11 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
 
     Dataflow (fully distributed, nothing on the driver): one per-batch
     sketch (band buckets + digest set; materialized by this call) →
-    banded bucket rows → coarse-pid groupby → ``bucket_pairs`` → coarse-pid
-    pair distinct → two-pass digest join (pairs meet each doc's 64-bit
-    shingle-digest set on id_a, then id_b) → in-partition exact
-    Jaccard. Output: (id_a, id_b, jaccard) with id_a < id_b.
+    banded bucket rows → coarse-pid groupby → ``bucket_pairs`` →
+    coarse-pid pair distinct → two-pass digest join (pairs meet each
+    doc's 64-bit shingle-digest set on id_a, then id_b) → in-partition
+    exact Jaccard (``_verify_pairs``, one ragged lexsort). Output:
+    (id_a, id_b, jaccard) with id_a < id_b.
 
     With r = num_perm/bands rows per band, a pair with true Jaccard j
     shares ≥1 band w.p. 1-(1-j^r)^bands — at the defaults (r=2, b=64)
@@ -252,25 +253,7 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
 
     def verify(pairs: pa.Table, docs: pa.Table) -> pa.Table:
         hit, sh_b = lookup(pairs, docs, "id_b")
-        out_a, out_b, out_j = [], [], []
-        for ia, ib, sa, sb_ in zip(hit.column("id_a").to_pylist(),
-                                   hit.column("id_b").to_pylist(),
-                                   hit.column("sh_a").to_pylist(),
-                                   sh_b.to_pylist()):
-            na, nb = len(sa), len(sb_)
-            inter = len(np.intersect1d(
-                np.asarray(sa, dtype=np.uint64),
-                np.asarray(sb_, dtype=np.uint64),
-                assume_unique=True))
-            union = na + nb - inter
-            j = inter / union if union else 0.0
-            if j >= threshold:
-                out_a.append(ia)
-                out_b.append(ib)
-                out_j.append(j)
-        return pa.table({"id_a": pa.array(out_a, pa.int64()),
-                         "id_b": pa.array(out_b, pa.int64()),
-                         "jaccard": pa.array(out_j, pa.float64())})
+        return _verify_pairs(hit, sh_b, threshold)
 
     sets = pa.list_(pa.uint64())
     pairs = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
@@ -282,6 +265,33 @@ def minhash_lsh_pairs(ds, *, text_col: str = "text",
                    (renamed(sk, {"id": "id_b"}),
                     pa.schema([("id_b", pa.int64()), ("sh", sets)]))],
                   "id_b", verify)
+
+
+def _verify_pairs(hit: pa.Table, sh_b, threshold: float) -> pa.Table:
+    """(id_a, id_b, jaccard) of the ``hit`` pairs whose exact Jaccard of
+    their sorted distinct digest lists (``hit``'s ``sh_a`` and
+    ``sh_b``) is at least ``threshold``. One ragged pass: both lists of
+    every pair, tagged with the pair's row, are lexsorted by (row,
+    digest), and each adjacent equal (row, digest) couple is one shared
+    digest — the count ``np.intersect1d(..., assume_unique=True)`` gives
+    per pair (the loop it replaced is in tests/oracles.py)."""
+    sh_a = hit.column("sh_a")
+    n = hit.num_rows
+    lens = [np.asarray(pc.list_value_length(s).to_numpy(), np.int64)
+            for s in (sh_a, sh_b)]
+    row = np.repeat(np.tile(np.arange(n), 2), np.concatenate(lens))
+    dig = np.concatenate([np.asarray(pc.list_flatten(s).to_numpy(),
+                                     np.uint64) for s in (sh_a, sh_b)])
+    order = np.lexsort((dig, row))
+    row, dig = row[order], dig[order]
+    same = (row[1:] == row[:-1]) & (dig[1:] == dig[:-1])
+    inter = np.bincount(row[1:][same], minlength=n)
+    union = lens[0] + lens[1] - inter
+    # int64 / int64 true division rounds like Python's ``inter / union``
+    jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
+    keep = jac >= threshold
+    return hit.select(["id_a", "id_b"]).filter(pa.array(keep)) \
+        .append_column("jaccard", pa.array(jac[keep], pa.float64()))
 
 
 def bucket_pairs(buckets, ids) -> tuple[np.ndarray, np.ndarray]:

@@ -219,22 +219,6 @@ def decode_wav_samples(payload: bytes) -> tuple[int, np.ndarray]:
     return rate, x[:n].reshape(-1, channels)
 
 
-def encode_wav(samples: np.ndarray, rate: int) -> bytes:
-    """float [n, ch] (or [n]) in [-1, 1] → 16-bit PCM RIFF/WAVE."""
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    ch = samples.shape[1]
-    pcm = np.clip(np.round(samples * 32767.0), -32768,
-                  32767).astype("<i2").tobytes()
-    import struct
-    fmt = struct.pack("<HHIIHH", 1, ch, rate, rate * ch * 2,
-                      ch * 2, 16)
-    out = (b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE"
-           + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-           + b"data" + struct.pack("<I", len(pcm)) + pcm)
-    return out
-
-
 def _pnm_header_tokens(payload: bytes) -> tuple[list[str], int]:
     """First 4 whitespace-separated header tokens (comments skipped)
     plus the offset just past the last one — pixel data begins one

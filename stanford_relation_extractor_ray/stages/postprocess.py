@@ -581,14 +581,13 @@ def repair_provenance(fills, sentences, *, aliases=None):
 
 
 def apply_unary(fills, sentences=None, *, known: dict | None = None,
-                ignored: dict | None = None, with_geo: bool = False):
+                ignored: dict | None = None):
     """The pipeline stage: optional gloss attach, then the per-row
-    chain. ``known`` should be a plain dict (broadcast it small) —
-    the KB side of FilterAlreadyKnownSlots."""
-    geo = None
-    if with_geo:
-        from .worldknowledge import get_geography
-        geo = get_geography()
+    chain with the world-knowledge geography. ``known`` should be a
+    plain dict (broadcast it small) — the KB side of
+    FilterAlreadyKnownSlots."""
+    from .worldknowledge import get_geography
+    geo = get_geography()
     if sentences is not None:
         fills = attach_gloss(fills, sentences)
 

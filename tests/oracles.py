@@ -432,3 +432,30 @@ def pairs_in_partition_loop(group: pa.Table) -> pa.Table:
     return pa.table({"a": pa.array(out_a, pa.string()),
                      "b": pa.array(out_b, pa.string()),
                      "type": pa.array(out_t, pa.string())})
+
+
+def verify_pairs_loop(hit: pa.Table, sh_b, threshold: float) -> pa.Table:
+    """MinHash verify's former per-pair loop: both digest lists of each
+    pair to Python, one ``np.intersect1d`` per pair → (id_a, id_b,
+    jaccard) of the pairs at or above ``threshold``."""
+    import numpy as np
+
+    out_a, out_b, out_j = [], [], []
+    for ia, ib, sa, sb_ in zip(hit.column("id_a").to_pylist(),
+                               hit.column("id_b").to_pylist(),
+                               hit.column("sh_a").to_pylist(),
+                               sh_b.to_pylist()):
+        na, nb = len(sa), len(sb_)
+        inter = len(np.intersect1d(
+            np.asarray(sa, dtype=np.uint64),
+            np.asarray(sb_, dtype=np.uint64),
+            assume_unique=True))
+        union = na + nb - inter
+        j = inter / union if union else 0.0
+        if j >= threshold:
+            out_a.append(ia)
+            out_b.append(ib)
+            out_j.append(j)
+    return pa.table({"id_a": pa.array(out_a, pa.int64()),
+                     "id_b": pa.array(out_b, pa.int64()),
+                     "jaccard": pa.array(out_j, pa.float64())})

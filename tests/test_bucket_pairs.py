@@ -6,7 +6,11 @@ pairs with their orientation (``a`` is the smaller name, because the
 linker's greedy token match is not symmetric).
 
 The inputs repeat (bucket, id) rows, and include empty input, singleton
-buckets, one hot bucket and int64 ids that do not fit 32 bits."""
+buckets, one hot bucket and int64 ids that do not fit 32 bits.
+
+MinHash's exact-Jaccard verify (``dedup._verify_pairs``, one ragged
+lexsort over every pair's digests) is pinned to its per-pair
+``np.intersect1d`` loop the same way."""
 
 import itertools
 
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 from stanford_relation_extractor_ray.stages import canonicalize, dedup
 
 from oracles import (hamming_pairs_loop, lsh_pairs_loop,
-                     pairs_in_partition_loop)
+                     pairs_in_partition_loop, verify_pairs_loop)
 
 U64 = [0, 1, 5, 2**63 + 5, 2**64 - 1]
 # simhashes a few bits apart, and far apart
@@ -122,3 +126,40 @@ def test_canonical_pairs_equal_former_loop(rs):
                             for c in ("a", "b", "type"))))
     assert all(a < b for a, b, _ in got)
 
+
+
+DIGESTS = [0, 1, 2, 7, 2**32, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1]
+digest_sets = st.lists(st.sampled_from(DIGESTS), unique=True).map(sorted)
+VERIFY_EXAMPLES = [
+    [],
+    [([], [])],                                  # both empty
+    [([], [1, 2]), ([2**63], [])],               # one side empty
+    [([0, 1], [2, 2**63 + 5])],                  # disjoint
+    [(DIGESTS, DIGESTS), ([2**64 - 1], [2**64 - 1])],   # identical
+    [([1, 2, 7], [2, 7, 2**63]), ([0], [0, 1, 2])],     # j 1/2 and 1/3
+]
+
+
+def _with_verify_examples(test):
+    for ex in VERIFY_EXAMPLES:
+        for threshold in (0.0, 0.5):
+            test = example(ex, threshold)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(digest_sets, digest_sets), max_size=12),
+       st.sampled_from([0.0, 1 / 3, 0.5, 1.0]))
+@_with_verify_examples
+def test_verify_pairs_equals_intersect_loop(pairs, threshold):
+    sets = pa.list_(pa.uint64())
+    n = len(pairs)
+    hit = pa.table({"id_a": pa.array(range(n), pa.int64()),
+                    "id_b": pa.array(range(n, 2 * n), pa.int64()),
+                    "sh_a": pa.array([p[0] for p in pairs], sets)})
+    # a sliced, chunked digest column, as ``take`` hands it over
+    sh_b = pa.chunked_array(
+        [pa.array([[5]] + [p[1] for p in pairs], sets).slice(1)], sets)
+    got = dedup._verify_pairs(hit, sh_b, threshold).combine_chunks()
+    want = verify_pairs_loop(hit, sh_b, threshold)
+    assert got.equals(want), (pairs, threshold)

@@ -9,8 +9,8 @@ from stanford_relation_extractor_ray.schemas import BAGS_SCHEMA, \
     FILLS_SCHEMA
 from stanford_relation_extractor_ray.stages.classify import (
     EnsembleScorer, LRModel, hash_features)
-from stanford_relation_extractor_ray.stages.consistency import \
-    consistent_group
+from stanford_relation_extractor_ray.stages.consistency import (
+    consistent_fills, make_engine)
 
 from oracles import merge_fill_group
 
@@ -103,7 +103,7 @@ def _fill(subj, pred, obj, score, obj_type="CITY", subj_type="PERSON"):
 
 def _run_consistency(fills):
     t = pa.Table.from_pylist(fills, schema=FILLS_SCHEMA)
-    return consistent_group(t).to_pylist()
+    return consistent_fills(t, make_engine("TOP", 10, 42)).to_pylist()
 
 
 def test_single_cardinality_keeps_best():
@@ -171,8 +171,8 @@ def test_self_reference_dropped():
 @pytest.mark.parametrize("tier", ["driver", "distributed"])
 def test_fused_combine_enforce_equals_unfused_chain(ray_session,
                                                     monkeypatch, tier):
-    """finalize_fills' one kernel (``finalize_partition``) — on the
-    driver below the gate, per partition behind combine_enforce's one
+    """finalize_fills' one kernel without the unary chain — on the
+    driver below the gate, per subject partition behind its one
     shuffle above it — == combine_fills → link → enforce (three public
     stages) on the real pipeline's partial fills."""
     import stanford_relation_extractor_ray.pipelines.kg as kg

@@ -398,8 +398,9 @@ def test_jpeg_progressive_decodes_identically_to_baseline():
     streams must decode to byte-identical pixels — across subsampling,
     grayscale, odd dims and restart markers."""
     import numpy as np
+    from codec_fixtures import encode_progressive_jpeg
     from stanford_relation_extractor_ray.stages.jpegcodec import (
-        decode_jpeg, encode_jpeg, encode_progressive_jpeg)
+        decode_jpeg, encode_jpeg)
     rng = np.random.default_rng(42)
     for (h, w, ch, sub, q, ri) in [
             (33, 47, 3, False, 90, 0),
@@ -498,8 +499,9 @@ def test_progressive_jpeg_flows_through_decode_and_resize(ray_session):
     thumbnails through the MediaDecoder → ImageResizer actor pool —
     identical to what the baseline encode of the same image yields."""
     import ray.data as rd
-    from stanford_relation_extractor_ray.stages.jpegcodec import (
-        encode_jpeg, encode_progressive_jpeg)
+    from codec_fixtures import encode_progressive_jpeg
+    from stanford_relation_extractor_ray.stages.jpegcodec import \
+        encode_jpeg
     from stanford_relation_extractor_ray.stages.media import (
         ImageResizer, MediaDecoder, decode_image_pixels)
     px = _gradient(40, 100)
@@ -598,8 +600,9 @@ def test_wav_sample_roundtrip_and_formats():
     containers decode too; exotic codecs raise the seam error."""
     import struct
 
-    from stanford_relation_extractor_ray.stages.media import (
-        decode_wav_samples, encode_wav)
+    from codec_fixtures import encode_wav
+    from stanford_relation_extractor_ray.stages.media import \
+        decode_wav_samples
     t = np.arange(8000, dtype=np.float64) / 8000.0
     sig = np.stack([0.5 * np.sin(2 * np.pi * 440 * t),
                     0.25 * np.sin(2 * np.pi * 220 * t)], axis=1)
@@ -631,8 +634,9 @@ def test_audio_window_stats_real_and_stub(ray_session):
     window) and deterministic stub stats for synthetic payloads."""
     import ray.data as rd
 
-    from stanford_relation_extractor_ray.stages.media import (
-        AudioWindowStats, encode_wav)
+    from codec_fixtures import encode_wav
+    from stanford_relation_extractor_ray.stages.media import \
+        AudioWindowStats
     rate = 8000
     t = np.arange(3 * rate, dtype=np.float64) / rate     # 3 s
     wav = encode_wav(0.8 * np.sin(2 * np.pi * 440 * t), rate)
@@ -666,8 +670,9 @@ def test_audio_window_stats_empty_wav_falls_to_stub(ray_session):
     r4)."""
     import ray.data as rd
 
-    from stanford_relation_extractor_ray.stages.media import (
-        AudioWindowStats, encode_wav)
+    from codec_fixtures import encode_wav
+    from stanford_relation_extractor_ray.stages.media import \
+        AudioWindowStats
     wav = encode_wav(np.empty((0, 1), dtype=np.float64), 8000)
     out = (rd.from_items([
         {"doc_id": "d1", "span_seq": 0, "kind": "audio",

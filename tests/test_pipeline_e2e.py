@@ -45,11 +45,12 @@ def test_parity_vs_gold(consistent_fills):
 
 
 def test_span_invariant(ray_session):
-    from stanford_relation_extractor_ray.pipelines.kg import \
-        passthrough_documents
+    """An identity re-emission of documents keeps every span, media
+    spans included, in order."""
     src = {r["doc_id"]: r["spans"]
            for r in documents_dataset(60).take_all()}
-    out = passthrough_documents(documents_dataset(60)).take_all()
+    out = documents_dataset(60).map_batches(
+        lambda b: b, batch_format="pyarrow").take_all()
     assert len(out) == len(src)
     for r in out:
         assert r["spans"] == src[r["doc_id"]], r["doc_id"]
@@ -499,6 +500,69 @@ def test_finalize_driver_tier_starts_no_execution(ray_session,
     monkeypatch.setattr(kg, "SMALL_FILLS", 0)
     kg.finalize_fills(partials, postprocess=False).materialize()
     assert started
+
+
+def test_finalize_distributed_tier_is_one_execution(ray_session,
+                                                    monkeypatch):
+    """Above the gate, finalize_fills with the unary chain only plans:
+    it starts no Ray Data execution before its result is read, and one
+    on ``.materialize()`` (the combine, consistency, gloss lookup and
+    chain run inside one shuffle)."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    import stanford_relation_extractor_ray.pipelines.kg as kg
+
+    partials = kg.extract_fills(documents_dataset(60)).materialize()
+    started = []
+    create = ExecutionPlan.create_executor
+
+    def spy(self, *args, **kwargs):
+        started.append(self)
+        return create(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", spy)
+    monkeypatch.setattr(kg, "SMALL_FILLS", 0)
+    out = kg.finalize_fills(partials)
+    assert started == []
+    out = out.materialize()
+    assert len(started) == 1 and out.count() > 20
+
+
+@pytest.mark.parametrize("postprocess", [True, False])
+def test_finalize_distributed_tier_few_fills_keeps_schema(ray_session,
+                                                          monkeypatch,
+                                                          postprocess):
+    """A handful of fills leaves most of the shuffle's partitions empty,
+    and some partitions lose every fill to consistency or to the chain;
+    the distributed tier still returns exactly ``FILLS_SCHEMA``."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    import stanford_relation_extractor_ray.pipelines.kg as kg
+    from stanford_relation_extractor_ray.runtime import shuffle_parts
+    from stanford_relation_extractor_ray.schemas import FILLS_SCHEMA
+
+    def fill(subj, obj, score=0.9):
+        return {"subj": subj, "subj_type": "ORGANIZATION",
+                "pred": "org:top_members/employees", "obj": obj,
+                "obj_type": "PERSON", "score": score,
+                "doc_id": "d000000001", "sent_idx": 0,
+                "subj_span": [0, 2], "obj_span": [6, 8]}
+
+    fills = rd.from_arrow(pa.Table.from_pylist(
+        [fill("Acme Corp", "Jane Doe"),
+         fill("Bolt Industries", "Bolt Industries"),     # subj == obj
+         fill("Crane Group", "Ann Lee", score=0.001)],   # low score
+        schema=FILLS_SCHEMA))
+    monkeypatch.setattr(kg, "SMALL_FILLS", 0)
+    out = kg.finalize_fills(fills, postprocess=postprocess).materialize()
+    blocks = ray.get(out.to_arrow_refs())
+    assert shuffle_parts() >= 16 and len(blocks) < shuffle_parts()
+    assert all(b.schema.equals(FILLS_SCHEMA) for b in blocks)
+    assert out.schema().base_schema.equals(FILLS_SCHEMA)
+    assert {r["subj"] for r in out.take_all()} == (
+        {"Acme Corp"} if postprocess else {"Acme Corp", "Crane Group"})
 
 
 def test_document_sentences_equals_loop():

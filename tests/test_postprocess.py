@@ -285,26 +285,31 @@ def test_repair_provenance_via_alias(ray_session):
     assert (out[0]["doc_id"], out[0]["sent_idx"]) == ("dA", 3)
 
 
-def test_finalize_fills_repair_external_doc_ids(ray_session):
-    """finalize_fills(repair=True) on fills whose doc ids are NOT the
-    generator format (an external corpus): provenance_sentences
-    returns None and BOTH gate paths must skip repair instead of
-    crashing (the small-fills path once lacked the None guard)."""
+def test_finalize_fills_repair_external_doc_ids(ray_session, monkeypatch):
+    """finalize_fills on fills whose doc ids are NOT the generator
+    format (an external corpus): no provenance document regenerates, so
+    the chain runs without a gloss in both tiers, and a repair pass
+    over sentences that do not support the fill keeps its provenance."""
     import ray.data as rd
 
-    from stanford_relation_extractor_ray.pipelines.kg import \
-        finalize_fills
+    import stanford_relation_extractor_ray.pipelines.kg as kg
     fills = rd.from_items([_fill(doc_id="ext-corpus-17")])
-    out = finalize_fills(fills, repair=True).take_all()
-    assert len(out) == 1
-    assert out[0]["doc_id"] == "ext-corpus-17"
+    sentences = rd.from_items([
+        {"doc_id": "ext-corpus-3", "sent_idx": 0,
+         "text": "Markets were mixed on Tuesday ."}])
+    for gate in (kg.SMALL_FILLS, 0):
+        monkeypatch.setattr(kg, "SMALL_FILLS", gate)
+        out = P.repair_provenance(kg.finalize_fills(fills),
+                                  sentences).take_all()
+        assert [(r["doc_id"], r["sent_idx"]) for r in out] \
+            == [("ext-corpus-17", 0)]
 
 
 @pytest.mark.parametrize("tier", ["driver", "distributed"])
 def test_finalize_fills_near_miss_doc_ids(ray_session, monkeypatch, tier):
     """Doc ids that only resemble the generator's ``d%09d`` format get
     no gloss from the generator, and keep their provenance through
-    ``finalize_fills(repair=True)`` in both tiers."""
+    ``finalize_fills`` in both tiers."""
     import ray.data as rd
 
     import stanford_relation_extractor_ray.pipelines.kg as kg
@@ -317,27 +322,25 @@ def test_finalize_fills_near_miss_doc_ids(ray_session, monkeypatch, tier):
                                    42).num_rows == 0
     assert kg._generator_sentences(pa.chunked_array([["d000000001"]]),
                                    42).num_rows > 0
-    assert kg.provenance_sentences(
-        rd.from_items([{"doc_id": d} for d in near])) is None
     if tier == "distributed":
         monkeypatch.setattr(kg, "SMALL_FILLS", 0)
     subjects = ["Acme Corp", "Bolt Industries", "Crane Group",
                 "Delta Labs"]
     fills = rd.from_items([_fill(subj=s, doc_id=d, sent_idx=i)
                            for i, (s, d) in enumerate(zip(subjects, near))])
-    out = kg.finalize_fills(fills, repair=True).take_all()
+    out = kg.finalize_fills(fills).take_all()
     assert sorted((r["subj"], r["doc_id"], r["sent_idx"]) for r in out) \
         == [(s, d, i) for i, (s, d) in enumerate(zip(subjects, near))]
 
 
 def test_finalize_fills_external_corpus_with_sentences(ray_session):
-    """External corpus (non-generator doc ids) with an explicit
-    ``sentences=`` dataset through the full
-    ``finalize_fills(postprocess=True, repair=True)``: the unary chain
-    must run WITH glosses from that dataset (observable via the
-    maximal-phrase rewrite) and the repair pass must re-point weak
-    provenance — neither may silently degrade just because doc ids
-    aren't generator-format."""
+    """External corpus (non-generator doc ids) with its own sentences
+    Dataset: ``finalize_fills(postprocess=False)`` → ``apply_unary``
+    over those sentences → ``repair_provenance``, the calls
+    ``virtual_ir`` makes. The unary chain must run WITH glosses from
+    that dataset (observable via the maximal-phrase rewrite) and the
+    repair pass must re-point weak provenance — neither may silently
+    degrade just because doc ids aren't generator-format."""
     import ray.data as rd
 
     from stanford_relation_extractor_ray.pipelines.kg import \
@@ -354,7 +357,7 @@ def test_finalize_fills_external_corpus_with_sentences(ray_session):
     ])
     fills = rd.from_arrow(pa.Table.from_pylist([
         # chain-visible effect: per:title expands to the maximal
-        # phrase USING THE GLOSS — only reachable via sentences=
+        # phrase USING THE GLOSS — only reachable via these sentences
         _fill(subj="Jane Doe", subj_type="PERSON", pred="per:title",
               obj="curator", obj_type="TITLE", doc_id="ext:A",
               sent_idx=0, subj_span=[0, 2], obj_span=[6, 7]),
@@ -364,7 +367,9 @@ def test_finalize_fills_external_corpus_with_sentences(ray_session):
               obj="Toronto", obj_type="CITY", doc_id="ext:B",
               sent_idx=0, subj_span=[0, 2], obj_span=[5, 6]),
     ], schema=FILLS_SCHEMA))
-    out = finalize_fills(fills, sentences=sentences, repair=True)
+    consistent = finalize_fills(fills, postprocess=False)
+    out = P.repair_provenance(P.apply_unary(consistent, sentences),
+                              sentences)
     rows = {(r["subj"], r["pred"]): r for r in out.take_all()}
     title = rows[("Jane Doe", "per:title")]
     assert title["obj"] == "deputy curator"          # chain ran
