@@ -223,7 +223,6 @@ def _model_fingerprint(model_ref) -> str:
     h = hashlib.sha256()
     for key in sorted(d):
         h.update(key.encode())
-        import numpy as np
         h.update(np.ascontiguousarray(d[key]).tobytes())
     return h.hexdigest()[:16]
 
@@ -332,15 +331,6 @@ def _shards(n_docs: int, n_shards: int, seed: int,
     return out
 
 
-# Ray Data's output-block bound on the shard extraction's own Dataset
-# context. Until a fresh operator's first task finishes, Ray estimates
-# each pending task's output at twice this bound; at the default
-# 128 MiB a 512 MiB object store admits one extract task at a time.
-# One 4096-doc chunk emits 0.2-0.35 MB of partial fills (pattern-only
-# and trained, seeds 42 and 7), so its output stays one block.
-SHARD_BLOCK_BYTES = 8 << 20
-
-
 def _extract_chunk(batch: pa.Table, seed: int, aliases_ref,
                    model_ref) -> pa.Table:
     """One ``(part, lo, hi)`` chunk row → the partial fills of documents
@@ -372,17 +362,16 @@ def _extract_stale(man: Manifest, stale, *, seed: int, aliases_ref,
     ``HTTPFileSystem`` import."""
     import ray.data as rd
 
-    from ..stages.extract_fused import EXTRACT_BATCH
+    from ..stages.extract_fused import EXTRACT_BATCH, unreserved
     chunks = [pa.table({"part": [part], "lo": [a],
                         "hi": [min(a + EXTRACT_BATCH, hi)]})
               for part, _, lo, hi in stale
               for a in range(lo, hi, EXTRACT_BATCH)]
-    ds = rd.from_blocks(chunks).map_batches(
+    ds = unreserved(rd.from_blocks(chunks).map_batches(
         _extract_chunk,
         fn_kwargs={"seed": seed, "aliases_ref": aliases_ref,
                    "model_ref": model_ref},
-        batch_format="pyarrow", batch_size=None)
-    ds.context.target_max_block_size = SHARD_BLOCK_BYTES
+        batch_format="pyarrow", batch_size=None))
     staging = man.staging_dir()
     ds.write_parquet(staging, partition_cols=["part"])
     for part, d, _, _ in stale:
@@ -411,9 +400,7 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
     finalize and the graph build (no Ray Data execution below the
     gates).
     """
-    import ray.data as rd
-
-    from ..runtime import materialized
+    from ..runtime import materialized, table_dataset
 
     if checkpoint_dir is not None and n_shards < 1:
         raise ValueError(f"run_kg: n_shards must be at least 1 with a "
@@ -462,7 +449,7 @@ def run_kg(n_docs: int, *, seed: int = 42, model_ref=None,
         from ..storage import write_table
         os.makedirs(out_dir, exist_ok=True)
         write_table(edges, os.path.join(out_dir, "edges"))
-        nodes_ds = rd.from_arrow(nodes) if isinstance(nodes, pa.Table) \
+        nodes_ds = table_dataset(nodes) if isinstance(nodes, pa.Table) \
             else nodes
         write_table(nodes_ds, os.path.join(out_dir, "nodes"))
     return {"fills": consistent, "nodes": nodes, "edges": edges}

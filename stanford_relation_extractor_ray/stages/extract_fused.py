@@ -11,10 +11,17 @@ The chain's components are built once per worker process and kept in
 the bounded worker cache (``runtime.worker_cached``). Ray reuses task
 workers, so the annotator's scan/pair memos, the linker and the
 scorer's relation memo stay warm from one batch, execution, shard or
-``run_kg`` call to the next, as a long-lived actor's would. Nothing
-reserves CPUs while idle, so extraction uses every CPU the moment
-offers, and a worker that cannot import the package fails its task at
-once.
+``run_kg`` call to the next, as a long-lived actor's would, and a
+worker that cannot import the package fails its task at once.
+
+Every extract execution runs under its own ``DataContext`` copy
+(``unreserved``). A documents read cannot fuse with the batched extract
+map, and Ray Data's per-operator resource reservation would then hold
+the map to one task until its first task ends while other CPUs idle.
+The copy turns the reservation off and caps output blocks. It has to
+be a copy: Datasets derived from one another share one context object,
+so setting it in place would change the caller's documents Dataset
+too. Datasets built on the extract output inherit the copy.
 
 The cache keys are what keep reuse exact:
 - annotator: ``seed`` — one warm annotator serves the pattern-only and
@@ -76,6 +83,28 @@ class FusedExtractor:
 EXTRACT_BATCH = 4096
 
 
+# Ray Data's output-block bound in an extract execution's context.
+# Until a fresh operator's first task finishes, Ray estimates each
+# pending task's output at twice this bound; at the default 128 MiB a
+# 512 MiB object store admits one extract task at a time. One 4096-doc
+# batch emits 0.2-0.35 MB of partial fills (pattern-only and trained,
+# seeds 42 and 7), so its output stays one block.
+EXTRACT_BLOCK_BYTES = 8 << 20
+
+
+def unreserved(ds):
+    """``ds`` over its own copy of its ``DataContext``, with the
+    per-operator resource reservation off and output blocks capped at
+    ``EXTRACT_BLOCK_BYTES``, so every extract batch can start at once.
+    The caller's Datasets and the process context keep their settings;
+    Datasets derived from the result inherit the copy."""
+    from ray.data import Dataset
+    ds = Dataset.copy(ds, _deep_copy=True)
+    ds.context.op_resource_reservation_enabled = False
+    ds.context.target_max_block_size = EXTRACT_BLOCK_BYTES
+    return ds
+
+
 def _extract_batch(batch: pa.Table, seed: int, aliases_ref,
                    model_ref) -> pa.Table:
     return FusedExtractor.cached(seed, aliases_ref, model_ref)(batch)
@@ -85,8 +114,8 @@ def extract(documents, *, seed: int = 42, aliases_ref=None,
             model_ref=None, batch_size: int = EXTRACT_BATCH):
     """documents Dataset → partial fills Dataset (stateless tasks).
     ``aliases_ref`` and ``model_ref`` are ``ray.put`` refs (or None)."""
-    return documents.map_batches(
+    return unreserved(documents.map_batches(
         _extract_batch,
         fn_kwargs={"seed": seed, "aliases_ref": aliases_ref,
                    "model_ref": model_ref},
-        batch_format="pyarrow", batch_size=batch_size)
+        batch_format="pyarrow", batch_size=batch_size))

@@ -179,6 +179,35 @@ def test_graph_boundary_dataset_tier_round_trips(ray_session, tmp_path,
     assert rows(resumed) == first and len(first["edges"]) > 10
 
 
+def test_out_dir_holds_the_returned_graph(ray_session, tmp_path):
+    """``run_kg(out_dir=...)`` writes the nodes and edges it returns
+    (driver tier: nodes a ``pa.Table``) under ``nodes/`` and
+    ``edges/``."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from stanford_relation_extractor_ray.pipelines.kg import run_kg
+    from stanford_relation_extractor_ray.runtime import (collect_table,
+                                                         materialized)
+    from stanford_relation_extractor_ray.schemas import (EDGES_SCHEMA,
+                                                         NODES_SCHEMA)
+
+    out_dir = str(tmp_path / "out")
+    out = run_kg(80, out_dir=out_dir)
+    assert isinstance(out["nodes"], pa.Table)
+    for name, schema, want in (
+            ("nodes", NODES_SCHEMA, out["nodes"]),
+            ("edges", EDGES_SCHEMA,
+             collect_table(materialized(out["edges"]), EDGES_SCHEMA))):
+        got = pq.read_table(os.path.join(out_dir, name)).cast(schema)
+        keys = [(f.name, "ascending") for f in schema
+                if not pa.types.is_list(f.type)]
+        assert want.num_rows > 5, name
+        assert got.sort_by(keys).equals(want.sort_by(keys)), name
+
+
 def test_dataset_tier_checkpoint_keeps_provenance(ray_session, tmp_path,
                                                   monkeypatch):
     """Above the gates the shard files go through a Ray Data read that
@@ -370,6 +399,7 @@ def test_stale_shards_extract_in_one_execution(ray_session, tmp_path,
 
     ctx = DataContext.get_current()
     before = (ctx.target_max_block_size,
+              ctx.op_resource_reservation_enabled,
               ctx._max_num_blocks_in_streaming_gen_buffer)
     started = []
     create = ExecutionPlan.create_executor
@@ -383,7 +413,7 @@ def test_stale_shards_extract_in_one_execution(ray_session, tmp_path,
     first = run_kg(90, checkpoint_dir=ckpt, n_shards=3)
     assert len(started) == 1
     assert DataContext.get_current() is ctx and before == (
-        ctx.target_max_block_size,
+        ctx.target_max_block_size, ctx.op_resource_reservation_enabled,
         ctx._max_num_blocks_in_streaming_gen_buffer)
     started.clear()
     assert _triples(run_kg(90, checkpoint_dir=ckpt, n_shards=3)) \
