@@ -2,29 +2,39 @@
 
 Ray-Data shape of the reference's transitive & symmetric relation
 rewrites (``kbp/slotfilling/evaluate/GraphConsistencyPostProcessors.java:
-317-353`` transitive closure, ``:355-414`` symmetric rewrite) and the
+317-353`` transitive closure, ``:355-414`` symmetric rewrite), the
 antecedent-matching Horn rules of ``evaluate/inference/
-SimpleGraphInferenceEngine.java`` restricted to length-2 paths:
+SimpleGraphInferenceEngine.java`` restricted to length-2 paths, the
+``InferentialSlotFiller`` distance pruning and ``MineInferentialPaths``.
+Every map and group function is columnar (Arrow compute, Acero joins,
+pandas); two kernels carry the graph algorithms:
 
-- ``symmetric_inverse_rewrite`` — per-row flat-map emitting the
-  mirrored/inverted edge for symmetric relations (spouse, siblings,
-  org membership) and inverse pairs (children↔parents,
-  subsidiaries↔parents), then an exact per-triple max-score combine.
-  No shuffle beyond the (small) triple combine.
-- ``transitive_infer`` — bounded-depth (length-2) rule application
-  ``A -p→ B, B -q→ C ⇒ A -head→ C`` as a hash-partitioned self-join:
-  left rows keyed by obj, right rows keyed by subj, one
-  ``runtime.by_key`` shuffle on the bridge entity co-locates both
-  sides, the joined edges get
-  score = s₁·s₂·damping. The join key is the bridge entity, so hot
-  bridges are bounded by the per-partition group; at corpus scale the
-  edges table is already aggregated (one row per triple), orders of
-  magnitude smaller than the corpus.
+- ``neighborhood`` — every ``(node, q)`` within ``max_dist`` undirected
+  hops of seed ``(node, q)`` rows. One map over the fills per round:
+  the batch's distinct undirected edges joined with the broadcast
+  frontier, anti-joined with the broadcast known pairs, so a round
+  collects only new pairs. The known pairs are one driver-side Arrow
+  table, re-shipped with ``ray.put`` each round and capped at
+  ``MAX_MEMBERSHIP`` rows. ``prune_by_distance`` runs it with one label;
+  ``mln.probabilistic_infer`` with one label per query entity.
+- ``bridge_paths`` — every path ``A -p→ B -q→ C`` with ``A != C``, as
+  one ``runtime.by_key`` join on the bridge ``B``: the left side is the
+  fills with ``obj`` renamed ``bridge``, the right side the fills with
+  ``subj`` renamed ``bridge``. ``transitive_infer`` joins the paths
+  with its rules on ``(p, q)``; ``mine_rules`` counts them.
+
+``symmetric_inverse_rewrite`` appends, per batch, a copy of the rows
+whose predicate is symmetric or has an inverse with subject and object
+swapped, then keeps the best row per triple. Acero's hash join takes no
+list-typed payload columns (the spans), so joins carry row indices and
+``take`` the rows afterwards.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..runtime import by_key
 from ..schemas import FILLS_SCHEMA
@@ -47,34 +57,47 @@ DEFAULT_RULES = (
 )
 RULE_DAMPING = 0.8
 
+# neighborhood: max (node, q) pairs the broadcast membership may hold
+# before a round fails loudly. Every query's neighborhood rides each
+# round's broadcast and probabilistic_infer copies each fill once per
+# query it touches; 48 queries over a 2000-doc KG hold 5,859 pairs.
+MAX_MEMBERSHIP = 1_000_000
+
+MEMBER_SCHEMA = pa.schema([("node", pa.string()), ("q", pa.string())])
+
+_MIRROR_FROM = pa.array(sorted(SYMMETRIC) + sorted(INVERSES))
+_MIRROR_TO = pa.array(sorted(SYMMETRIC)
+                      + [INVERSES[p] for p in sorted(INVERSES)])
+
+
+def _distinct(t: pa.Table, keys: list) -> pa.Table:
+    return t.select(keys).group_by(keys).aggregate([])
+
+
+def _fills(batch: pa.Table) -> pa.Table:
+    return batch.select(FILLS_SCHEMA.names).cast(FILLS_SCHEMA)
+
 
 def _mirror_rows(batch: pa.Table) -> pa.Table:
-    names = FILLS_SCHEMA.names
-    cols = {n: batch.column(n).to_pylist() for n in names}
-    out = {n: list(cols[n]) for n in names}
-    n_rows = batch.num_rows
-    for i in range(n_rows):
-        pred = cols["pred"][i]
-        new_pred = pred if pred in SYMMETRIC else INVERSES.get(pred)
-        if new_pred is None:
-            continue
-        # mirrored edge only meaningful between two linked entities
-        if cols["obj_type"][i] not in ("PERSON", "ORGANIZATION"):
-            continue
-        out["subj"].append(cols["obj"][i])
-        out["subj_type"].append(cols["obj_type"][i])
-        out["pred"].append(new_pred)
-        out["obj"].append(cols["subj"][i])
-        out["obj_type"].append(cols["subj_type"][i])
-        out["score"].append(cols["score"][i] * REWRITE_DAMPING)
-        out["doc_id"].append(cols["doc_id"][i])
-        out["sent_idx"].append(cols["sent_idx"][i])
-        out["subj_span"].append(cols["obj_span"][i])
-        out["obj_span"].append(cols["subj_span"][i])
-    return pa.Table.from_arrays(
-        [pa.array(out[n], t) for n, t in
-         zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
-        schema=FILLS_SCHEMA)
+    """The batch, then a mirrored copy of its rows whose predicate is
+    symmetric or has an inverse and whose object is a linked entity:
+    subject and object (with their types and spans) swapped, the
+    predicate mapped to its inverse, the score damped."""
+    batch = _fills(batch)
+    idx = pc.index_in(batch.column("pred"), value_set=_MIRROR_FROM)
+    # a mirrored edge is only meaningful between two linked entities
+    mask = pc.and_(pc.is_valid(idx), pc.is_in(
+        batch.column("obj_type"),
+        value_set=pa.array(["PERSON", "ORGANIZATION"])))
+    m = batch.filter(mask)
+    mirrored = pa.Table.from_arrays(
+        [m.column("obj"), m.column("obj_type"),
+         _MIRROR_TO.take(idx.filter(mask)), m.column("subj"),
+         m.column("subj_type"),
+         pc.multiply(m.column("score"), REWRITE_DAMPING),
+         m.column("doc_id"), m.column("sent_idx"), m.column("obj_span"),
+         m.column("subj_span")], schema=FILLS_SCHEMA)
+    return pa.concat_tables([batch, mirrored])
 
 
 def _max_combine(fills):
@@ -136,213 +159,199 @@ def intersect_fills(fills_a, fills_b):
                   TRIPLE_KEY, keep_both, batch_format="pandas")
 
 
+def neighborhood(fills, seeds: pa.Table, max_dist: int) -> pa.Table:
+    """``(node, q)`` seed rows → every ``(node, q)`` whose node lies
+    within ``max_dist`` undirected hops of a seed node with label ``q``
+    (seeds included), as one driver-side table in ``MEMBER_SCHEMA``.
+
+    One Ray Data execution per round: each fills batch joins its
+    distinct undirected edges with the frontier and anti-joins the
+    reached pairs with the known ones, so the driver collects only the
+    round's new pairs. Raises ``RuntimeError`` once the known pairs
+    exceed ``MAX_MEMBERSHIP``."""
+    import ray
+
+    known = frontier = _distinct(seeds.cast(MEMBER_SCHEMA), ["node", "q"])
+    for _ in range(max_dist):
+        if not frontier.num_rows:
+            break
+        ref = ray.put((frontier.rename_columns(["a", "q"]), known))
+
+        def expand(batch: pa.Table, _ref=ref) -> pa.Table:
+            fr, kn = ray.get(_ref)
+            subj, obj = batch.column("subj"), batch.column("obj")
+            edges = _distinct(pa.table({
+                "a": pa.chunked_array(subj.chunks + obj.chunks, pa.string()),
+                "node": pa.chunked_array(obj.chunks + subj.chunks,
+                                         pa.string())}), ["a", "node"])
+            hop = edges.join(fr, "a", join_type="inner")
+            return _distinct(hop, ["node", "q"]).join(
+                kn, ["node", "q"], join_type="left anti")
+
+        found = fills.map_batches(expand, batch_format="pyarrow") \
+            .iter_batches(batch_size=None, batch_format="pyarrow")
+        frontier = _distinct(pa.concat_tables(
+            [MEMBER_SCHEMA.empty_table(), *found]), ["node", "q"])
+        known = pa.concat_tables([known, frontier])
+        if known.num_rows > MAX_MEMBERSHIP:
+            raise RuntimeError(
+                f"neighborhood: {known.num_rows} (node, query) pairs "
+                f"(> MAX_MEMBERSHIP={MAX_MEMBERSHIP}) — the query "
+                "neighborhoods are too large to broadcast; use fewer "
+                "query entities or a smaller max_dist (or raise the cap)")
+    return known.combine_chunks()
+
+
 def prune_by_distance(fills, query_entities, max_dist: int = 4):
     """Keep edges whose subject lies within graph distance ≤ max_dist
     of a query entity — the reference's EntityGraph pruning
     (``InferentialSlotFiller.java:55-200`` +
-    ``graph/GraphAlgorithms.java:13``).
-
-    Iterative frontier expansion: ``max_dist`` rounds of a distributed
-    edge scan against the broadcast frontier set (``ray.put`` per
-    round; the frontier is bounded by the ≤-max_dist neighborhood of
-    the query set, orders of magnitude smaller than the corpus — the
-    edge table itself never leaves the cluster)."""
+    ``graph/GraphAlgorithms.java:13``): ``neighborhood`` with one label,
+    then an ``is_in`` filter on the subject against the broadcast
+    reached nodes (the edge table itself never leaves the cluster)."""
     import ray
 
-    reached = {str(q) for q in query_entities}
-    frontier = set(reached)
-    for _ in range(max_dist):
-        if not frontier:
-            break
-        ref = ray.put(frontier)
-
-        def neighbors(batch: pa.Table, _ref=ref) -> pa.Table:
-            fr = ray.get(_ref)
-            subj = batch.column("subj").to_pylist()
-            obj = batch.column("obj").to_pylist()
-            out = {o for s, o in zip(subj, obj) if s in fr} \
-                | {s for s, o in zip(subj, obj) if o in fr}
-            out = sorted(out)
-            return pa.table({"n": pa.array(out, pa.string())})
-
-        found = {r["n"] for r in
-                 fills.map_batches(neighbors,
-                                   batch_format="pyarrow").take_all()}
-        frontier = found - reached
-        reached |= found
-
-    keep_ref = ray.put(reached)
+    qs = [str(q) for q in query_entities]
+    reached = neighborhood(fills, pa.table({"node": qs, "q": [""] * len(qs)},
+                                           schema=MEMBER_SCHEMA), max_dist)
+    ref = ray.put(reached.column("node").combine_chunks())
 
     def keep(batch: pa.Table) -> pa.Table:
-        ks = ray.get(keep_ref)
-        mask = pa.array([s in ks
-                         for s in batch.column("subj").to_pylist()])
-        return batch.filter(mask)
+        return batch.filter(pc.is_in(batch.column("subj"),
+                                     value_set=ray.get(ref)))
 
     return fills.map_batches(keep, batch_format="pyarrow")
+
+
+def bridge_paths(fills, emit, left_preds=None, right_preds=None):
+    """Every bridge path ``A -p→ B -q→ C`` with ``A != C`` through one
+    ``by_key`` join on the bridge ``B``. The left side is the fills
+    with ``obj`` renamed ``bridge`` (optionally only predicates in
+    ``left_preds``), the right side the fills with ``subj`` renamed
+    ``bridge`` (``right_preds``). Per partition, ``emit(left, right)``
+    gets the two sides' rows of every path, aligned row by row, in
+    (bridge, left row, right row) order; the operator is named after
+    ``emit``."""
+    import functools
+
+    def side(key: str, preds):
+        value_set = pa.array(sorted(preds or ()), pa.string())
+
+        def project(batch: pa.Table) -> pa.Table:
+            if preds is not None:
+                batch = batch.filter(pc.is_in(batch.column("pred"),
+                                              value_set=value_set))
+            return batch.rename_columns(
+                ["bridge" if c == key else c for c in batch.column_names])
+
+        return fills.map_batches(project, batch_format="pyarrow"), \
+            pa.schema([("bridge" if f.name == key else f.name, f.type)
+                       for f in FILLS_SCHEMA])
+
+    @functools.wraps(emit)
+    def paths(left: pa.Table, right: pa.Table) -> pa.Table:
+        j = pa.table({"bridge": left.column("bridge"),
+                      "_l": np.arange(left.num_rows)}).join(
+            pa.table({"bridge": right.column("bridge"),
+                      "_r": np.arange(right.num_rows)}),
+            "bridge", join_type="inner").sort_by(
+            [("bridge", "ascending"), ("_l", "ascending"),
+             ("_r", "ascending")])
+        left, right = left.take(j.column("_l")), right.take(j.column("_r"))
+        keep = pc.not_equal(left.column("subj"), right.column("obj"))
+        return emit(left.filter(keep), right.filter(keep))
+
+    return by_key([side("obj", left_preds), side("subj", right_preds)],
+                  "bridge", paths)
 
 
 def mine_rules(fills, *, min_support: int = 2,
                min_confidence: float = 0.3):
     """Mine length-2 Horn rules (p, q ⇒ head) from the KG — the
     ``MineInferentialPaths`` analog (path counting instead of the
-    path-trie): enumerate A-p→B-q→C bridge paths (the
-    ``transitive_infer`` join shape), co-locate them with the direct
-    A-head→C edges on a coarse (subj, obj) partition, and score each
+    path-trie): enumerate the distinct ``bridge_paths``
+    (subj, p, q, obj), co-locate them with the direct subj-head→obj
+    edges on a coarse (subj, obj) partition, and score each
     (p, q, head) by support / #paths(p, q). Output:
     (p, q, head, support, total, confidence), confidence-desc."""
     import pandas as pd
 
-    def tag(batch: pa.Table) -> pa.Table:
-        """One row per edge per side (L bridges on obj, R on subj)."""
-        subj = batch.column("subj").to_pylist()
-        pred = batch.column("pred").to_pylist()
-        obj = batch.column("obj").to_pylist()
-        rows = {"subj": [], "pred": [], "obj": [], "side": [],
-                "bridge": []}
-        for s, p, o in zip(subj, pred, obj):
-            for side, key in (("L", o), ("R", s)):
-                rows["subj"].append(s)
-                rows["pred"].append(p)
-                rows["obj"].append(o)
-                rows["side"].append(side)
-                rows["bridge"].append(key)
-        return pa.table({k: pa.array(v, pa.string())
-                         for k, v in rows.items()})
-
-    def paths(df: pd.DataFrame) -> pd.DataFrame:
-        left = df[df["side"] == "L"]
-        right = df[df["side"] == "R"]
-        j = left.merge(right, left_on="bridge", right_on="bridge",
-                       suffixes=("_l", "_r"))
-        j = j[j["subj_l"] != j["obj_r"]]
-        out = j[["subj_l", "pred_l", "pred_r", "obj_r"]]
-        out.columns = ["subj", "p", "q", "obj"]
-        return out.drop_duplicates()
-
-    path_ds = by_key(fills.map_batches(tag, batch_format="pyarrow"),
-                     "bridge", paths, batch_format="pandas")
+    def path_rows(left: pa.Table, right: pa.Table) -> pa.Table:
+        return _distinct(pa.table({
+            "subj": left.column("subj"), "p": left.column("pred"),
+            "q": right.column("pred"), "obj": right.column("obj")}),
+            ["subj", "p", "q", "obj"])
 
     def score(paths: pd.DataFrame, edges: pd.DataFrame) -> pd.DataFrame:
-        heads: dict[tuple, list] = {}
-        for s, o, p in zip(edges["subj"], edges["obj"], edges["pred"]):
-            heads.setdefault((s, o), []).append(p)
-        rows = []
-        # paths() dedups only within its bridge-hashed partition: the
+        # path_rows dedups only within its bridge-hashed partition: the
         # same (subj,p,q,obj) path via bridges in different partitions
         # survives. All copies converge HERE (keyed on (subj, obj)),
         # so the global distinct lives in this partition — without it,
         # support/total depend on the partition count, i.e. on cluster
         # size.
-        pdf = paths.drop_duplicates(["subj", "p", "q", "obj"])
-        for s, o, p, q in zip(pdf["subj"], pdf["obj"], pdf["p"],
-                              pdf["q"]):
-            rows.append((p, q, "", 0, 1))     # one total per path
-            for h in heads.get((s, o), ()):   # supported heads
-                rows.append((p, q, h, 1, 0))
-        out = pd.DataFrame(rows, columns=["p", "q", "head",
-                                          "support", "total"])
+        paths = paths.drop_duplicates(["subj", "p", "q", "obj"])
+        # one total per path, one support per head edge it closes
+        totals = paths.groupby(["p", "q"]).size().rename("total") \
+            .reset_index().assign(head="", support=0)
+        sup = paths.merge(edges.rename(columns={"pred": "head"}),
+                          on=["subj", "obj"]) \
+            .groupby(["p", "q", "head"]).size().rename("support") \
+            .reset_index().assign(total=0)
         # in-partition pre-aggregation: the driver sees one row per
         # (p, q, head) per partition, not per path
-        return out.groupby(["p", "q", "head"], as_index=False).sum()
+        return pd.concat([totals, sup]).groupby(
+            ["p", "q", "head"], as_index=False).sum()
 
     # co-locate paths with direct edges on (subj, obj)
     text = pa.string()
     scored = by_key(
-        [(path_ds, pa.schema([(c, text) for c in ("subj", "p", "q",
-                                                    "obj")])),
+        [(bridge_paths(fills, path_rows),
+          pa.schema([(c, text) for c in ("subj", "p", "q", "obj")])),
          (fills, pa.schema([(c, text) for c in ("subj", "pred", "obj")]))],
         ["subj", "obj"], score, batch_format="pandas")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        totals = df.groupby(["p", "q"])["total"].sum()
-        sup = df[df["head"] != ""].groupby(
-            ["p", "q", "head"])["support"].sum().reset_index()
-        sup["total"] = sup.set_index(["p", "q"]).index.map(totals) \
-            .astype("int64")
-        sup["confidence"] = sup["support"] / sup["total"]
-        sup = sup[(sup["support"] >= min_support)
-                  & (sup["confidence"] >= min_confidence)]
-        return sup.sort_values(["confidence", "support"],
-                               ascending=False, kind="mergesort")
-
-    rows = scored.take_all()
-    df = pd.DataFrame(rows) if rows else pd.DataFrame(
-        columns=["p", "q", "head", "support", "total"])
-    return combine(df)
+    df = scored.to_pandas()
+    if df.empty:
+        df = pd.DataFrame(columns=["p", "q", "head", "support", "total"])
+    totals = df.groupby(["p", "q"])["total"].sum()
+    sup = df[df["head"] != ""].groupby(
+        ["p", "q", "head"])["support"].sum().reset_index()
+    sup["total"] = sup.set_index(["p", "q"]).index.map(totals) \
+        .astype("int64")
+    sup["confidence"] = sup["support"] / sup["total"]
+    sup = sup[(sup["support"] >= min_support)
+              & (sup["confidence"] >= min_confidence)]
+    return sup.sort_values(["confidence", "support"],
+                           ascending=False, kind="mergesort")
 
 
 def transitive_infer(fills, rules=DEFAULT_RULES,
                      damping: float = RULE_DAMPING):
     """fills → inferred length-2-path edges (NOT unioned with input;
-    callers union + combine as desired). The output itself is
-    duplicate-free: every inference of a triple, through any bridge in
-    any partition, reaches the per-triple max combine, which keeps the
-    best score — so the result does not depend on how bridges hash to
-    partitions."""
-    left_preds = {p for p, _q, _h in rules}
-    right_preds = {q for _p, q, _h in rules}
+    callers union + combine as desired): ``bridge_paths`` joined with
+    the rules on (p, q) → head, score = (s₁·s₂)·damping, provenance and
+    subject span from the left edge, object span from the right. The
+    output itself is duplicate-free: every inference of a triple,
+    through any bridge in any partition, reaches the per-triple max
+    combine, which keeps the best score — so the result does not
+    depend on how bridges hash to partitions."""
+    rule_t = pa.table({c: pa.array([r[i] for r in rules], pa.string())
+                       for i, c in enumerate(("p", "q", "head"))})
 
-    def tag(batch: pa.Table) -> pa.Table:
-        """Emit one row per (edge, side) with the bridge-entity join
-        key: left rows bridge on obj, right rows on subj."""
-        names = FILLS_SCHEMA.names
-        cols = {n: batch.column(n).to_pylist() for n in names}
-        out = {n: [] for n in names}
-        sides, keys = [], []
-        for i in range(batch.num_rows):
-            pred = cols["pred"][i]
-            for side, pset, key in (
-                    ("L", left_preds, cols["obj"][i]),
-                    ("R", right_preds, cols["subj"][i])):
-                if pred in pset:
-                    for n in names:
-                        out[n].append(cols[n][i])
-                    sides.append(side)
-                    keys.append(key)
-        t = pa.Table.from_arrays(
-            [pa.array(out[n], ty) for n, ty in
-             zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
-            schema=FILLS_SCHEMA)
-        t = t.append_column("side", pa.array(sides, pa.string()))
-        return t.append_column("bridge", pa.array(keys, pa.string()))
-
-    def join(group: pa.Table) -> pa.Table:
-        names = FILLS_SCHEMA.names
-        cols = {n: group.column(n).to_pylist() for n in names}
-        sides = group.column("side").to_pylist()
-        bridges = group.column("bridge").to_pylist()
-        lefts: dict[str, list[int]] = {}
-        rights: dict[str, list[int]] = {}
-        for i, (s, b) in enumerate(zip(sides, bridges)):
-            (lefts if s == "L" else rights).setdefault(b, []).append(i)
-        out = {n: [] for n in names}
-        for b in sorted(set(lefts) & set(rights)):
-            for li in lefts[b]:
-                for ri in rights[b]:
-                    for p, q, head in rules:
-                        if cols["pred"][li] != p \
-                                or cols["pred"][ri] != q:
-                            continue
-                        subj, obj = cols["subj"][li], cols["obj"][ri]
-                        if subj == obj:
-                            continue
-                        out["subj"].append(subj)
-                        out["subj_type"].append(cols["subj_type"][li])
-                        out["pred"].append(head)
-                        out["obj"].append(obj)
-                        out["obj_type"].append(cols["obj_type"][ri])
-                        out["score"].append(cols["score"][li]
-                                            * cols["score"][ri]
-                                            * damping)
-                        out["doc_id"].append(cols["doc_id"][li])
-                        out["sent_idx"].append(cols["sent_idx"][li])
-                        out["subj_span"].append(cols["subj_span"][li])
-                        out["obj_span"].append(cols["obj_span"][ri])
+    def join(left: pa.Table, right: pa.Table) -> pa.Table:
+        j = pa.table({"p": left.column("pred"), "q": right.column("pred"),
+                      "_i": np.arange(left.num_rows)}).join(
+            rule_t, ["p", "q"], join_type="inner").sort_by("_i")
+        left, right = left.take(j.column("_i")), right.take(j.column("_i"))
+        score = pc.multiply(pc.multiply(left.column("score"),
+                                        right.column("score")), damping)
         return pa.Table.from_arrays(
-            [pa.array(out[n], ty) for n, ty in
-             zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
-            schema=FILLS_SCHEMA)
+            [left.column("subj"), left.column("subj_type"),
+             j.column("head"), right.column("obj"),
+             right.column("obj_type"), score, left.column("doc_id"),
+             left.column("sent_idx"), left.column("subj_span"),
+             right.column("obj_span")], schema=FILLS_SCHEMA)
 
-    return _max_combine(by_key(
-        fills.map_batches(tag, batch_format="pyarrow"), "bridge", join))
+    return _max_combine(bridge_paths(
+        fills, join, left_preds={p for p, _q, _h in rules},
+        right_preds={q for _p, q, _h in rules}))

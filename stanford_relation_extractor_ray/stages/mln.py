@@ -15,14 +15,21 @@ Ray-Data shape: inference pivots on a query entity over its bounded
 neighborhood (``InferentialSlotFiller`` prunes to graph distance ≤ 4
 before inferring), so the dataflow is
 
-1. multi-source frontier expansion tagging every edge with the query
-   neighborhoods it belongs to (``max_dist`` broadcast rounds — the
-   frontier sets are query-neighborhood-bounded, the edge table never
-   leaves the cluster),
-2. ONE coarse-pid shuffle co-locating each query's subgraph,
-3. per-query grounding + seeded Gibbs MAP inside the group (seeds are
-   content-derived — crc32 of the query — so results are independent
-   of partitioning and cluster size), and
+1. ``graph_infer.neighborhood`` with one label per query entity: the
+   ``(node, q)`` membership of every query's ``max_dist`` neighborhood,
+   one Arrow join round per hop, held on the driver and re-broadcast
+   each round. It raises once it exceeds ``graph_infer.MAX_MEMBERSHIP``
+   pairs, because the tag step below copies a fill once per query whose
+   neighborhood holds its subject or object (5,859 pairs over 217 nodes
+   for 48 queries turn 781 fills into 36,995 tagged rows);
+2. a columnar tag (the fills joined with the membership on ``subj``
+   and on ``obj``, distinct per (row, q)) and ONE coarse-pid shuffle
+   co-locating each query's subgraph,
+3. per-query grounding + seeded Gibbs MAP inside the group. Seeds are
+   content-derived (crc32 of the query) and each query's edges are
+   sorted by ``EDGE_ORDER`` before grounding, which numbers literals
+   and walks them in edge order: the result is the same whatever order,
+   blocking, partitioning or cluster size the fills arrive with, and
 4. a per-triple max combine over the union of inferred edges.
 
 Every inferred fill carries provenance from its strongest supporting
@@ -33,6 +40,7 @@ the MAP score at +∞ and has no concrete ``apply`` in-tree).
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import zlib
@@ -48,6 +56,10 @@ from ..schemas import FILLS_SCHEMA
 _P_MIN, _P_MAX = 1e-4, 1.0 - 1e-4
 # BayesNet default prior for unseen (inferred-candidate) literals
 DEFAULT_PRIOR = 0.2
+# probabilistic_infer grounds each query's edges in this order; rows
+# equal on every one of these columns differ at most in their spans
+EDGE_ORDER = ("subj", "pred", "obj", "doc_id", "sent_idx", "score",
+              "subj_type", "obj_type")
 
 
 @dataclass(frozen=True)
@@ -431,12 +443,11 @@ def probabilistic_infer(fills, query_entities, rules: list[Rule], *,
     """fills × query entities → inferred fills Dataset (NOT unioned
     with the input; callers union + combine like ``transitive_infer``).
 
-    Per-query neighborhoods via ``max_dist`` rounds of broadcast
-    frontier expansion (node → {queries} inverted map rides
-    ``ray.put``; the map is bounded by the union of query
-    neighborhoods), then one coarse-pid shuffle groups each query's
-    subgraph for ground + Gibbs (seed = crc32 of the query, so the
-    result is partitioning-independent), and a per-triple max combine
+    Per-query neighborhoods (``graph_infer.neighborhood``, capped at
+    ``graph_infer.MAX_MEMBERSHIP`` pairs), then one coarse-pid shuffle
+    groups each query's subgraph for ground + Gibbs (seed = crc32 of the
+    query, edges in ``EDGE_ORDER``, so the result depends neither on
+    partitioning nor on input row order), and a per-triple max combine
     collapses cross-query duplicates.
 
     ``acyclic`` applies the BLN predicate-level filter
@@ -449,77 +460,40 @@ def probabilistic_infer(fills, query_entities, rules: list[Rule], *,
     import ray
 
     from ..runtime import by_key
-    from .graph_infer import _max_combine
+    from .graph_infer import (MEMBER_SCHEMA, _distinct, _fills,
+                              _max_combine, neighborhood)
     if acyclic:
         rules = make_acyclic(rules)
 
-    node_queries: dict[str, set] = {str(q): {str(q)}
-                                    for q in query_entities}
-    frontier = dict(node_queries)
-    for _ in range(max_dist):
-        if not frontier:
-            break
-        # ship (frontier, full membership map) so the map emits ONLY
-        # genuinely new (node, query) memberships, deduped per batch —
-        # the driver collect is bounded by the neighborhood-map DELTA,
-        # never O(edge incidences) (code-review r5 finding)
-        ref = ray.put((frontier, node_queries))
-
-        def expand(batch: pa.Table, _ref=ref) -> pa.Table:
-            fr, known = ray.get(_ref)
-            subj = batch.column("subj").to_pylist()
-            obj = batch.column("obj").to_pylist()
-            out: set[tuple] = set()
-            for s, o in zip(subj, obj):
-                for a, b in ((s, o), (o, s)):
-                    for q in fr.get(a, ()):
-                        if q not in known.get(b, ()):
-                            out.add((b, q))
-            rows = sorted(out)
-            return pa.table({
-                "node": pa.array([r[0] for r in rows], pa.string()),
-                "q": pa.array([r[1] for r in rows], pa.string())})
-
-        new: dict[str, set] = {}
-        for r in (fills.map_batches(expand, batch_format="pyarrow")
-                  .take_all()):
-            node, q = r["node"], r["q"]
-            if q not in node_queries.get(node, ()):
-                new.setdefault(node, set()).add(q)
-        for node, qs in new.items():
-            node_queries.setdefault(node, set()).update(qs)
-        frontier = new
-
-    member_ref = ray.put(node_queries)
+    qs = [str(q) for q in query_entities]
+    members = neighborhood(fills, pa.table({"node": qs, "q": qs},
+                                           schema=MEMBER_SCHEMA), max_dist)
+    member_ref = ray.put(members)
 
     def tag(batch: pa.Table) -> pa.Table:
-        members = ray.get(member_ref)
-        rows = batch.to_pylist()
-        out = []
-        for row in rows:
-            for q in sorted(members.get(row["subj"], set())
-                            | members.get(row["obj"], set())):
-                out.append({**row, "q": q})
-        cols = {n: pa.array([r[n] for r in out], t)
-                for n, t in zip(FILLS_SCHEMA.names,
-                                FILLS_SCHEMA.types)}
-        cols["q"] = pa.array([r["q"] for r in out], pa.string())
-        return pa.table(cols)
+        """One row per (fill, query) whose neighborhood holds the
+        fill's subject or object: the fills with a ``q`` column."""
+        batch = _fills(batch)
+        m = ray.get(member_ref)
+        row = np.arange(batch.num_rows)
+        hits = _distinct(pa.concat_tables([
+            pa.table({"node": batch.column(end), "_row": row}).join(
+                m, "node", join_type="inner").select(["_row", "q"])
+            for end in ("subj", "obj")]), ["_row", "q"])
+        return batch.take(hits.column("_row")).append_column(
+            "q", hits.column("q"))
 
     def infer_group(group: pa.Table) -> pa.Table:
-        rows = group.to_pylist()
-        by_q: dict[str, list[dict]] = {}
-        for r in rows:
-            by_q.setdefault(r["q"], []).append(r)
+        # each query's edges in one total order: grounding numbers the
+        # literals and Gibbs walks them in edge order
+        rows = group.sort_by([("q", "ascending")] + [
+            (c, "ascending") for c in EDGE_ORDER]).to_pylist()
         out: list[dict] = []
-        for q in sorted(by_q):
+        for q, edges in itertools.groupby(rows, key=lambda r: r["q"]):
             out.extend(infer_subgraph(
-                by_q[q], rules, n_iters=n_iters, n_chains=n_chains,
+                list(edges), rules, n_iters=n_iters, n_chains=n_chains,
                 seed=zlib.crc32(q.encode()) & 0x7FFFFFFF))
-        return pa.Table.from_arrays(
-            [pa.array([r[n] for r in out], t) for n, t in
-             zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
-            schema=FILLS_SCHEMA)
+        return pa.Table.from_pylist(out, schema=FILLS_SCHEMA)
 
     return _max_combine(by_key(fills.map_batches(tag,
                                                  batch_format="pyarrow"),

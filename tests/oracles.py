@@ -459,3 +459,138 @@ def verify_pairs_loop(hit: pa.Table, sh_b, threshold: float) -> pa.Table:
     return pa.table({"id_a": pa.array(out_a, pa.int64()),
                      "id_b": pa.array(out_b, pa.int64()),
                      "jaccard": pa.array(out_j, pa.float64())})
+
+
+def neighborhood_bfs(fills: pa.Table, seeds: dict, max_dist: int) -> set:
+    """The former frontier loops of ``prune_by_distance`` and
+    ``probabilistic_infer`` over one table: ``seeds`` maps node → set of
+    query labels; ``max_dist`` rounds walk every edge both ways from the
+    frontier and keep only (node, q) pairs not yet known → every
+    reached (node, q)."""
+    node_queries = {n: set(qs) for n, qs in seeds.items()}
+    frontier = {n: set(qs) for n, qs in seeds.items()}
+    subj = fills.column("subj").to_pylist()
+    obj = fills.column("obj").to_pylist()
+    for _ in range(max_dist):
+        if not frontier:
+            break
+        new: dict = {}
+        for s, o in zip(subj, obj):
+            for a, b in ((s, o), (o, s)):
+                for q in frontier.get(a, ()):
+                    if q not in node_queries.get(b, ()):
+                        new.setdefault(b, set()).add(q)
+        for node, qs in new.items():
+            node_queries.setdefault(node, set()).update(qs)
+        frontier = new
+    return {(n, q) for n, qs in node_queries.items() for q in qs}
+
+
+def mirror_rows_loop(batch: pa.Table) -> pa.Table:
+    """``symmetric_inverse_rewrite``'s former per-row map: the batch,
+    then one swapped, damped row per symmetric/inverse edge whose object
+    is a PERSON or ORGANIZATION."""
+    from stanford_relation_extractor_ray.stages.graph_infer import (
+        INVERSES, REWRITE_DAMPING, SYMMETRIC)
+
+    names = FILLS_SCHEMA.names
+    cols = {n: batch.column(n).to_pylist() for n in names}
+    out = {n: list(cols[n]) for n in names}
+    for i in range(batch.num_rows):
+        pred = cols["pred"][i]
+        new_pred = pred if pred in SYMMETRIC else INVERSES.get(pred)
+        if new_pred is None:
+            continue
+        if cols["obj_type"][i] not in ("PERSON", "ORGANIZATION"):
+            continue
+        out["subj"].append(cols["obj"][i])
+        out["subj_type"].append(cols["obj_type"][i])
+        out["pred"].append(new_pred)
+        out["obj"].append(cols["subj"][i])
+        out["obj_type"].append(cols["subj_type"][i])
+        out["score"].append(cols["score"][i] * REWRITE_DAMPING)
+        out["doc_id"].append(cols["doc_id"][i])
+        out["sent_idx"].append(cols["sent_idx"][i])
+        out["subj_span"].append(cols["obj_span"][i])
+        out["obj_span"].append(cols["subj_span"][i])
+    return pa.Table.from_arrays(
+        [pa.array(out[n], t) for n, t in
+         zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
+        schema=FILLS_SCHEMA)
+
+
+def transitive_join_loop(fills: pa.Table, rules, damping: float) -> pa.Table:
+    """``transitive_infer``'s former bridge join over one table, before
+    its max combine: edges indexed by bridge (left rows on obj, right
+    rows on subj), then a nested loop over every bridge's left row ×
+    right row × rule → A -head→ C rows, score s₁·s₂·damping,
+    provenance and subject span from the left row, object span from the
+    right row."""
+    names = FILLS_SCHEMA.names
+    cols = {n: fills.column(n).to_pylist() for n in names}
+    lefts: dict = {}
+    rights: dict = {}
+    for i in range(fills.num_rows):
+        lefts.setdefault(cols["obj"][i], []).append(i)
+        rights.setdefault(cols["subj"][i], []).append(i)
+    out = {n: [] for n in names}
+    for b in sorted(set(lefts) & set(rights)):
+        for li in lefts[b]:
+            for ri in rights[b]:
+                for p, q, head in rules:
+                    if cols["pred"][li] != p or cols["pred"][ri] != q:
+                        continue
+                    subj, obj = cols["subj"][li], cols["obj"][ri]
+                    if subj == obj:
+                        continue
+                    out["subj"].append(subj)
+                    out["subj_type"].append(cols["subj_type"][li])
+                    out["pred"].append(head)
+                    out["obj"].append(obj)
+                    out["obj_type"].append(cols["obj_type"][ri])
+                    out["score"].append(cols["score"][li]
+                                        * cols["score"][ri] * damping)
+                    out["doc_id"].append(cols["doc_id"][li])
+                    out["sent_idx"].append(cols["sent_idx"][li])
+                    out["subj_span"].append(cols["subj_span"][li])
+                    out["obj_span"].append(cols["obj_span"][ri])
+    return pa.Table.from_arrays(
+        [pa.array(out[n], ty) for n, ty in
+         zip(FILLS_SCHEMA.names, FILLS_SCHEMA.types)],
+        schema=FILLS_SCHEMA)
+
+
+def mine_rules_loop(fills: pa.Table, *, min_support: int = 2,
+                    min_confidence: float = 0.3):
+    """``mine_rules``' former path loop over one table: every distinct
+    A-p→B-q→C path with A != C counts once toward total(p, q) and once
+    toward support(p, q, head) per direct A-head→C edge → the
+    (p, q, head, support, total, confidence) frame, confidence-desc."""
+    import pandas as pd
+
+    subj = fills.column("subj").to_pylist()
+    pred = fills.column("pred").to_pylist()
+    obj = fills.column("obj").to_pylist()
+    heads: dict = {}
+    for s, p, o in zip(subj, pred, obj):
+        heads.setdefault((s, o), []).append(p)
+    paths = {(s1, p1, p2, o2)
+             for s1, p1, o1 in zip(subj, pred, obj)
+             for s2, p2, o2 in zip(subj, pred, obj)
+             if o1 == s2 and s1 != o2}
+    totals: dict = {}
+    support: dict = {}
+    for s, p, q, o in paths:
+        totals[(p, q)] = totals.get((p, q), 0) + 1
+        for h in heads.get((s, o), ()):
+            support[(p, q, h)] = support.get((p, q, h), 0) + 1
+    rows = sorted((p, q, h, n, totals[(p, q)])
+                  for (p, q, h), n in support.items())
+    df = pd.DataFrame(rows, columns=["p", "q", "head", "support",
+                                     "total"]).astype(
+        {"support": "int64", "total": "int64"})
+    df["confidence"] = df["support"] / df["total"]
+    df = df[(df["support"] >= min_support)
+            & (df["confidence"] >= min_confidence)]
+    return df.sort_values(["confidence", "support"], ascending=False,
+                          kind="mergesort")

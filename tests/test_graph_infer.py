@@ -1,12 +1,19 @@
 """Graph inference: symmetric/inverse rewrites and length-2 transitive
 rules over hand-built fixtures (mirrors the reference's
-SimpleGraphInferenceEngineTest / GraphConsistencyPostProcessors tests)."""
+SimpleGraphInferenceEngineTest / GraphConsistencyPostProcessors tests),
+and each columnar kernel against the per-row loop it replaced
+(tests/oracles.py) on small random graphs, at 1 and 4 input blocks."""
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stanford_relation_extractor_ray.schemas import FILLS_SCHEMA
 from stanford_relation_extractor_ray.stages import graph_infer
+
+from oracles import (mine_rules_loop, mirror_rows_loop, neighborhood_bfs,
+                     transitive_join_loop)
 
 
 def _fills_ds(rows):
@@ -201,3 +208,133 @@ def test_mine_rules(ray_session):
     sup, total, conf = got[("org:parents", "org:parents",
                             "org:parents")]
     assert sup == 3 and total == 4 and conf == 0.75
+
+
+# --------------------------------------------------------------------------
+# the two kernels and the mirror map against the loops they replaced
+# --------------------------------------------------------------------------
+
+NODES = ["a", "b", "c", "d", "e", "f"]
+PREDS = ["org:parents", "org:member_of", "per:member_of", "per:spouse",
+         "per:children", "org:founded"]
+TYPES = ["PERSON", "ORGANIZATION", "DATE"]
+edges = st.lists(st.tuples(
+    st.sampled_from(NODES), st.sampled_from(PREDS), st.sampled_from(NODES),
+    st.sampled_from(TYPES), st.sampled_from(TYPES),
+    st.sampled_from([0.25, 0.5, 0.9, 1.0])), max_size=14)
+RULES = graph_infer.DEFAULT_RULES + (
+    ("org:parents", "org:parents", "org:member_of"),
+    ("per:spouse", "per:children", "per:children"))
+
+
+def _table(es) -> pa.Table:
+    return pa.Table.from_pylist(
+        [{"subj": s, "subj_type": st_, "pred": p, "obj": o,
+          "obj_type": ot, "score": sc, "doc_id": f"d{i}",
+          "sent_idx": i % 3, "subj_span": [i, i + 1],
+          "obj_span": [i + 2, i + 3]}
+         for i, (s, p, o, st_, ot, sc) in enumerate(es)],
+        schema=FILLS_SCHEMA)
+
+
+def _blocks(table: pa.Table, n: int):
+    import ray.data as rd
+    step = -(-table.num_rows // n) or 1
+    return rd.from_arrow([table.slice(i * step, step) for i in range(n)])
+
+
+def _collect(ds) -> pa.Table:
+    """The rows of ``ds`` in ``FILLS_SCHEMA`` (pandas blocks may hold the
+    spans as Ray tensor columns)."""
+    return pa.Table.from_pylist(
+        [{k: v.tolist() if hasattr(v, "tolist") else v
+          for k, v in r.items()} for r in ds.take_all()],
+        schema=FILLS_SCHEMA)
+
+
+def _sorted(t: pa.Table) -> pa.Table:
+    """``t`` in one canonical row order (lists included)."""
+    t = t.replace_schema_metadata(None).combine_chunks()
+    keys = [repr(sorted(r.items())) for r in t.to_pylist()]
+    return t.take(pa.array(sorted(range(t.num_rows), key=keys.__getitem__),
+                           pa.int64()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edges)
+def test_mirror_rows_equals_former_loop(es):
+    t = _table(es)
+    assert graph_infer._mirror_rows(t).equals(mirror_rows_loop(t))
+
+
+@settings(max_examples=8, deadline=None)
+@given(edges)
+def test_symmetric_rewrite_equals_former_loop(ray_session, es):
+    t = _table(es)
+    want = _sorted(_collect(graph_infer._max_combine(
+        _blocks(mirror_rows_loop(t), 1))))
+    for n in (1, 4):
+        got = _collect(graph_infer.symmetric_inverse_rewrite(_blocks(t, n)))
+        assert _sorted(got).equals(want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(edges, st.lists(st.tuples(st.sampled_from(NODES + ["zz"]),
+                                 st.sampled_from(["q1", "q2"])),
+                       max_size=4),
+       st.integers(0, 3))
+def test_neighborhood_equals_bfs(ray_session, es, seeds, max_dist):
+    t = _table(es)
+    seed_map: dict = {}
+    for node, q in seeds:
+        seed_map.setdefault(node, set()).add(q)
+    want = neighborhood_bfs(t, seed_map, max_dist)
+    want_t = _sorted(pa.table(
+        {"node": [n for n, _q in want], "q": [q for _n, q in want]},
+        schema=graph_infer.MEMBER_SCHEMA))
+    # prune_by_distance: the same walk with one label, then a subject filter
+    qs = sorted({n for n, _q in seeds})
+    near = {n for n, _q in neighborhood_bfs(t, {q: {""} for q in qs},
+                                            max_dist)}
+    kept = _sorted(t.filter(pa.array(
+        [s in near for s in t.column("subj").to_pylist()], pa.bool_())))
+    seed_t = pa.table({"node": [n for n, _q in seeds],
+                       "q": [q for _n, q in seeds]},
+                      schema=graph_infer.MEMBER_SCHEMA)
+    for n in (1, 4):
+        got = graph_infer.neighborhood(_blocks(t, n), seed_t, max_dist)
+        assert _sorted(got).equals(want_t)
+        pruned = graph_infer.prune_by_distance(_blocks(t, n), qs, max_dist)
+        assert _sorted(_collect(pruned)).equals(kept)
+
+
+@settings(max_examples=8, deadline=None)
+@given(edges)
+def test_transitive_equals_former_loop(ray_session, es):
+    t = _table(es)
+    want = _sorted(_collect(graph_infer._max_combine(_blocks(
+        transitive_join_loop(t, RULES, graph_infer.RULE_DAMPING), 1))))
+    for n in (1, 4):
+        got = graph_infer.transitive_infer(_blocks(t, n), RULES)
+        assert _sorted(_collect(got)).equals(want)
+
+
+MINED_SCHEMA = pa.schema([("p", pa.string()), ("q", pa.string()),
+                          ("head", pa.string()), ("support", pa.int64()),
+                          ("total", pa.int64()),
+                          ("confidence", pa.float64())])
+
+
+@settings(max_examples=8, deadline=None)
+@given(edges)
+def test_mine_rules_equals_former_loop(ray_session, es):
+    t = _table(es)
+    want = pa.Table.from_pandas(
+        mine_rules_loop(t, min_support=1, min_confidence=0.0),
+        schema=MINED_SCHEMA, preserve_index=False)
+    for n in (1, 4):
+        got = graph_infer.mine_rules(_blocks(t, n), min_support=1,
+                                     min_confidence=0.0)
+        got = pa.Table.from_pandas(got, schema=MINED_SCHEMA,
+                                   preserve_index=False)
+        assert _sorted(got).equals(_sorted(want))

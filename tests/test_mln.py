@@ -218,3 +218,54 @@ def test_parse_mln_rules_float_forms_and_errors():
         parse_mln_rules("1.0 !p(x,,y) v q(x,y)")
     with pytest.raises(ValueError):
         parse_mln_rules("1.0 !p(x y) v !r(y,z) v q(x,z)")
+
+
+def _full_rows(ds) -> list:
+    return sorted(repr({k: v.tolist() if hasattr(v, "tolist") else v
+                        for k, v in r.items()}) for r in ds.take_all())
+
+
+def test_probabilistic_infer_ignores_input_row_order(ray_session):
+    """Each query's edges reach grounding in one total order, so the
+    literal numbering, the Gibbs walk and the provenance of every
+    inferred fill are the same whatever order and blocking the fills
+    arrive in. In arrival order, the reversed rows gave the inferred
+    fill the other antecedent's provenance."""
+    import ray.data as rd
+
+    weak = Rule(0.5, GRANDPARENT.antecedents, GRANDPARENT.consequent)
+    rows = [_edge("a", "per:parents", "b", 0.9),
+            _edge("b", "per:parents", "c", 0.9),
+            _edge("b", "per:parents", "d", 0.6),
+            _edge("c", "per:parents", "e", 0.7),
+            _edge("d", "per:parents", "e", 0.8),
+            _edge("x", "per:parents", "b", 0.5)]
+
+    def run(order, n_blocks):
+        ds = rd.from_items([rows[i] for i in order]).repartition(n_blocks)
+        return _full_rows(probabilistic_infer(
+            ds, ["a", "b", "x"], [GRANDPARENT, weak], max_dist=2,
+            n_iters=300))
+
+    want = run(range(len(rows)), 1)
+    assert want
+    for order in ([5, 4, 3, 2, 1, 0], [2, 0, 5, 3, 1, 4]):
+        for n_blocks in (1, 3):
+            assert run(order, n_blocks) == want
+
+
+def test_probabilistic_infer_membership_cap(ray_session, monkeypatch):
+    """The broadcast (node, query) membership fails loudly, naming its
+    size, once it exceeds graph_infer.MAX_MEMBERSHIP."""
+    import ray.data as rd
+
+    from stanford_relation_extractor_ray.stages import graph_infer
+
+    monkeypatch.setattr(graph_infer, "MAX_MEMBERSHIP", 3)
+    rows = [_edge("a", "per:parents", "b"), _edge("b", "per:parents", "c"),
+            _edge("c", "per:parents", "d")]
+    # seeds a:a, b:b; one hop adds b:a, a:b, c:b → 5 pairs
+    with pytest.raises(RuntimeError, match=r"5 \(node, query\) pairs "
+                       r"\(> MAX_MEMBERSHIP=3\)"):
+        probabilistic_infer(rd.from_items(rows), ["a", "b"],
+                            [GRANDPARENT], max_dist=2, n_iters=50)
