@@ -72,7 +72,7 @@ def build_pipeline(cfg: PipelineConfig):
     from .pipelines import kg
 
     def run(documents):
-        fills = kg.extract_fills(documents, seed=cfg.seed)
+        fills = get_stage("extract_fused")(documents, seed=cfg.seed)
         if cfg.probability_priors:
             from .stages.classify import apply_probability_priors
             fills = apply_probability_priors(fills)

@@ -199,13 +199,10 @@ def extract_alternate_names(documents, *, seed: int = 42,
     observed in ≥ min_sentences distinct sentences (the
     AlternateNamesExtractor path — stages/altnames.py)."""
     from ..stages.altnames import alternate_name_fills
-    from ..stages.link import _cached_linker
-    sentences = nlp.annotate(documents, seed=seed)
-    cands = mentions.pair(sentences)
-    cands = cands.map_batches(
-        lambda b: _cached_linker(aliases_ref, seed, keep_raw=True)(b),
-        batch_format="pyarrow")
-    return alternate_name_fills(cands, min_sentences=min_sentences)
+    cands = mentions.pair(nlp.annotate(documents, seed=seed))
+    return alternate_name_fills(
+        link.link(cands, aliases_ref=aliases_ref, seed=seed),
+        min_sentences=min_sentences)
 
 
 def _model_fingerprint(model_ref) -> str:

@@ -9,18 +9,21 @@ Evidence comes from the candidates table: a candidate whose raw subject
 surface differs from its linked canonical subject is one (canonical,
 alias) observation with its (doc_id, sent_idx) sentence key. The
 distinct-sentence count is a pre-aggregated distributed count:
-per-batch sets first, then a small ``groupby`` over (canonical, alias)
-partials — the groupby input is one row per distinct pair per batch,
-not one per observation.
+per-batch distinct evidence rows first, then a small ``groupby`` over
+(canonical, alias) partials — the groupby input is one row per
+distinct pair per batch, not one per observation.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..schemas import FILLS_SCHEMA
 
 ALT_SCORE = 0.9
+EVIDENCE_KEY = ["subj", "subj_type", "alias", "doc_id", "sent_idx"]
 
 
 def alternate_name_fills(candidates_with_surface, *,
@@ -43,44 +46,38 @@ def alternate_name_fills(candidates_with_surface, *,
     from ..runtime import by_key
 
     def partial(batch: pa.Table) -> pa.Table:
-        subj = batch.column("subj").to_pylist()
-        styp = batch.column("subj_type").to_pylist()
-        raw = batch.column("raw_subj").to_pylist()
-        doc = batch.column("doc_id").to_pylist()
-        sent = batch.column("sent_idx").to_pylist()
+        # one row per evidence key (subj, subj_type, alias, doc_id,
+        # sent_idx), with its smallest (begin, end) span, in key order
+        raw = batch.column("raw_subj")
         if "subj_begin" in batch.column_names:
-            sb = batch.column("subj_begin").to_pylist()
-            se = batch.column("subj_end").to_pylist()
+            begin, end = batch.column("subj_begin"), batch.column("subj_end")
         else:
-            sb = [0] * batch.num_rows
-            se = [0] * batch.num_rows
-        seen: dict[tuple, tuple] = {}
-        for s, t, r, d, x, b, e in zip(subj, styp, raw, doc, sent,
-                                       sb, se):
-            if r and r != s:
-                k = (s, t, r, d, x)
-                prev = seen.get(k)
-                if prev is None or (b, e) < prev:   # deterministic span
-                    seen[k] = (b, e)
-        ks = sorted(seen)
-        return pa.table({
-            "subj": pa.array([k[0] for k in ks], pa.string()),
-            "subj_type": pa.array([k[1] for k in ks], pa.string()),
-            "alias": pa.array([k[2] for k in ks], pa.string()),
-            "doc_id": pa.array([k[3] for k in ks], pa.string()),
-            "sent_idx": pa.array([k[4] for k in ks], pa.int32()),
-            "begin": pa.array([seen[k][0] for k in ks], pa.int32()),
-            "end": pa.array([seen[k][1] for k in ks], pa.int32())})
+            begin = end = pa.array(np.zeros(batch.num_rows, np.int32))
+        t = pa.table({
+            "subj": batch.column("subj"),
+            "subj_type": batch.column("subj_type"),
+            "alias": raw, "doc_id": batch.column("doc_id"),
+            "sent_idx": pc.cast(batch.column("sent_idx"), pa.int32()),
+            "begin": pc.cast(begin, pa.int32()),
+            "end": pc.cast(end, pa.int32())})
+        t = t.filter(pc.fill_null(pc.and_(
+            pc.not_equal(raw, ""), pc.not_equal(raw, t.column("subj"))),
+            False))
+        t = t.sort_by([(c, "ascending") for c in t.column_names])
+        # single-threaded "first" over the sorted rows is each key's
+        # smallest (begin, end); the grouping does not keep key order
+        return t.group_by(EVIDENCE_KEY, use_threads=False) \
+            .aggregate([("begin", "first"), ("end", "first")]) \
+            .rename_columns(t.column_names) \
+            .sort_by([(c, "ascending") for c in EVIDENCE_KEY])
 
     def to_fills(group: pa.Table) -> pa.Table:
         df = group.to_pandas()
         if len(df) == 0:
             return FILLS_SCHEMA.empty_table()
-        df = df.sort_values(["subj", "subj_type", "alias", "doc_id",
-                             "sent_idx", "begin", "end"],
+        df = df.sort_values(EVIDENCE_KEY + ["begin", "end"],
                             kind="mergesort") \
-            .drop_duplicates(["subj", "subj_type", "alias", "doc_id",
-                              "sent_idx"])
+            .drop_duplicates(EVIDENCE_KEY)
         g = df.groupby(["subj", "subj_type", "alias"], sort=True)
         agg = g.agg(n_sentences=("doc_id", "size"),
                     doc_id=("doc_id", "first"),

@@ -45,7 +45,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.text import is_acronym_of, normalize_tokens, same_entity
+from ..functions.text import normalize_tokens, same_entity
 from ..runtime import by_key, collect_table, renamed, table_dataset
 from ..schemas import EDGES_SCHEMA, FILLS_SCHEMA, NODES_SCHEMA
 from .classify import _rank_codes, combine_fills, merge_fills_table
@@ -146,8 +146,9 @@ def _pairs_in_partition(group: pa.Table) -> pa.Table:
     a = names.take(pa.array(left)).to_pylist()
     b = names.take(pa.array(right)).to_pylist()
     types = group.column("type").take(pa.array(left)).to_pylist()
-    keep = [same_entity(x, y, t) or is_acronym_of(x, y)
-            or is_acronym_of(y, x) for x, y, t in zip(a, b, types)]
+    # approx_match_score scores acronym pairs 1.0, above both
+    # thresholds, so same_entity also keeps every acronym pair
+    keep = [same_entity(x, y, t) for x, y, t in zip(a, b, types)]
     return pa.table({"a": pa.array(a, pa.string()),
                      "b": pa.array(b, pa.string()),
                      "type": pa.array(types, pa.string())}) \

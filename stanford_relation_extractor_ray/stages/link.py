@@ -6,11 +6,20 @@ Ray-Data shape of the reference's entity linker
 ``EntityLinker.java:51-55``, acronyms ``AcronymMatcher.java:70-86``):
 the broadcast alias dictionary is ``ray.put`` once on the driver and
 turned into an ``EntityLinker`` once per worker process
-(``_cached_linker``, NOT per batch), with token-blocked candidate
-scoring per unknown surface and a per-linker memo cache.
+(``_cached_linker``, NOT per batch).
 
-Subjects (always PERSON/ORGANIZATION) and PERSON/ORGANIZATION slot
-values are canonicalized; other slot types pass through unchanged.
+One column kernel, ``_link_column``, links every column: it
+dictionary-encodes ``(type, surface)`` over the rows to link, calls a
+resolver once per DISTINCT key and gathers the verdicts back. Subjects
+(``EntityLinker.__call__``, every row), PERSON/ORGANIZATION slot values
+(``link_objects``) and the sharded alias join (``link_via_join``, an
+exact lookup) all run it; the pre-link column is kept as ``raw_subj`` /
+``raw_obj``. There is one resolver, ``EntityLinker.resolve``: alias hit,
+else token/nickname/acronym blocking proposes candidates and
+``_scores`` verifies them against an acceptance floor (the overlap score
+against the per-type threshold; ``TrainedLinker`` overrides only
+``_scores`` with its LR probability against 0.5), memoized per linker.
+Other slot types pass through unchanged.
 """
 
 from __future__ import annotations
@@ -34,9 +43,7 @@ class EntityLinker:
 
     THRESHOLDS = {"PERSON": 0.49, "ORGANIZATION": 0.79}
 
-    def __init__(self, aliases_ref=None, seed: int = 42,
-                 keep_raw: bool = False):
-        self.keep_raw = keep_raw
+    def __init__(self, aliases_ref=None, seed: int = 42):
         if aliases_ref is not None:
             import ray
             alias_rows = ray.get(aliases_ref)
@@ -57,6 +64,13 @@ class EntityLinker:
                           for k, v in NICKNAMES.items()}
         self._memo: dict[tuple[str, str], str] = {}
 
+    def _scores(self, surface: str, etype: str,
+                cands: list[str]) -> tuple[list[float], float]:
+        """Each candidate's score and the acceptance floor: the
+        token-overlap score against the per-type threshold."""
+        return ([approx_match_score(surface, c, self.nicknames)
+                 for c in cands], self.THRESHOLDS.get(etype, 0.79))
+
     def resolve(self, surface: str, etype: str) -> str:
         hit = self.exact.get((surface, etype))
         if hit is not None:
@@ -65,7 +79,7 @@ class EntityLinker:
         memo = self._memo.get(key)
         if memo is not None:
             return memo
-        # token/acronym blocking → candidate set → overlap scoring
+        # token/nickname/acronym blocking → candidate set → verify
         cands: set[str] = set()
         for tok in normalize_tokens(surface):
             cands |= self.by_token.get(tok, set())
@@ -73,13 +87,11 @@ class EntityLinker:
             if nick:
                 cands |= self.by_token.get(nick, set())
         if surface.isupper():
-            cands |= {c for toks in (surface,) for c in self.types
-                      if is_acronym_of(surface, c)}
-        best, best_score = surface, self.THRESHOLDS.get(etype, 0.79)
-        for cand in sorted(cands):
-            if self.types.get(cand) != etype:
-                continue
-            s = approx_match_score(surface, cand, self.nicknames)
+            cands |= {c for c in self.types if is_acronym_of(surface, c)}
+        cands = sorted(c for c in cands if self.types.get(c) == etype)
+        scores, best_score = self._scores(surface, etype, cands)
+        best = surface
+        for cand, s in zip(cands, scores):
             if s > best_score or (s == best_score and best != surface
                                   and cand < best):
                 best, best_score = cand, s
@@ -87,25 +99,38 @@ class EntityLinker:
         return best
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Canonicalize subjects always; canonicalize PERSON/ORG objects
-        only when a ``pred`` column is present (i.e. post-classification,
-        mirroring the reference's postprocessing-time linking) and the
-        relation is not ``*:alternate_names`` — an alternate-name value IS
-        the alias and must stay a surface form.
-
-        With ``self.keep_raw`` the pre-linking subject surface is kept
-        as a ``raw_subj`` column (alternate-names evidence,
-        stages/altnames.py).
-        """
-        subj = batch.column("subj").to_pylist()
-        subj_t = batch.column("subj_type").to_pylist()
-        new_subj = [self.resolve(s, t) for s, t in zip(subj, subj_t)]
-        out = batch.set_column(batch.schema.get_field_index("subj"),
-                               "subj", pa.array(new_subj, pa.string()))
-        if getattr(self, "keep_raw", False):
-            out = out.append_column("raw_subj", pa.array(subj, pa.string()))
+        """Canonicalize subjects always, keeping the pre-link surface as
+        ``raw_subj`` (alternate-names evidence, stages/altnames.py);
+        canonicalize objects (``link_objects``) only when a ``pred``
+        column is present, i.e. post-classification, mirroring the
+        reference's postprocessing-time linking."""
+        out = _link_column(batch, "subj", "subj_type", self.resolve) \
+            .append_column("raw_subj", batch.column("subj"))
         return link_objects(out, self) if "pred" in out.column_names \
             else out
+
+
+def _link_column(tbl: pa.Table, col: str, type_col: str, resolve,
+                 where: pa.Array | None = None) -> pa.Table:
+    """``tbl`` with ``col`` replaced by ``resolve(surface, type)`` on
+    the rows in the boolean mask ``where`` (every row when None), with
+    ``resolve`` called once per DISTINCT (type, surface) key:
+    dictionary-encode the joined key, resolve the dictionary, gather
+    back. A null surface or type keeps its surface."""
+    raw = tbl.column(col).combine_chunks()
+    surface, types = raw, tbl.column(type_col).combine_chunks()
+    if where is not None:
+        surface, types = raw.filter(where), types.filter(where)
+    # types carry no \x1f, so splitting at the first one is exact
+    key = pc.binary_join_element_wise(types, surface, "\x1f") \
+        .dictionary_encode()
+    canon = [resolve(s, t) for t, s in
+             (k.split("\x1f", 1) for k in key.dictionary.to_pylist())]
+    linked = pc.coalesce(pa.array(canon, raw.type).take(key.indices),
+                         surface)
+    if where is not None:
+        linked = pc.replace_with_mask(raw, where, linked)
+    return tbl.set_column(tbl.schema.get_field_index(col), col, linked)
 
 
 LINKABLE_TYPES = ("PERSON", "ORGANIZATION")
@@ -113,38 +138,25 @@ LINKABLE_TYPES = ("PERSON", "ORGANIZATION")
 
 def link_objects(tbl: pa.Table, linker) -> pa.Table:
     """Canonicalize PERSON/ORGANIZATION objects — not
-    ``*alternate_names`` values, which ARE the alias — with
-    ``linker.resolve`` once per DISTINCT (obj, obj_type): dictionary-
-    encode, resolve the dictionary, gather back (the scorer's
-    ``_resolve_memo`` idiom). The pre-link object is kept as
-    ``raw_obj``: the greedy comparator's deterministic tie-break
-    between fills whose objects link to one canonical."""
-    obj = tbl.column("obj").combine_chunks()
+    ``*alternate_names`` values, which ARE the alias — through
+    ``_link_column``. The pre-link object is kept as ``raw_obj``: the
+    greedy comparator's deterministic tie-break between fills whose
+    objects link to one canonical."""
     linkable = pc.fill_null(pc.and_(
         pc.is_in(tbl.column("obj_type"),
                  value_set=pa.array(LINKABLE_TYPES)),
         pc.invert(pc.ends_with(tbl.column("pred"), "alternate_names"))),
         False).combine_chunks()
-    sel = tbl.filter(linkable)
-    # types carry no \x1f, so splitting at the first one is exact
-    key = pc.binary_join_element_wise(
-        sel.column("obj_type"), sel.column("obj"), "\x1f") \
-        .combine_chunks().dictionary_encode()
-    canon = [linker.resolve(o, t) for t, o in
-             (k.split("\x1f", 1) for k in key.dictionary.to_pylist())]
-    linked = pa.array(canon, obj.type).take(key.indices)
-    return tbl.set_column(tbl.schema.get_field_index("obj"), "obj",
-                          pc.replace_with_mask(obj, linkable, linked)) \
-        .append_column("raw_obj", obj)
+    return _link_column(tbl, "obj", "obj_type", linker.resolve,
+                        where=linkable) \
+        .append_column("raw_obj", tbl.column("obj"))
 
 
-def _cached_linker(aliases_ref, seed: int,
-                   keep_raw: bool = False) -> EntityLinker:
+def _cached_linker(aliases_ref, seed: int) -> EntityLinker:
     """This worker process's linker over ``aliases_ref``."""
     from ..runtime import ref_key, worker_cached
-    return worker_cached(
-        "linker", (ref_key(aliases_ref), seed, keep_raw),
-        lambda: EntityLinker(aliases_ref, seed, keep_raw=keep_raw))
+    return worker_cached("linker", (ref_key(aliases_ref), seed),
+                         lambda: EntityLinker(aliases_ref, seed))
 
 
 def alias_dataset(seed: int = 42):
@@ -178,18 +190,13 @@ def link_via_join(candidates, aliases, *, surface_col: str = "subj",
         # deterministic on ambiguous surfaces (the norm at wikidict
         # scale): smallest canonical wins, independent of the
         # group-internal row order Ray does not guarantee
-        amap: dict[tuple, str] = {}
-        for s, t, c in zip(alias.column(surface_col).to_pylist(),
-                           alias.column(type_col).to_pylist(),
-                           alias.column("canonical").to_pylist()):
-            if (s, t) not in amap or c < amap[(s, t)]:
-                amap[(s, t)] = c
-        new_subj = [amap.get((s, t)) or s for s, t in zip(
-            cands.column(surface_col).to_pylist(),
-            cands.column(type_col).to_pylist())]
-        return cands.set_column(
-            cands.schema.get_field_index(surface_col), surface_col,
-            pa.array(new_subj, pa.string()))
+        best = alias.group_by([surface_col, type_col]) \
+            .aggregate([("canonical", "min")])
+        amap = dict(zip(zip(best.column(surface_col).to_pylist(),
+                            best.column(type_col).to_pylist()),
+                        best.column("canonical_min").to_pylist()))
+        return _link_column(cands, surface_col, type_col,
+                            lambda s, t: amap.get((s, t)) or s)
 
     # the candidate schema is open: whatever columns the caller has
     cand_schema = candidates.schema().base_schema
@@ -209,8 +216,7 @@ def linking_features(surface: str, candidate: str,
     features; this covers the families its trained linker weights most:
     overlap score, acronym, edit distance, nickname, boundary-token
     agreement, length difference)."""
-    from ..functions.text import approx_match_score, is_acronym_of, \
-        levenshtein
+    from ..functions.text import levenshtein
     s_toks = surface.lower().split()
     c_toks = candidate.lower().split()
     overlap = approx_match_score(surface, candidate, nicknames)
@@ -241,8 +247,8 @@ class TrainedLinker(EntityLinker):
     ``__init__`` (once per worker)."""
 
     def __init__(self, aliases_ref=None, seed: int = 42,
-                 keep_raw: bool = False, epochs: int = 20):
-        super().__init__(aliases_ref, seed, keep_raw)
+                 epochs: int = 20):
+        super().__init__(aliases_ref, seed)
         import numpy as np
         rng = np.random.default_rng(seed)
         by_type: dict[str, list[str]] = {}
@@ -280,30 +286,10 @@ class TrainedLinker(EntityLinker):
         return 1.0 / (1.0 + np.exp(-np.clip(
             self._b + f @ self._w, -30, 30)))
 
-    def resolve(self, surface: str, etype: str) -> str:
-        hit = self.exact.get((surface, etype))
-        if hit is not None:
-            return hit
-        key = (surface, etype)
-        memo = self._memo.get(key)
-        if memo is not None:
-            return memo
-        cands: set[str] = set()
-        for tok in normalize_tokens(surface):
-            cands |= self.by_token.get(tok, set())
-            nick = self.nicknames.get(tok)
-            if nick:
-                cands |= self.by_token.get(nick, set())
-        best, best_p = surface, 0.5
-        for cand in sorted(cands):
-            if self.types.get(cand) != etype:
-                continue
-            p = self._accept_prob(surface, cand)
-            if p > best_p or (p == best_p and best != surface
-                              and cand < best):
-                best, best_p = cand, p
-        self._memo[key] = best
-        return best
+    def _scores(self, surface: str, etype: str,
+                cands: list[str]) -> tuple[list[float], float]:
+        """Each candidate's LR accept probability against 0.5."""
+        return [self._accept_prob(surface, c) for c in cands], 0.5
 
 
 def link(ds, *, aliases_ref=None, seed: int = 42,
@@ -311,13 +297,9 @@ def link(ds, *, aliases_ref=None, seed: int = 42,
     """Link a candidates dataset (subjects) or a fills dataset
     (subjects + objects; detected via the ``pred`` column).
 
-    Stateless tasks, not an actor pool: the alias dictionary is built
-    once per WORKER PROCESS (``_cached_linker`` — Ray reuses worker
-    processes across tasks) from the broadcast ``aliases_ref``. A
-    dedicated pool here reserved CPUs for the whole pipeline lifetime
-    and added ~1 s of pool spin-up to every run, while the post-combine
-    fills table this stage usually sees is tiny; plain tasks use
-    whatever CPUs the moment offers.
+    Stateless tasks: the alias dictionary is built once per WORKER
+    PROCESS (``_cached_linker`` — Ray reuses worker processes across
+    tasks) from the broadcast ``aliases_ref``.
     """
     def fn(batch: pa.Table) -> pa.Table:
         return _cached_linker(aliases_ref, seed)(batch)

@@ -37,8 +37,6 @@ def test_worker_cache_bounded_and_hits_same_object(ray_session,
     assert gc.get_threshold() == (100_000, 50, 50)
     # a hit returns the very object the miss built
     assert _cached_linker(refs[-1], 42) is built[-1]
-    # keep_raw is part of the key
-    assert _cached_linker(refs[-1], 42, keep_raw=True) is not built[-1]
     # the oldest entry was evicted: asking again builds a new linker
     assert _cached_linker(refs[0], 42) is not built[0]
     assert len(fresh_worker_cache["linker"]) <= runtime.WORKER_CACHE_CAP

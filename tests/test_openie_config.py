@@ -112,6 +112,28 @@ def test_build_pipeline_from_config(ray_session):
         {(r["subj"], r["pred"], r["obj"]) for r in fills2}
 
 
+def test_build_pipeline_looks_up_registered_extract(ray_session):
+    """build_pipeline extracts through the registry's ``extract_fused``
+    stage, so a registered replacement is the one that runs."""
+    from stanford_relation_extractor_ray.config import (
+        PipelineConfig, build_pipeline, get_stage, register_stage)
+    from stanford_relation_extractor_ray.corpus import documents_dataset
+    orig = get_stage("extract_fused")
+    calls = []
+
+    def stub(documents, **kw):
+        calls.append(kw)
+        return orig(documents, **kw)
+
+    try:
+        register_stage("extract_fused", stub)
+        fills = build_pipeline(PipelineConfig())(
+            documents_dataset(20)).take_all()
+    finally:
+        register_stage("extract_fused", orig)
+    assert calls == [{"seed": 42}] and fills
+
+
 def test_knobs_nothing_reads_are_type_errors():
     # a setting nothing reads fails loudly instead of being ignored
     from stanford_relation_extractor_ray.config import PipelineConfig

@@ -125,29 +125,55 @@ def test_trained_linker_deterministic():
     assert (a._w == b._w).all() and a._b == b._b
 
 
+def test_trained_linker_shares_acronym_candidates():
+    """TrainedLinker swaps only the accept score: it gathers the same
+    candidates as EntityLinker, acronym expansions included."""
+    from stanford_relation_extractor_ray.stages.link import (
+        EntityLinker, TrainedLinker)
+    want = EntityLinker().resolve("SPA", "ORGANIZATION")
+    assert want == "Southern Polytechnic Academy"
+    assert TrainedLinker().resolve("SPA", "ORGANIZATION") == want
+
+
 def test_link_objects_equals_per_row_rule():
-    """link_objects (one resolve per distinct (obj, obj_type)) == the
-    per-row rule: PERSON/ORGANIZATION objects resolve; alternate_names
-    values and other slot types stay surface forms; ``raw_obj`` keeps
-    the pre-link object."""
+    """link_objects and EntityLinker.__call__ (one resolve per distinct
+    (type, surface)) == the per-row rule, over one chunk and several:
+    subjects always resolve; PERSON/ORGANIZATION objects resolve;
+    alternate_names values and other slot types stay surface forms;
+    ``raw_subj``/``raw_obj`` keep the pre-link surfaces."""
     import pyarrow as pa
     from stanford_relation_extractor_ray.stages.link import (
         EntityLinker, link_objects)
     base = EntityLinker()
     aliases = [(s, t) for (s, t), c in sorted(base.exact.items())
                if s != c][:30]
-    rows = [{"pred": p, "obj": s, "obj_type": ot}
-            for s, t in aliases + aliases[:10]
+    subjects = [(s + "x", t) for s, t in aliases[:5]] + aliases
+    rows = [{"subj": ss, "subj_type": st, "pred": p, "obj": s,
+             "obj_type": ot}
+            for (s, t), (ss, st) in zip(aliases + aliases[:10],
+                                        subjects * 2)
             for p, ot in (("rel:x", t), ("org:alternate_names", t),
                           ("per:alternate_names", t), ("rel:x", "CITY"))]
-    out = link_objects(pa.Table.from_pylist(rows), base).to_pylist()
     want = [base.resolve(r["obj"], r["obj_type"])
             if r["obj_type"] in ("PERSON", "ORGANIZATION")
             and not r["pred"].endswith("alternate_names") else r["obj"]
             for r in rows]
-    assert [r["obj"] for r in out] == want
-    assert [r["raw_obj"] for r in out] == [r["obj"] for r in rows]
+    want_subj = [base.resolve(r["subj"], r["subj_type"]) for r in rows]
+    raw_subj = [r["subj"] for r in rows]
+    one = pa.Table.from_pylist(rows)
+    several = pa.concat_tables([one.slice(i, 50)
+                                for i in range(0, one.num_rows, 50)])
+    assert several.column("subj").num_chunks > 1
+    for tbl in (one, several):
+        objs = link_objects(tbl, base).to_pylist()
+        assert [r["obj"] for r in objs] == want
+        assert [r["raw_obj"] for r in objs] == [r["obj"] for r in rows]
+        linked = base(tbl).to_pylist()
+        assert [r["subj"] for r in linked] == want_subj
+        assert [r["raw_subj"] for r in linked] == raw_subj
+        assert [r["obj"] for r in linked] == want
     assert sum(w != r["obj"] for w, r in zip(want, rows)) >= 30
+    assert sum(w != s for w, s in zip(want_subj, raw_subj)) >= 30
 
 
 def test_link_via_join_matches_broadcast_exact(ray_session):
@@ -169,3 +195,24 @@ def test_link_via_join_matches_broadcast_exact(ray_session):
     for i, ((s, t), canon) in enumerate(items):
         assert out[i] == canon
     assert out[999] == "Nobody Anywhere"
+
+
+def test_link_via_join_smallest_canonical_wins(ray_session):
+    """An ambiguous alias surface — one (surface, type) with two
+    canonicals — links to the smallest canonical, whatever the alias
+    rows' order; the same surface under another type is its own key."""
+    import pyarrow as pa
+    import ray.data as rd
+    from stanford_relation_extractor_ray.stages.link import link_via_join
+    aliases = rd.from_items([
+        {"surface": "Jay", "canonical": "Jay Zed", "type": "PERSON"},
+        {"surface": "Jay", "canonical": "Jay Adams", "type": "PERSON"},
+        {"surface": "Jay", "canonical": "Jay Corp", "type": "ORGANIZATION"},
+        {"surface": "Kay", "canonical": "", "type": "PERSON"}])
+    rows = [{"subj": "Jay", "subj_type": "PERSON", "x": 0},
+            {"subj": "Jay", "subj_type": "ORGANIZATION", "x": 1},
+            {"subj": "Jay", "subj_type": "CITY", "x": 2},
+            {"subj": "Kay", "subj_type": "PERSON", "x": 3}]
+    out = {r["x"]: r["subj"] for r in link_via_join(
+        rd.from_arrow(pa.Table.from_pylist(rows)), aliases).take_all()}
+    assert out == {0: "Jay Adams", 1: "Jay Corp", 2: "Jay", 3: "Kay"}
