@@ -71,19 +71,27 @@ def is_acronym_of(short: str, long_name: str) -> bool:
 
 
 def approx_match_score(a: str, b: str,
-                       nicknames: dict[str, str] | None = None) -> float:
+                       nicknames: dict[str, str] | None = None, *,
+                       tokens=normalize_tokens,
+                       floor: float = -1.0) -> float:
     """Token-overlap similarity in [0, 1] between two surface forms.
 
     Tokens match exactly, via the nickname map, or at edit distance ≤ 1
     when both are length ≥ 5. Score = |matched| / max(|A|, |B|); acronym
-    pairs score 1.0.
+    pairs score 1.0. ``tokens`` normalizes one surface (a caller scoring
+    many pairs passes a memoized ``normalize_tokens``). The score is at
+    most min(|A|, |B|) / max(|A|, |B|), so a pair whose token counts
+    bound it at or below ``floor`` scores 0.0 without matching a token
+    (the size filter of TokenJoin, VLDB 2022).
     """
     if a == b:
         return 1.0
     if is_acronym_of(a, b) or is_acronym_of(b, a):
         return 1.0
-    ta, tb = normalize_tokens(a), normalize_tokens(b)
+    ta, tb = tokens(a), tokens(b)
     if not ta or not tb:
+        return 0.0
+    if min(len(ta), len(tb)) / max(len(ta), len(tb)) <= floor:
         return 0.0
     nick = nicknames or {}
 
@@ -104,10 +112,14 @@ def approx_match_score(a: str, b: str,
 
 
 def same_entity(a: str, b: str, entity_type: str,
-                nicknames: dict[str, str] | None = None) -> bool:
-    """Near-duplicate verdict with the reference's per-type thresholds."""
+                nicknames: dict[str, str] | None = None, *,
+                tokens=normalize_tokens) -> bool:
+    """Near-duplicate verdict with the reference's per-type thresholds;
+    a pair whose token counts alone keep the score at or below the
+    threshold is rejected without matching tokens."""
     threshold = 0.49 if entity_type == "PERSON" else 0.79
-    return approx_match_score(a, b, nicknames) > threshold
+    return approx_match_score(a, b, nicknames, tokens=tokens,
+                              floor=threshold) > threshold
 
 
 def extract_year(s: str) -> str | None:

@@ -5,11 +5,14 @@ The Ray-Data re-expression of the reference's slot-filling lifecycle
 pairing → subject entity-linking → featurize → per-candidate scoring
 with in-batch partial noisy-or, one stateless task per batch over
 per-worker cached components, ``stages/extract_fused``) → per-triple
-combine → object linking → per-entity greedy consistency → unary
-rewrite/filter chain over glosses from the regenerated provenance
-documents (one finalize kernel, ``_finalize_table``, in two tiers: once
-on the driver below the fills gate, per subject partition behind one
-shuffle above it, see ``finalize_fills``) → canonicalization (two tiers
+combine → object linking → per-entity greedy consistency (a columnar
+comparator sort, then an indexed greedy pass per subject) → unary
+rewrite/filter chain (column rules in Arrow; the gloss-reading rules
+per row, only on fills of a relation they read, glossed from their
+regenerated provenance documents) — one finalize kernel,
+``_finalize_table``, in two tiers: once on the driver below the fills
+gate, per subject partition behind one shuffle above it, see
+``finalize_fills`` → canonicalization (two tiers
 sharing one set of kernels — a zero-execution driver tier below the
 surface gate and a Dataset-only tier above it, see ``build_graph``) →
 node/edge tables.
@@ -112,7 +115,9 @@ SMALL_FILLS = 100_000
 def _generator_sentences(doc_ids, seed: int) -> pa.Table:
     """(doc_id, sent_idx, text) of every generator-format document
     among ``doc_ids`` (``corpus.parse_doc_ids``; other ids are
-    skipped), each regenerated once, in doc-number order."""
+    skipped), each regenerated once, in doc-number order. The finalize
+    kernel passes only the provenance documents of the fills a gloss
+    rule reads."""
     from ..corpus import _docs_batch, parse_doc_ids
     ids = sorted(pc.unique(parse_doc_ids(doc_ids).drop_null()).to_pylist())
     return document_sentences(_docs_batch(
@@ -124,19 +129,24 @@ def _finalize_table(partials: pa.Table, *, linker, engine, seed: int,
     """The finalize kernel of both tiers: partials holding every partial
     of their subjects → consistent fills (``consistency.
     finalize_partition``); with ``postprocess``, those fills then run
-    the unary chain, each with its gloss looked up among the sentences
-    of its own provenance documents (regenerated from the seeded corpus
-    generator; "" for any other doc id)."""
-    from ..stages.postprocess import glosses, unary_chain
+    the unary chain (``postprocess.unary_chain``). Only the fills of a
+    relation some gloss rule reads (``postprocess.GLOSS_RELATIONS``)
+    get a gloss, looked up among the sentences of their own provenance
+    documents, regenerated from the seeded corpus generator; every
+    other fill, and any fill with another doc id, gets ""."""
+    from ..stages.postprocess import GLOSS_RELATIONS, glosses, unary_chain
     from ..stages.worldknowledge import get_geography
 
     out = consistency.finalize_partition(partials, linker=linker,
                                          engine=engine)
     if not postprocess:
         return out
-    sents = _generator_sentences(out.column("doc_id"), seed)
-    out = out.append_column("gloss", glosses(out, sents))
-    return unary_chain(out, geo=get_geography()).drop_columns(["gloss"])
+    reads = pc.is_in(out.column("pred"),
+                     value_set=pa.array(sorted(GLOSS_RELATIONS)))
+    sents = _generator_sentences(out.column("doc_id").filter(reads), seed)
+    gloss = pc.if_else(reads, glosses(out, sents), "")
+    return unary_chain(out.append_column("gloss", gloss),
+                       geo=get_geography()).drop_columns(["gloss"])
 
 
 def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
@@ -157,17 +167,22 @@ def finalize_fills(fills, *, seed: int = 42, aliases_ref=None,
     partition holds every partial of its subjects; the map side
     pre-merges each ~64k-row window, ``classify.local_combine``).
     ``objective`` selects the consistency engine (TOP greedy / SUM
-    Gibbs restarts).
+    Gibbs restarts); both run over the same sorted columns, with the
+    accepted fills indexed by relation and by value.
 
     ``postprocess=True`` (the default — the reference applies its
     unary rewrite/filter chain to EVERY fill,
     ``SlotfillPostProcessor.java:104-141``,
-    ``SimpleSlotFiller.java:293-313``) glosses each fill from its
-    regenerated provenance document. The chain is per row and a
-    document regenerates the same way on its own, so the per-partition
-    chain gives the driver tier's rows. Pipelines with their own
-    sentences or chain options (official eval, virtual IR) pass
-    ``postprocess=False`` and call ``stages.postprocess.apply_unary``.
+    ``SimpleSlotFiller.java:293-313``) runs ``postprocess.unary_chain``:
+    its column rules over every fill in Arrow, its gloss rules per row
+    over the fills of a relation they read. Only those fills are
+    glossed, from their regenerated provenance documents. A fill's
+    verdict depends on its own row and gloss alone and a document
+    regenerates the same way on its own, so the per-partition chain
+    gives the driver tier's rows. Pipelines with their own sentences or
+    chain options (official eval, virtual IR) pass ``postprocess=False``
+    and call ``stages.postprocess.apply_unary``, which runs the same
+    chain.
     """
     from ..runtime import by_key, collect_table, materialized, table_dataset
     from ..stages.classify import local_combine

@@ -197,6 +197,37 @@ def collect_table(ds, schema):
         schema.empty_table()
 
 
+def map_distinct(fn, *arrays, type=None):
+    """``fn(*values)`` for every row of the equal-length Arrow ``arrays``
+    as one Arrow array of ``type``, with ``fn`` called once per DISTINCT
+    tuple of values: each array is dictionary-encoded (a null is a value
+    of its own), the codes fold into one dense key, ``fn`` runs on the
+    first row of each key and the results are gathered back."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    def encode(a):
+        enc = pc.dictionary_encode(a, null_encoding="encode")
+        return enc.combine_chunks() if isinstance(enc, pa.ChunkedArray) \
+            else enc
+
+    if len(arrays) == 1:
+        enc = encode(arrays[0])
+        return pa.array([fn(v) for v in enc.dictionary.to_pylist()],
+                        type).take(enc.indices)
+    key = np.zeros(len(arrays[0]), np.int64)
+    for a in arrays:
+        enc = encode(a)
+        key = np.unique(key * len(enc.dictionary)
+                        + enc.indices.to_numpy(zero_copy_only=False),
+                        return_inverse=True)[1]
+    _, first, inverse = np.unique(key, return_index=True,
+                                  return_inverse=True)
+    values = (a.take(first).to_pylist() for a in arrays)
+    return pa.array([fn(*v) for v in zip(*values)], type).take(inverse)
+
+
 def pool_budget() -> float:
     """Perfbench's ``runtime.actors`` metric only; goes with ROADMAP
     direction 1."""

@@ -18,10 +18,13 @@ Every extract execution runs under its own ``DataContext`` copy
 (``unreserved``). A documents read cannot fuse with the batched extract
 map, and Ray Data's per-operator resource reservation would then hold
 the map to one task until its first task ends while other CPUs idle.
-The copy turns the reservation off and caps output blocks. It has to
-be a copy: Datasets derived from one another share one context object,
-so setting it in place would change the caller's documents Dataset
-too. Datasets built on the extract output inherit the copy.
+The copy turns the reservation off and caps output blocks. It also
+keeps block order: the per-batch partial noisy-or merges whichever read
+blocks share a batch, so without it the partials of a streaming read
+would depend on which read task finished first. It has to be a copy:
+Datasets derived from one another share one context object, so setting
+it in place would change the caller's documents Dataset too. Datasets
+built on the extract output inherit the copy.
 
 The cache keys are what keep reuse exact:
 - annotator: ``seed`` — one warm annotator serves the pattern-only and
@@ -95,13 +98,16 @@ EXTRACT_BLOCK_BYTES = 8 << 20
 def unreserved(ds):
     """``ds`` over its own copy of its ``DataContext``, with the
     per-operator resource reservation off and output blocks capped at
-    ``EXTRACT_BLOCK_BYTES``, so every extract batch can start at once.
-    The caller's Datasets and the process context keep their settings;
-    Datasets derived from the result inherit the copy."""
+    ``EXTRACT_BLOCK_BYTES``, so every extract batch can start at once,
+    and with block order preserved, so each batch holds the same
+    documents in every run. The caller's Datasets and the process
+    context keep their settings; Datasets derived from the result
+    inherit the copy."""
     from ray.data import Dataset
     ds = Dataset.copy(ds, _deep_copy=True)
     ds.context.op_resource_reservation_enabled = False
     ds.context.target_max_block_size = EXTRACT_BLOCK_BYTES
+    ds.context.execution_options.preserve_order = True
     return ds
 
 

@@ -112,7 +112,7 @@ def _max_combine(fills):
     def best(df: pd.DataFrame) -> pd.DataFrame:
         # rounded score key: max-per-triple selection must not flip on
         # batch-layout ulps of upstream float products (consistency.
-        # _sort_key has the full rationale)
+        # _comparator_order has the full rationale)
         df = df.assign(_sk=df["score"].round(9))
         df = df.sort_values(TRIPLE_KEY + ["_sk", "doc_id", "sent_idx"],
                             ascending=[True] * len(TRIPLE_KEY)

@@ -2,30 +2,48 @@
 
 Ray-Data re-expression of the reference's heuristic post-processors
 (``kbp/slotfilling/evaluate/HeuristicSlotfillPostProcessors.java``,
-chained per ``SlotfillPostProcessor.java:83-141``): per-row functions
-over the fills table, applied in the reference's order — rewrites
-FIRST (``unaryRewrites``, ``SlotfillPostProcessor.java:104-112``), then
-filters (``unaryFilters``, ``:83-94``), then the KB anti-join
-(``FilterAlreadyKnownSlots``, 2009-2012 era ``unary(ir)`` ``:135-141``).
+chained per ``SlotfillPostProcessor.java:83-141``) over a fills table,
+applied in the reference's order — rewrites FIRST (``unaryRewrites``,
+``SlotfillPostProcessor.java:104-112``), then filters (``unaryFilters``,
+``:83-94``), then the KB anti-join (``FilterAlreadyKnownSlots``,
+2009-2012 era ``unary(ir)`` ``:135-141``). Each row stops at the first
+rule that drops it.
 
-Rewrites/filters that need the *containing sentence* (the reference's
-``containingSentenceLossy``) read a ``gloss`` column attached by
-``attach_gloss`` — a distributed two-sided ``by_key`` join of fills
-against the sentences table on (doc_id, sent_idx) with coarse-pid
-partitions (nothing lands on the driver). Without a gloss the
-sentence-dependent clauses no-op, mirroring the reference's
-``provenance.isDefined()`` guards.
+One kernel, ``unary_verdicts``, runs the chain in two kinds of step:
+- column rules run over every alive row as Arrow masks: the ignored
+  slots, the number/timex rewrite, FilterUnrelatedURL, the sanity
+  check, the date and title clauses of ConformToGuidelines, the
+  low-probability filter and the KB anti-join. Their string tests
+  that Arrow cannot reproduce exactly (Python's ``int``, ``re`` and
+  ``lower``) run once per distinct value (``runtime.map_distinct``);
+- gloss rules (``GLOSS_REWRITES``, ``GLOSS_FILTERS``) read the
+  *containing sentence* (the reference's ``containingSentenceLossy``)
+  from a ``gloss`` column. They run per row, in chain order, only over
+  the alive rows whose relation they read (``GLOSS_RELATIONS``) and
+  whose gloss is non-empty; the pred, obj and obj_span they rewrite go
+  back into the columns before the next column rule reads them.
+  Without a gloss they no-op, mirroring the reference's
+  ``provenance.isDefined()`` guards.
 
-Chain entry: ``unary_chain(fills_batch, ...)`` (pure, per-batch) and
-``apply_unary(fills_ds, sentences_ds, ...)`` (the pipeline stage).
+``unary_verdicts`` also names the rule that dropped each row;
+``unary_chain`` keeps the surviving rows. ``pipelines.kg``'s finalize
+kernel glosses only the fills of a ``GLOSS_RELATIONS`` relation, from
+their regenerated provenance documents; ``apply_unary`` (the pipeline
+stage of the official eval and virtual IR) attaches glosses from a
+sentences Dataset with ``attach_gloss`` — a distributed two-sided
+``by_key`` join on (doc_id, sent_idx) — and runs the same kernel per
+batch.
 """
 
 from __future__ import annotations
 
 import re
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..runtime import map_distinct
 from ..schemas import FILLS_SCHEMA
 from ..vocab import RELATIONS
 from .deps import pos_tag
@@ -61,6 +79,8 @@ BIRTH_RELATIONS = frozenset(BIRTH_TO_RESIDENCE)
 RESIDENCE_RELATIONS = frozenset(BIRTH_TO_RESIDENCE.values())
 DATE_RELATIONS = frozenset(
     n for n, r in RELATIONS.items() if "DATE" in r.slot_types)
+NUMBER_RELATIONS = frozenset(
+    n for n, r in RELATIONS.items() if "NUMBER" in r.slot_types)
 
 LOW_PROBABILITY_THRESHOLD = 0.01   # FilterVeryLowProbabilitySlots :139
 
@@ -72,30 +92,14 @@ def _between(gloss_tokens, subj_span, obj_span):
 
 
 class Fill(dict):
-    """Row-dict with .drop flag; chain steps mutate in place."""
+    """One gloss row's pred, obj and spans; the gloss rules rewrite it
+    in place and name the rule that drops it in ``drop``."""
 
 
 # ---------------------------------------------------------------------------
-# rewrites (unaryRewrites order, SlotfillPostProcessor.java:104-112)
+# gloss rules: per row, in chain order, only on the rows whose relation
+# one of them reads and whose gloss is non-empty
 # ---------------------------------------------------------------------------
-
-def canonical_mention_rewrite(f: Fill, gloss_tokens, geo=None):
-    """CanonicalMentionRewrite (:333-404): pronoun antecedents are
-    resolved upstream in this engine (stages/nlp.py), so the live
-    clauses here are number extraction and date/timex normalization."""
-    spec = RELATIONS.get(f["pred"])
-    if spec is None:
-        return
-    if "NUMBER" in spec.slot_types and not f["obj"].isdigit():
-        m = _INTEGER.search(f["obj"])
-        if m:
-            f["obj"] = m.group(1)
-    if "DATE" in spec.slot_types:
-        from ..functions.text import timex_normalize
-        tx = timex_normalize(f["obj"])
-        if tx is not None:
-            f["obj"] = tx
-
 
 def expand_to_maximal_phrase(f: Fill, gloss_tokens, geo=None):
     """ExpandToMaximalPhraseRewrite (:405-450): per:title only — absorb
@@ -209,112 +213,28 @@ def age_rewrite(f: Fill, gloss_tokens, geo=None):
             return
 
 
-REWRITES = (canonical_mention_rewrite, expand_to_maximal_phrase,
-            top_employee_to_founder, born_in_rewrite, died_in_rewrite,
-            age_rewrite)
+GLOSS_REWRITES = (expand_to_maximal_phrase, top_employee_to_founder,
+                  born_in_rewrite, died_in_rewrite, age_rewrite)
 
 
-# ---------------------------------------------------------------------------
-# filters (unaryFilters order, SlotfillPostProcessor.java:83-94)
-# ---------------------------------------------------------------------------
-
-def _ngram_overlap(name: str, url: str, min_n: int = 4) -> bool:
-    """FilterUnrelatedURL.hasOverlap (:290-310): any common substring of
-    length ≥ min(4, len(name))."""
-    name, url = name.lower(), url.lower()
-    need = min(min_n, len(name))
-    for length in range(min(len(name), len(url)), need - 1, -1):
-        for i in range(len(name) - length + 1):
-            if name[i:i + length] in url:
-                return True
-    return False
-
-
-def filter_unrelated_url(f: Fill, gloss_tokens, geo=None):
-    """FilterUnrelatedURL (:290-332): org:website must overlap the
-    entity name (direct / acronym / stopword-stripped acronym); the
-    value is rewritten to its base URL."""
-    if f["pred"] != "org:website":
+def conform_to_guidelines_gloss(f: Fill, gloss_tokens, geo=None):
+    """The gloss clauses of ConformToGuidelinesFilter (:173-289); its
+    date and title clauses are column rules (``_chain``)."""
+    if not gloss_tokens:
         return
-    name = f["subj"].lower()
-    url = f["obj"].lower()
-    acronym = re.sub(r"(^| )([a-z])[^ ]*", r"\2", name)
-    acronym2 = re.sub(r"(^| +)([a-z])[^ ]*", r"\2",
-                      re.sub(r"and|or|of|the", "", name))
-    if not (_ngram_overlap(name.replace(" ", ""), url)
-            or _ngram_overlap(acronym, url)
-            or _ngram_overlap(acronym2, url)):
-        f["drop"] = "FilterUnrelatedURL"
-        return
-    m = _BASE_URL.search(f["obj"])
-    if m:
-        f["obj"] = m.group(0)
-    else:
-        f["drop"] = "FilterUnrelatedURL"
-
-
-def sanity_check_filter(f: Fill, gloss_tokens, geo=None):
-    """SanityCheckFilter (:148-172): length cap, age bounds, employee
-    count bounds, subj == obj."""
-    if len(f["obj"]) > 80:
-        f["drop"] = "SanityCheck"
-        return
-    if f["pred"] == "per:age":
-        if "." in f["obj"]:
-            f["drop"] = "SanityCheck"
-            return
-        try:
-            v = int(f["obj"])
-            if v > 125 or v <= 0:
-                f["drop"] = "SanityCheck"
-                return
-        except ValueError:
-            pass
-    if f["pred"] == "org:number_of_employees/members":
-        if "." in f["obj"]:
-            f["drop"] = "SanityCheck"
-            return
-        try:
-            v = int(f["obj"])
-            if v > 500_000 or v < 25:
-                f["drop"] = "SanityCheck"
-                return
-        except ValueError:
-            pass
-    if f["subj"] == f["obj"]:
-        f["drop"] = "SanityCheck"
-
-
-def conform_to_guidelines_filter(f: Fill, gloss_tokens, geo=None):
-    """ConformToGuidelinesFilter (:173-289)."""
     pred = f["pred"]
-    if gloss_tokens:
-        span = " ".join(_between(gloss_tokens, f["subj_span"],
-                                 f["obj_span"])).lower()
-        if pred == "org:top_members/employees":
-            if span in INVALID_TOP_EMPLOYEE_JUSTIFICATION:
-                f["drop"] = "ConformToGuidelines"
-                return
-            gloss = " ".join(gloss_tokens)
-            if any(k in gloss for k in DIVISION_KEYWORDS):
-                f["drop"] = "ConformToGuidelines"
-                return
-        elif pred == "org:alternate_names" \
-                and span in INVALID_ORG_ALT_NAMES:
+    span = " ".join(_between(gloss_tokens, f["subj_span"],
+                             f["obj_span"])).lower()
+    if pred == "org:top_members/employees":
+        if span in INVALID_TOP_EMPLOYEE_JUSTIFICATION:
             f["drop"] = "ConformToGuidelines"
             return
-        elif pred == "per:employee_of" and f["obj"].lower() == "house":
+        gloss = " ".join(gloss_tokens)
+        if any(k in gloss for k in DIVISION_KEYWORDS):
             f["drop"] = "ConformToGuidelines"
-            return
-    if pred in DATE_RELATIONS:
-        if not _YEAR.search(f["obj"]):
-            f["drop"] = "ConformToGuidelines"
-            return
-        if _YEAR_ONLY.match(f["obj"]):
-            f["obj"] = f["obj"] + "-XX-XX"
-        elif _YEAR_MONTH.match(f["obj"]):
-            f["obj"] = f["obj"] + "-XX"
-    if pred == "per:title" and f["obj"] in INVALID_TITLES:
+    elif pred == "org:alternate_names" and span in INVALID_ORG_ALT_NAMES:
+        f["drop"] = "ConformToGuidelines"
+    elif pred == "per:employee_of" and f["obj"].lower() == "house":
         f["drop"] = "ConformToGuidelines"
 
 
@@ -339,42 +259,112 @@ def employee_filter(f: Fill, gloss_tokens, geo=None):
                 return
 
 
-def very_low_probability_filter(f: Fill, gloss_tokens, geo=None):
-    """FilterVeryLowProbabilitySlots (:139-147): score ≥ 1%."""
-    if f["score"] < LOW_PROBABILITY_THRESHOLD:
-        f["drop"] = "FilterVeryLowProbability"
+GLOSS_FILTERS = (conform_to_guidelines_gloss, employee_filter)
+
+# the relations the gloss rewrites and the gloss filters read: only
+# fills of these need a gloss
+REWRITE_RELATIONS = frozenset({
+    "per:title", "org:top_members/employees", "per:employee_of",
+    "per:age"}) | BIRTH_RELATIONS | RESIDENCE_RELATIONS
+FILTER_RELATIONS = frozenset({
+    "org:top_members/employees", "org:alternate_names", "per:employee_of"})
+GLOSS_RELATIONS = REWRITE_RELATIONS | FILTER_RELATIONS
 
 
-FILTERS = (filter_unrelated_url, sanity_check_filter,
-           conform_to_guidelines_filter, employee_filter,
-           very_low_probability_filter)
+# ---------------------------------------------------------------------------
+# column rules: Arrow masks, with the string tests that Arrow cannot
+# reproduce exactly run once per distinct value (``runtime.map_distinct``)
+# ---------------------------------------------------------------------------
+
+def _number_value(obj: str) -> str:
+    """CanonicalMentionRewrite's number clause (:333-404): the first
+    integer of a value that is not all digits."""
+    if obj.isdigit():
+        return obj
+    m = _INTEGER.search(obj)
+    return m.group(1) if m else obj
 
 
-def filter_already_known(f: Fill, known: dict):
-    """FilterAlreadyKnownSlots (:103-138): drop fills whose value
-    exactly matches or token-contains / is-contained-by a KB value for
-    the same entity; alternate names must differ from the entity name
-    (single-token prefixes/suffixes of a PERSON name also fail)."""
-    vals = known.get(f["subj"], ())
-    cand = f["obj"].lower()
+def _timex_value(obj: str) -> str:
+    """CanonicalMentionRewrite's date clause: the normalized timex
+    (pronoun antecedents are resolved upstream, stages/nlp.py)."""
+    from ..functions.text import timex_normalize
+    tx = timex_normalize(obj)
+    return obj if tx is None else tx
+
+
+def _ngram_overlap(name: str, url: str, min_n: int = 4) -> bool:
+    """FilterUnrelatedURL.hasOverlap (:290-310): any common substring of
+    length ≥ min(4, len(name))."""
+    name, url = name.lower(), url.lower()
+    need = min(min_n, len(name))
+    for length in range(min(len(name), len(url)), need - 1, -1):
+        for i in range(len(name) - length + 1):
+            if name[i:i + length] in url:
+                return True
+    return False
+
+
+def _website(subj: str, obj: str) -> str | None:
+    """FilterUnrelatedURL (:290-332): an org:website value must overlap
+    the entity name (direct / acronym / stopword-stripped acronym) → its
+    base URL, or None to drop it."""
+    name = subj.lower()
+    url = obj.lower()
+    acronym = re.sub(r"(^| )([a-z])[^ ]*", r"\2", name)
+    acronym2 = re.sub(r"(^| +)([a-z])[^ ]*", r"\2",
+                      re.sub(r"and|or|of|the", "", name))
+    if not (_ngram_overlap(name.replace(" ", ""), url)
+            or _ngram_overlap(acronym, url)
+            or _ngram_overlap(acronym2, url)):
+        return None
+    m = _BASE_URL.search(obj)
+    return m.group(0) if m else None
+
+
+def _bad_count(obj: str, lo: int, hi: int) -> bool:
+    """SanityCheckFilter's (:148-172) test of an age or employee count:
+    a decimal point, or an integer outside [lo, hi]."""
+    if "." in obj:
+        return True
+    try:
+        return not lo <= int(obj) <= hi
+    except ValueError:
+        return False
+
+
+def _guideline_date(obj: str) -> str | None:
+    """ConformToGuidelinesFilter's date clause: None (drop) without a
+    year; a bare year or year-month padded with X to YYYY-MM-DD."""
+    if not _YEAR.search(obj):
+        return None
+    if _YEAR_ONLY.match(obj):
+        return obj + "-XX-XX"
+    if _YEAR_MONTH.match(obj):
+        return obj + "-XX"
+    return obj
+
+
+def _already_known(subj: str, subj_type: str, pred: str, obj: str,
+                   known: dict) -> bool:
+    """FilterAlreadyKnownSlots (:103-138): the value exactly matches or
+    token-contains / is-contained-by a KB value for the same entity; an
+    alternate name must differ from the entity name (single-token
+    prefixes/suffixes of a PERSON name also fail)."""
+    cand = obj.lower()
     ctoks = cand.split()
-    for v in vals:
+    for v in known.get(subj, ()):
         lv = v.lower()
-        if cand == lv:
-            f["drop"] = "FilterAlreadyKnownSlots"
-            return
         vtoks = lv.split()
-        if _contains(ctoks, vtoks) or _contains(vtoks, ctoks):
-            f["drop"] = "FilterAlreadyKnownSlots"
-            return
-    if f["pred"].endswith("alternate_names"):
-        name = f["subj"].lower()
-        if cand == name:
-            f["drop"] = "FilterAlreadyKnownSlots"
-            return
-        if f["subj_type"] == "PERSON" and " " not in f["obj"] and (
-                name.startswith(cand) or name.endswith(cand)):
-            f["drop"] = "FilterAlreadyKnownSlots"
+        if cand == lv or _contains(ctoks, vtoks) \
+                or _contains(vtoks, ctoks):
+            return True
+    if pred.endswith("alternate_names"):
+        name = subj.lower()
+        return cand == name or (subj_type == "PERSON" and " " not in obj
+                                and (name.startswith(cand)
+                                     or name.endswith(cand)))
+    return False
 
 
 def _contains(haystack: list, needle: list) -> bool:
@@ -390,42 +380,165 @@ def _contains(haystack: list, needle: list) -> bool:
 # chain + pipeline stage
 # ---------------------------------------------------------------------------
 
-def unary_chain(batch: pa.Table, *, known: dict | None = None,
-                ignored: dict | None = None, geo=None) -> pa.Table:
-    """One batch of fills through rewrites → filters → KB anti-join.
+class _Chain:
+    """A batch of fills on its way through the chain: the columns as
+    rewritten so far, and each row's drop reason (None while alive).
+    Every rule reads only the rows still alive."""
+
+    def __init__(self, batch: pa.Table):
+        self.t = batch.combine_chunks()
+        self.reason = np.full(batch.num_rows, None, object)
+        self.alive = np.ones(batch.num_rows, bool)
+
+    def col(self, name: str) -> pa.Array:
+        return self.t.column(name).combine_chunks()
+
+    def rows(self, mask) -> np.ndarray:
+        """The alive rows where the Arrow boolean ``mask`` holds."""
+        return np.flatnonzero(self.alive & pc.fill_null(mask, False)
+                              .to_numpy(zero_copy_only=False))
+
+    def of(self, preds) -> np.ndarray:
+        """The alive rows whose relation is in ``preds``."""
+        return self.rows(pc.is_in(self.col("pred"),
+                                  value_set=pa.array(sorted(preds))))
+
+    def drop(self, rows: np.ndarray, rule: str) -> None:
+        self.reason[rows] = rule
+        self.alive[rows] = False
+
+    def assign(self, name: str, rows: np.ndarray, values) -> None:
+        """Column ``name`` with ``values`` at ``rows``."""
+        col = self.col(name)
+        values = pa.array(values, col.type)
+        at = np.arange(len(col))
+        at[rows] = len(col) + np.arange(len(rows))
+        self.t = self.t.set_column(
+            self.t.schema.get_field_index(name), name,
+            pa.concat_arrays([col, values]).take(at))
+
+    def rewrite(self, name: str, rows: np.ndarray, fn) -> pa.Array:
+        """``fn`` over the distinct values of column ``name`` at
+        ``rows`` → the results at ``rows``."""
+        return map_distinct(fn, self.col(name).take(rows),
+                            type=self.t.schema.field(name).type)
+
+    def per_row(self, rules, preds, geo) -> None:
+        """The gloss ``rules`` in order, each row stopping at its first
+        drop, over the alive rows whose relation is in ``preds`` (the
+        relations the rules read) and whose gloss is non-empty; the
+        pred, obj and obj_span they rewrote go back into the columns."""
+        if "gloss" not in self.t.column_names:
+            return
+        rows = self.rows(pc.and_(
+            pc.is_in(self.col("pred"), value_set=pa.array(sorted(preds))),
+            pc.greater(pc.utf8_length(self.col("gloss")), 0)))
+        if not len(rows):
+            return
+        cols = {n: _pylist(self.col(n).take(rows)) for n in
+                ("pred", "obj", "subj_span", "obj_span", "gloss")}
+        fills = [Fill(pred=p, obj=o, subj_span=s, obj_span=e)
+                 for p, o, s, e in zip(cols["pred"], cols["obj"],
+                                       cols["subj_span"], cols["obj_span"])]
+        for i, f, gloss in zip(rows.tolist(), fills, cols["gloss"]):
+            tokens = gloss.split(" ")
+            for rule in rules:
+                rule(f, tokens, geo)
+                if f.get("drop"):
+                    self.drop(i, f["drop"])
+                    break
+        for name in ("pred", "obj", "obj_span"):
+            new = [f[name] for f in fills]
+            if new != cols[name]:
+                self.assign(name, rows, new)
+
+
+def _pylist(arr: pa.Array) -> list:
+    """``arr.to_pylist()`` without a scalar per value: strings through
+    numpy, a list column by slicing its flattened values."""
+    if pa.types.is_list(arr.type):
+        values = pc.list_flatten(arr).to_numpy(zero_copy_only=False)
+        ends = np.cumsum(pc.list_value_length(arr).to_numpy(
+            zero_copy_only=False)).tolist()
+        return [values[a:b].tolist() for a, b in zip([0] + ends, ends)]
+    return arr.to_numpy(zero_copy_only=False).tolist()
+
+
+def unary_verdicts(batch: pa.Table, *, known: dict | None = None,
+                   ignored: dict | None = None, geo=None):
+    """One batch of fills through rewrites → filters → KB anti-join, in
+    the reference's order → (every row of ``batch`` with the rewrites
+    applied, each row's drop reason: the name of the rule that dropped
+    it, None for a kept row).
 
     ``known``: {entity → [known slot values]} broadcast dict;
     ``ignored``: {entity → set(ignored relations)} (FilterIgnoredSlots,
     driven by the query XML's ignoredSlots in the official eval)."""
-    names = [n for n in batch.column_names]
-    cols = {n: batch.column(n).to_pylist() for n in names}
-    glosses = cols.get("gloss")
-    out_rows = []
-    for r in range(batch.num_rows):
-        f = Fill({n: cols[n][r] for n in names})
-        gloss_tokens = glosses[r].split(" ") if glosses and glosses[r] \
-            else []
-        if ignored and f["pred"] in ignored.get(f["subj"], ()):
-            continue
-        for rw in REWRITES:
-            rw(f, gloss_tokens, geo)
-            if f.get("drop"):
-                break
-        if not f.get("drop"):
-            for fl in FILTERS:
-                fl(f, gloss_tokens, geo)
-                if f.get("drop"):
-                    break
-        if not f.get("drop") and known is not None:
-            filter_already_known(f, known)
-        if not f.get("drop"):
-            out_rows.append(f)
-    keep = [n for n in names]
-    if not out_rows:
-        return batch.slice(0, 0)
-    return pa.table({n: pa.array([f[n] for f in out_rows],
-                                 batch.schema.field(n).type)
-                     for n in keep})
+    c = _Chain(batch)
+    subj, pred = c.col("subj"), c.col("pred")
+    if ignored:
+        for s in pc.unique(subj).to_pylist():
+            if s in ignored:
+                c.drop(c.rows(pc.and_(pc.equal(subj, s), pc.is_in(
+                    pred, value_set=pa.array(list(ignored[s]),
+                                             pa.string())))),
+                       "FilterIgnoredSlots")
+    # rewrites (unaryRewrites order, SlotfillPostProcessor.java:104-112)
+    for preds, fn in ((NUMBER_RELATIONS, _number_value),
+                      (DATE_RELATIONS, _timex_value)):
+        rows = c.of(preds)
+        c.assign("obj", rows, c.rewrite("obj", rows, fn))
+    c.per_row(GLOSS_REWRITES, REWRITE_RELATIONS, geo)
+    # filters (unaryFilters order, SlotfillPostProcessor.java:83-94)
+    rows = c.of({"org:website"})
+    url = map_distinct(_website, c.col("subj").take(rows),
+                       c.col("obj").take(rows), type=pa.string())
+    c.drop(rows[pc.is_null(url).to_numpy(zero_copy_only=False)],
+           "FilterUnrelatedURL")
+    c.assign("obj", rows, pc.coalesce(url, c.col("obj").take(rows)))
+    obj = c.col("obj")
+    c.drop(c.rows(pc.or_(pc.greater(pc.utf8_length(obj), 80),
+                         pc.equal(c.col("subj"), obj))), "SanityCheck")
+    for rel, lo, hi in (("per:age", 1, 125),
+                        ("org:number_of_employees/members", 25, 500_000)):
+        rows = c.of({rel})
+        bad = map_distinct(lambda o: _bad_count(o, lo, hi),
+                           obj.take(rows), type=pa.bool_())
+        c.drop(rows[bad.to_numpy(zero_copy_only=False)], "SanityCheck")
+    rows = c.of(DATE_RELATIONS)
+    date = c.rewrite("obj", rows, _guideline_date)
+    c.drop(rows[pc.is_null(date).to_numpy(zero_copy_only=False)],
+           "ConformToGuidelines")
+    c.assign("obj", rows, pc.coalesce(date, c.col("obj").take(rows)))
+    c.drop(c.rows(pc.and_(pc.equal(c.col("pred"), "per:title"), pc.is_in(
+        c.col("obj"), value_set=pa.array(sorted(INVALID_TITLES))))),
+           "ConformToGuidelines")
+    c.per_row(GLOSS_FILTERS, FILTER_RELATIONS, geo)
+    c.drop(c.rows(pc.less(c.col("score"), LOW_PROBABILITY_THRESHOLD)),
+           "FilterVeryLowProbability")
+    # the KB anti-join (FilterAlreadyKnownSlots, unary(ir) :135-141)
+    if known is not None:
+        rows = c.rows(pc.or_(
+            pc.is_in(c.col("subj"), value_set=pa.array(list(known),
+                                                       pa.string())),
+            pc.ends_with(c.col("pred"), "alternate_names")))
+        hit = map_distinct(
+            lambda s, st, p, o: _already_known(s, st, p, o, known),
+            *(c.col(n).take(rows)
+              for n in ("subj", "subj_type", "pred", "obj")),
+            type=pa.bool_())
+        c.drop(rows[hit.to_numpy(zero_copy_only=False)],
+               "FilterAlreadyKnownSlots")
+    return c.t, c.reason
+
+
+def unary_chain(batch: pa.Table, *, known: dict | None = None,
+                ignored: dict | None = None, geo=None) -> pa.Table:
+    """The rows of ``batch`` the chain keeps, rewritten
+    (``unary_verdicts``)."""
+    t, reason = unary_verdicts(batch, known=known, ignored=ignored,
+                               geo=geo)
+    return t.filter(pa.array(np.equal(reason, None)))
 
 
 def glosses(fills: pa.Table, sentences: pa.Table):
@@ -582,8 +695,8 @@ def repair_provenance(fills, sentences, *, aliases=None):
 
 def apply_unary(fills, sentences=None, *, known: dict | None = None,
                 ignored: dict | None = None):
-    """The pipeline stage: optional gloss attach, then the per-row
-    chain with the world-knowledge geography. ``known`` should be a
+    """The pipeline stage: optional gloss attach, then ``unary_chain``
+    per batch with the world-knowledge geography. ``known`` should be a
     plain dict (broadcast it small) — the KB side of
     FilterAlreadyKnownSlots."""
     from .worldknowledge import get_geography

@@ -4,10 +4,20 @@ Each one is the former package kernel the vectorized Arrow kernel
 replaced; the tests pin the package kernel against it.
 """
 
+import re
+
 import pyarrow as pa
 
 from stanford_relation_extractor_ray.schemas import FILLS_SCHEMA
 from stanford_relation_extractor_ray.stages.classify import TRIPLE_KEY
+from stanford_relation_extractor_ray.stages.postprocess import (
+    _BASE_URL, _INTEGER, _YEAR, _YEAR_MONTH, _YEAR_ONLY, DATE_RELATIONS,
+    DIVISION_KEYWORDS, INVALID_ORG_ALT_NAMES, INVALID_TITLES,
+    INVALID_TOP_EMPLOYEE_JUSTIFICATION, LOW_PROBABILITY_THRESHOLD, Fill,
+    _between, _contains, _ngram_overlap, age_rewrite, born_in_rewrite,
+    died_in_rewrite, employee_filter, expand_to_maximal_phrase,
+    top_employee_to_founder)
+from stanford_relation_extractor_ray.vocab import RELATIONS
 
 
 def merge_fill_group(group: pa.Table) -> pa.Table:
@@ -594,3 +604,314 @@ def mine_rules_loop(fills: pa.Table, *, min_support: int = 2,
             & (df["confidence"] >= min_confidence)]
     return df.sort_values(["confidence", "support"], ascending=False,
                           kind="mergesort")
+
+
+# --- the finalize kernel's former row-dict consistency engines ---------
+
+def _value_dup_row(a: str, b: str, obj_type: str) -> bool:
+    from stanford_relation_extractor_ray.functions.text import same_entity
+    if a == b or a.lower() == b.lower():
+        return True
+    if obj_type in ("PERSON", "ORGANIZATION"):
+        return same_entity(a, b, obj_type)
+    return False
+
+
+def _valid_row(r: dict) -> bool:
+    from stanford_relation_extractor_ray.vocab import RELATIONS
+    spec = RELATIONS.get(r["pred"])
+    if spec is None:
+        return False
+    if r["obj_type"] not in spec.slot_types \
+            or spec.entity_type != r["subj_type"]:
+        return False
+    return bool(r["obj"]) and r["obj"] != r["subj"]
+
+
+def _can_accept_row(r: dict, accepted: list[dict]) -> bool:
+    from stanford_relation_extractor_ray.vocab import (
+        INCOMPATIBLE_RELATIONS, SINGLE_RELATIONS)
+    for a in accepted:
+        if a["pred"] == r["pred"]:
+            if r["pred"] in SINGLE_RELATIONS:
+                return False
+            if _value_dup_row(a["obj"], r["obj"], r["obj_type"]):
+                return False
+        elif a["obj"] == r["obj"] and frozenset(
+                (a["pred"], r["pred"])) in INCOMPATIBLE_RELATIONS:
+            return False
+    return True
+
+
+def _sort_key_row(r: dict):
+    return (-round(r["score"], 9), -len(r["obj"].split()),
+            r["pred"], r["obj"], r.get("raw_obj") or r["obj"],
+            r["doc_id"], r["sent_idx"])
+
+
+def greedy_rows(rows: list[dict]) -> list[dict]:
+    """The per-entity greedy filterStep over row dicts (sorted here)."""
+    rows.sort(key=_sort_key_row)
+    accepted: list[dict] = []
+    for r in rows:
+        if _valid_row(r) and _can_accept_row(r, accepted):
+            accepted.append(r)
+    return accepted
+
+
+def gibbs_greedy_rows(rows: list[dict], *, mixing_time: int = 10,
+                      seed: int = 42) -> list[dict]:
+    """The SUM engine over row dicts: the greedy pass, then
+    ``mixing_time`` seeded random-restart passes, keeping the largest
+    rounded Σ score; output in comparator order."""
+    import random
+
+    base = greedy_rows(rows)             # rows is now comparator-sorted
+    valid = [r for r in rows if _valid_row(r)]
+    best, best_obj = base, round(sum(r["score"] for r in base), 9)
+    rng = random.Random(seed)
+    order = list(range(len(valid)))
+    for _ in range(mixing_time):
+        rng.shuffle(order)
+        accepted: list[dict] = []
+        for i in order:
+            if _can_accept_row(valid[i], accepted):
+                accepted.append(valid[i])
+        obj = round(sum(r["score"] for r in accepted), 9)
+        if obj > best_obj:
+            best, best_obj = accepted, obj
+    chosen = {id(r) for r in best}
+    return [r for r in rows if id(r) in chosen]
+
+
+def _mitigate_loc_of_death_rows(accepted: list[dict]) -> list[dict]:
+    from stanford_relation_extractor_ray.stages.consistency import \
+        LOC_OF_DEATH
+    if not any(r["pred"] in LOC_OF_DEATH for r in accepted):
+        return accepted
+    if any(r["pred"] == "per:date_of_death" for r in accepted):
+        return accepted
+    return [r for r in accepted if r["pred"] not in LOC_OF_DEATH]
+
+
+_ENGINE_COLS = ("subj", "subj_type", "pred", "obj", "obj_type", "score",
+                "raw_obj", "doc_id", "sent_idx")
+
+
+def consistent_fills_rows(tbl: pa.Table, objective: str = "TOP",
+                          mixing_time: int = 10,
+                          seed: int = 42) -> pa.Table:
+    """``consistency.consistent_fills``' former path: one row dict per
+    fill grouped by subject, subjects in sorted order, each through the
+    row-dict TOP or SUM engine and MitigateLocOfDeath, the accepted rows
+    gathered back with one ``take``."""
+    def engine(rows):
+        if objective == "TOP":
+            return _mitigate_loc_of_death_rows(greedy_rows(rows))
+        return _mitigate_loc_of_death_rows(gibbs_greedy_rows(
+            rows, mixing_time=mixing_time, seed=seed))
+
+    names = [c for c in _ENGINE_COLS if c in tbl.column_names]
+    keys = names + ["_row"]
+    by_subj: dict = {}
+    for vals in zip(*(tbl.column(c).to_pylist() for c in names),
+                    range(tbl.num_rows)):
+        r = dict(zip(keys, vals))
+        by_subj.setdefault(r["subj"], []).append(r)
+    take = [r["_row"] for subj in sorted(by_subj)
+            for r in engine(by_subj[subj])]
+    return tbl.select(FILLS_SCHEMA.names) \
+        .take(pa.array(take, pa.int64())).cast(FILLS_SCHEMA)
+
+
+# --- the finalize kernel's former per-row unary chain -------------------
+
+
+def canonical_mention_rewrite_row(f: Fill, gloss_tokens, geo=None):
+    """CanonicalMentionRewrite (:333-404): pronoun antecedents are
+    resolved upstream in this engine (stages/nlp.py), so the live
+    clauses here are number extraction and date/timex normalization."""
+    spec = RELATIONS.get(f["pred"])
+    if spec is None:
+        return
+    if "NUMBER" in spec.slot_types and not f["obj"].isdigit():
+        m = _INTEGER.search(f["obj"])
+        if m:
+            f["obj"] = m.group(1)
+    if "DATE" in spec.slot_types:
+        from stanford_relation_extractor_ray.functions.text import \
+            timex_normalize
+        tx = timex_normalize(f["obj"])
+        if tx is not None:
+            f["obj"] = tx
+
+
+def filter_unrelated_url_row(f: Fill, gloss_tokens, geo=None):
+    """FilterUnrelatedURL (:290-332): org:website must overlap the
+    entity name (direct / acronym / stopword-stripped acronym); the
+    value is rewritten to its base URL."""
+    if f["pred"] != "org:website":
+        return
+    name = f["subj"].lower()
+    url = f["obj"].lower()
+    acronym = re.sub(r"(^| )([a-z])[^ ]*", r"\2", name)
+    acronym2 = re.sub(r"(^| +)([a-z])[^ ]*", r"\2",
+                      re.sub(r"and|or|of|the", "", name))
+    if not (_ngram_overlap(name.replace(" ", ""), url)
+            or _ngram_overlap(acronym, url)
+            or _ngram_overlap(acronym2, url)):
+        f["drop"] = "FilterUnrelatedURL"
+        return
+    m = _BASE_URL.search(f["obj"])
+    if m:
+        f["obj"] = m.group(0)
+    else:
+        f["drop"] = "FilterUnrelatedURL"
+
+
+def sanity_check_filter_row(f: Fill, gloss_tokens, geo=None):
+    """SanityCheckFilter (:148-172): length cap, age bounds, employee
+    count bounds, subj == obj."""
+    if len(f["obj"]) > 80:
+        f["drop"] = "SanityCheck"
+        return
+    if f["pred"] == "per:age":
+        if "." in f["obj"]:
+            f["drop"] = "SanityCheck"
+            return
+        try:
+            v = int(f["obj"])
+            if v > 125 or v <= 0:
+                f["drop"] = "SanityCheck"
+                return
+        except ValueError:
+            pass
+    if f["pred"] == "org:number_of_employees/members":
+        if "." in f["obj"]:
+            f["drop"] = "SanityCheck"
+            return
+        try:
+            v = int(f["obj"])
+            if v > 500_000 or v < 25:
+                f["drop"] = "SanityCheck"
+                return
+        except ValueError:
+            pass
+    if f["subj"] == f["obj"]:
+        f["drop"] = "SanityCheck"
+
+
+def conform_to_guidelines_filter_row(f: Fill, gloss_tokens, geo=None):
+    """ConformToGuidelinesFilter (:173-289)."""
+    pred = f["pred"]
+    if gloss_tokens:
+        span = " ".join(_between(gloss_tokens, f["subj_span"],
+                                 f["obj_span"])).lower()
+        if pred == "org:top_members/employees":
+            if span in INVALID_TOP_EMPLOYEE_JUSTIFICATION:
+                f["drop"] = "ConformToGuidelines"
+                return
+            gloss = " ".join(gloss_tokens)
+            if any(k in gloss for k in DIVISION_KEYWORDS):
+                f["drop"] = "ConformToGuidelines"
+                return
+        elif pred == "org:alternate_names" \
+                and span in INVALID_ORG_ALT_NAMES:
+            f["drop"] = "ConformToGuidelines"
+            return
+        elif pred == "per:employee_of" and f["obj"].lower() == "house":
+            f["drop"] = "ConformToGuidelines"
+            return
+    if pred in DATE_RELATIONS:
+        if not _YEAR.search(f["obj"]):
+            f["drop"] = "ConformToGuidelines"
+            return
+        if _YEAR_ONLY.match(f["obj"]):
+            f["obj"] = f["obj"] + "-XX-XX"
+        elif _YEAR_MONTH.match(f["obj"]):
+            f["obj"] = f["obj"] + "-XX"
+    if pred == "per:title" and f["obj"] in INVALID_TITLES:
+        f["drop"] = "ConformToGuidelines"
+
+
+def very_low_probability_filter_row(f: Fill, gloss_tokens, geo=None):
+    """FilterVeryLowProbabilitySlots (:139-147): score ≥ 1%."""
+    if f["score"] < LOW_PROBABILITY_THRESHOLD:
+        f["drop"] = "FilterVeryLowProbability"
+
+
+
+def filter_already_known_row(f: Fill, known: dict):
+    """FilterAlreadyKnownSlots (:103-138): drop fills whose value
+    exactly matches or token-contains / is-contained-by a KB value for
+    the same entity; alternate names must differ from the entity name
+    (single-token prefixes/suffixes of a PERSON name also fail)."""
+    vals = known.get(f["subj"], ())
+    cand = f["obj"].lower()
+    ctoks = cand.split()
+    for v in vals:
+        lv = v.lower()
+        if cand == lv:
+            f["drop"] = "FilterAlreadyKnownSlots"
+            return
+        vtoks = lv.split()
+        if _contains(ctoks, vtoks) or _contains(vtoks, ctoks):
+            f["drop"] = "FilterAlreadyKnownSlots"
+            return
+    if f["pred"].endswith("alternate_names"):
+        name = f["subj"].lower()
+        if cand == name:
+            f["drop"] = "FilterAlreadyKnownSlots"
+            return
+        if f["subj_type"] == "PERSON" and " " not in f["obj"] and (
+                name.startswith(cand) or name.endswith(cand)):
+            f["drop"] = "FilterAlreadyKnownSlots"
+
+
+def unary_chain_rows(batch: pa.Table, *, known: dict | None = None,
+                     ignored: dict | None = None, geo=None,
+                     reasons: list | None = None) -> pa.Table:
+    """``postprocess.unary_chain``'s former path: one ``Fill`` per row
+    through every rewrite, filter and the KB anti-join in order, each
+    row stopping at its first drop. With ``reasons``, each row's drop
+    reason is appended to it (None when kept, "FilterIgnoredSlots" for
+    an ignored slot)."""
+    names = [n for n in batch.column_names]
+    cols = {n: batch.column(n).to_pylist() for n in names}
+    glosses = cols.get("gloss")
+    out_rows = []
+    for r in range(batch.num_rows):
+        f = Fill({n: cols[n][r] for n in names})
+        gloss_tokens = glosses[r].split(" ") if glosses and glosses[r] \
+            else []
+        if ignored and f["pred"] in ignored.get(f["subj"], ()):
+            f["drop"] = "FilterIgnoredSlots"
+        else:
+            for rw in REWRITES_ROWS:
+                rw(f, gloss_tokens, geo)
+                if f.get("drop"):
+                    break
+            if not f.get("drop"):
+                for fl in FILTERS_ROWS:
+                    fl(f, gloss_tokens, geo)
+                    if f.get("drop"):
+                        break
+            if not f.get("drop") and known is not None:
+                filter_already_known_row(f, known)
+        if reasons is not None:
+            reasons.append(f.get("drop"))
+        if not f.get("drop"):
+            out_rows.append(f)
+    if not out_rows:
+        return batch.slice(0, 0)
+    return pa.table({n: pa.array([f[n] for f in out_rows],
+                                 batch.schema.field(n).type)
+                     for n in names})
+
+
+REWRITES_ROWS = (canonical_mention_rewrite_row, expand_to_maximal_phrase,
+                 top_employee_to_founder, born_in_rewrite, died_in_rewrite,
+                 age_rewrite)
+FILTERS_ROWS = (filter_unrelated_url_row, sanity_check_filter_row,
+                conform_to_guidelines_filter_row, employee_filter,
+                very_low_probability_filter_row)

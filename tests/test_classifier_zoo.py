@@ -88,30 +88,37 @@ def _fill(pred, obj, score, obj_type="PERSON"):
             "obj_span": [5, 6]}
 
 
-def test_gibbs_sum_objective_beats_greedy():
+def _engine(rows, objective, mixing_time):
+    """``rows`` of one entity through the package's consistency kernel
+    with the TOP or SUM engine."""
+    from stanford_relation_extractor_ray.schemas import FILLS_SCHEMA
     from stanford_relation_extractor_ray.stages.consistency import (
-        _greedy, gibbs_greedy)
+        consistent_fills, make_engine)
+    t = pa.Table.from_pylist(rows, schema=FILLS_SCHEMA)
+    return consistent_fills(
+        t, make_engine(objective, mixing_time, 42)).to_pylist()
+
+
+def test_gibbs_sum_objective_beats_greedy():
     # spouse(o) blocks siblings(o) and parents(o) pairwise, but
     # siblings+parents are mutually consistent: greedy takes the 0.9
     # spouse; SUM-objective restarts find {siblings, parents} = 1.4
     rows = [_fill("per:spouse", "Carol Ann Dee", 0.9),
             _fill("per:siblings", "Carol Ann Dee", 0.7),
             _fill("per:parents", "Carol Ann Dee", 0.7)]
-    greedy = _greedy([dict(r) for r in rows])
+    greedy = _engine(rows, "TOP", 10)
     assert [r["pred"] for r in greedy] == ["per:spouse"]
-    best = gibbs_greedy([dict(r) for r in rows], mixing_time=20)
+    best = _engine(rows, "SUM", 20)
     assert sorted(r["pred"] for r in best) == \
         ["per:parents", "per:siblings"]
 
 
 def test_gibbs_deterministic():
-    from stanford_relation_extractor_ray.stages.consistency import \
-        gibbs_greedy
     rows = [_fill("per:spouse", "Carol Ann Dee", 0.9),
             _fill("per:siblings", "Carol Ann Dee", 0.7),
             _fill("per:parents", "Carol Ann Dee", 0.7)]
-    a = gibbs_greedy([dict(r) for r in rows], mixing_time=10)
-    b = gibbs_greedy([dict(r) for r in rows], mixing_time=10)
+    a = _engine(rows, "SUM", 10)
+    b = _engine(rows, "SUM", 10)
     assert [(r["pred"], r["obj"]) for r in a] == \
         [(r["pred"], r["obj"]) for r in b]
 

@@ -3,7 +3,7 @@
 Round-2's one red driver cell: the greedy consistency pass ordered
 near-dup fills by a raw float noisy-or product, whose value depends on
 batch boundaries — so `num_cpus=8` and `num_cpus=32` produced different
-provenance for one tied fill. The fix (consistency._sort_key) rounds
+provenance for one tied fill. The fix (consistency._comparator_order) rounds
 the score key and tie-breaks on (raw_obj, doc_id, sent_idx).
 
 This test reruns the full kg_triples query in FRESH processes at two

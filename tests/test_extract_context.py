@@ -94,3 +94,41 @@ def test_extract_context_stays_with_extract(ray_session, tmp_path,
         (False, EXTRACT_BLOCK_BYTES)}
     assert DataContext.get_current() is process
     assert settings(documents.context) == before == settings(process)
+
+
+def test_streaming_partials_follow_block_order(ray_session, tmp_path):
+    """A streaming extract over a 4-file corpus gives the partials of
+    the in-process chain over docs [0, 4096) and [4096, 8192),
+    concatenated, whichever read task finishes first: the extract
+    context keeps block order, so each batch holds the same documents in
+    every run. The process context keeps its own setting."""
+    import numpy as np
+    from ray.data import DataContext
+
+    from stanford_relation_extractor_ray.corpus import _docs_batch
+    from stanford_relation_extractor_ray.pipelines.kg import extract_fills
+    from stanford_relation_extractor_ray.runtime import collect_table
+    from stanford_relation_extractor_ray.stages.classify import (
+        PARTIAL_SCHEMA, CandidateScorer)
+    from stanford_relation_extractor_ray.stages.extract_fused import (
+        EXTRACT_BATCH, FusedExtractor)
+    from stanford_relation_extractor_ray.stages.link import EntityLinker
+    from stanford_relation_extractor_ray.stages.nlp import NLPAnnotator
+
+    def docs(lo, hi):
+        return _docs_batch({"id": np.arange(lo, hi, dtype=np.int64)}, 42)
+
+    n, per = 2 * EXTRACT_BATCH, EXTRACT_BATCH // 2
+    os.makedirs(tmp_path / "docs")
+    for lo in range(0, n, per):
+        pq.write_table(docs(lo, lo + per),
+                       str(tmp_path / "docs" / f"{lo:05d}.parquet"))
+    got = collect_table(extract_fills(read_table(str(tmp_path / "docs")))
+                        .materialize(), PARTIAL_SCHEMA)
+    chain = FusedExtractor(NLPAnnotator(42), EntityLinker(None, 42),
+                           CandidateScorer(None))
+    want = pa.concat_tables([chain(docs(lo, lo + EXTRACT_BATCH))
+                             for lo in (0, EXTRACT_BATCH)])
+    assert got.num_rows > 1000
+    assert got.to_pylist() == want.to_pylist()
+    assert not DataContext.get_current().execution_options.preserve_order
