@@ -27,8 +27,8 @@ from stanford_relation_extractor_ray.stages.worldknowledge import \
 
 # --- the consistency engines -------------------------------------------
 
-_SUBJECTS = [("Ann Lee", "PERSON"), ("Acme Corp", "ORGANIZATION"),
-             ("Bo Chan", "PERSON"), ("Bo Chan", "ORGANIZATION")]
+_SUBJECTS = {"PERSON": ["Ann Lee", "Bo Chan"],
+             "ORGANIZATION": ["Acme Corp", "Bo Chan"]}
 # SINGLE relations, declared incompatibilities, list relations with
 # PERSON/ORG values, location of death with and without its date, and
 # one unknown relation
@@ -38,13 +38,15 @@ _PREDS = ["per:city_of_birth", "per:city_of_death", "per:date_of_birth",
           "per:cities_of_residence", "org:top_members/employees",
           "org:parents", "org:subsidiaries", "org:shareholders",
           "org:founded", "org:dissolved", "per:nonsense"]
-# near-duplicate PERSON and ORG values, case variants, acronyms, an
-# empty value and the subjects themselves
-_OBJS = ["Robert Smith", "Bob Smith", "Robert Smyth", "robert smith",
-         "Smith", "R. Smith", "Robert J. Smith", "Acme Corp", "ACME",
-         "Acme Corporation", "Acme", "AC", "The Acme Group", "Toronto",
-         "1970-05-03", "", "Ann Lee", "Bo Chan"]
-_TYPES = ["PERSON", "ORGANIZATION", "CITY", "DATE"]
+# near-duplicate PERSON and ORG values (case variants, acronyms), places
+# and dates, an empty value and the subjects themselves
+_OBJS = {"PERSON": ["Robert Smith", "Bob Smith", "Robert Smyth",
+                    "robert smith", "Smith", "R. Smith", "Robert J. Smith",
+                    "Ann Lee", "Bo Chan", ""],
+         "ORGANIZATION": ["Acme Corp", "ACME", "Acme Corporation", "Acme",
+                          "AC", "The Acme Group", "Bo Chan", ""],
+         "CITY": ["Toronto", "Osaka", "toronto"],
+         "DATE": ["1970-05-03", "1971", ""]}
 # ties, near-ties below the 1e-9 rounding and plain values
 _SCORES = st.one_of(st.sampled_from([0.5, 0.7, 0.7 + 1e-12, 0.9, 0.9]),
                     st.floats(0.0, 1.0))
@@ -52,16 +54,25 @@ _SCORES = st.one_of(st.sampled_from([0.5, 0.7, 0.7 + 1e-12, 0.9, 0.9]),
 
 @st.composite
 def _fill_tables(draw):
+    """Fills of a few subjects, mostly typed as their relation expects
+    (so they conflict), some not (so ``_valid`` drops them)."""
+    from stanford_relation_extractor_ray.vocab import RELATIONS
     n = draw(st.integers(0, 24))
     rows = []
     for _ in range(n):
-        subj, subj_type = draw(st.sampled_from(_SUBJECTS))
-        obj = draw(st.sampled_from(_OBJS))
+        pred = draw(st.sampled_from(_PREDS))
+        spec = RELATIONS.get(pred)
+        typed = spec is not None and draw(st.integers(0, 9)) > 0
+        subj_type = spec.entity_type if typed else draw(
+            st.sampled_from(sorted(_SUBJECTS)))
+        slot_types = [t for t in spec.slot_types if t in _OBJS] \
+            if typed else []
+        obj_type = draw(st.sampled_from(slot_types or sorted(_OBJS)))
+        subj = draw(st.sampled_from(_SUBJECTS[subj_type]))
+        obj = draw(st.sampled_from(_OBJS[obj_type]))
         rows.append({
-            "subj": subj, "subj_type": subj_type,
-            "pred": draw(st.sampled_from(_PREDS)), "obj": obj,
-            "obj_type": draw(st.sampled_from(_TYPES)),
-            "score": draw(_SCORES),
+            "subj": subj, "subj_type": subj_type, "pred": pred,
+            "obj": obj, "obj_type": obj_type, "score": draw(_SCORES),
             "doc_id": draw(st.sampled_from(["d0", "d1"])),
             "sent_idx": draw(st.integers(0, 2)),
             "subj_span": [0, 2], "obj_span": [5, 6],
@@ -72,14 +83,47 @@ def _fill_tables(draw):
     return t if draw(st.booleans()) else t.drop_columns(["raw_obj"])
 
 
+def _person_fills(rows: list) -> pa.Table:
+    base = {"subj": "Ann Lee", "subj_type": "PERSON", "obj_type": "PERSON",
+            "doc_id": "d0", "sent_idx": 0, "subj_span": [0, 2],
+            "obj_span": [5, 6]}
+    return pa.Table.from_pylist(
+        [dict(base, **r) for r in rows],
+        schema=FILLS_SCHEMA.append(pa.field("raw_obj", pa.string())))
+
+
+# the restarts beat the greedy pass (spouse blocks siblings and parents,
+# which a restart accepts siblings-first), and a tie broken by the raw
+# object against the provenance order
+_SUM_WINS = _person_fills([
+    {"pred": "per:spouse", "obj": "Robert Smith", "score": 0.9,
+     "raw_obj": "Robert Smith"},
+    {"pred": "per:siblings", "obj": "Robert Smith", "score": 0.7,
+     "raw_obj": "Robert Smith"},
+    {"pred": "per:parents", "obj": "Robert Smith", "score": 0.7,
+     "raw_obj": "Robert Smith"}])
+_RAW_TIE = _person_fills([
+    {"pred": "per:spouse", "obj": "Robert Smith", "score": 0.7,
+     "raw_obj": "Bob Smith", "doc_id": "d1"},
+    {"pred": "per:spouse", "obj": "Robert Smith", "score": 0.7 + 1e-12,
+     "raw_obj": "Robert Smith", "doc_id": "d0"}])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_fill_tables(), st.sampled_from(["TOP", "SUM"]),
        st.integers(0, 12), st.integers(0, 3))
+@example(_SUM_WINS, "SUM", 10, 42)
+@example(_RAW_TIE, "TOP", 10, 42)
 def test_consistent_fills_equals_row_engines(t, objective, mixing_time,
                                              seed):
     got = consistent_fills(t, make_engine(objective, mixing_time, seed))
     want = consistent_fills_rows(t, objective, mixing_time, seed)
     assert got.to_pylist() == want.to_pylist()
+    if t is _SUM_WINS:
+        assert [r["pred"] for r in want.to_pylist()] == [
+            "per:parents", "per:siblings"]
+    if t is _RAW_TIE:
+        assert [r["doc_id"] for r in want.to_pylist()] == ["d1"]
     assert got.schema.equals(FILLS_SCHEMA)
 
 
